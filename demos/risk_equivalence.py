@@ -18,7 +18,7 @@ from mixreg import (
     mix_coefficients,
     mixup_risk_mc,
     modify,
-    per_example_covariances,
+    perturbation_covariances,
     perturbed_erm_risk_mc,
     r_terms_general,
     sample_perturbation,
@@ -63,7 +63,7 @@ print(f"perturbed-form estimate  {est_pert.mean:.6f} +- {est_pert.stderr:.6f}")
 
 # --- covariance closed form ------------------------------------------------
 i = 7
-cov = per_example_covariances(ds, coeffs, i)
+cov = perturbation_covariances(ds, coeffs)  # every row, stacked
 rng = np.random.default_rng(5)
 n_mc = 300_000
 from mixreg import sample_theta
@@ -74,7 +74,7 @@ tb = coeffs.theta_bar
 deltas = (th - tb) * ds.inputs[i] + (1 - th) * ds.inputs[J] - (1 - tb) * ds.x_mean
 emp = deltas.T @ deltas / n_mc
 print(f"\ninput covariance of row {i}: closed form vs {n_mc} Monte-Carlo draws")
-print("closed:\n", np.array_str(cov.sxx, precision=5))
+print("closed:\n", np.array_str(cov.sxx[i], precision=5))
 print("monte carlo:\n", np.array_str(emp, precision=5))
 
 # --- four-penalty decomposition ---------------------------------------------

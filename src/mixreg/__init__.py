@@ -24,11 +24,10 @@ from .data import (
     make_two_moons,
     modify,
     save_csv,
-    stats,
     train_test_split,
 )
 from .losses import LossBundle, LossKind, bundle, entropy, sigmoid, softmax
-from .metrics import MetricsRow, PredictionMode, ece, metrics, rescaled_predict
+from .metrics import MetricsRow, Rescale, ece, metrics, predict, rescaled_predict
 from .mixup import (
     McEstimate,
     PerturbationDraw,
@@ -45,6 +44,7 @@ from .regularizers import (
     exact_second_moments,
     mols_fit,
     per_example_covariances,
+    perturbation_covariances,
     quadratic_loss,
     r_terms_ce,
     r_terms_general,

@@ -7,6 +7,10 @@ Subcommands:
   verify      run the numerical certification suite (exit 0 iff all pass)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
+eval and breakdown rebuild the dataset at the seed stored in model.json
+unless --seed is given; eval --mode rescaled uses the rescaling statistics
+stored there.
+
 Config file (JSON; flags override file values):
 
     {
@@ -33,9 +37,10 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as sps
 
-from .data import flip_labels, load_csv, make_two_moons, train_test_split
+from .data import load_csv
+from .experiment import ExperimentSpec, make_instance
 from .losses import LossKind
-from .metrics import PredictionMode, metrics, write_histogram_csv
+from .metrics import Rescale, metrics, write_histogram_csv
 from .models import load_model_json, save_model_json
 from .regularizers import r_terms_general
 from .training import TrainConfig, train
@@ -100,11 +105,13 @@ def _load_config(args) -> dict:
 def _datasets_from_config(cfg: dict, seed: int):
     ds_cfg = cfg["dataset"]
     if ds_cfg["kind"] == "two_moons":
-        full = make_two_moons(ds_cfg["n"], ds_cfg["noise"], seed)
-        ds_train, ds_test = train_test_split(full, ds_cfg["train_fraction"], seed + 1)
-        if ds_cfg.get("flip_fraction", 0) > 0:
-            ds_train = flip_labels(ds_train, ds_cfg["flip_fraction"], seed + 2)
-        return ds_train, ds_test
+        spec = ExperimentSpec(
+            n=ds_cfg["n"],
+            noise=ds_cfg["noise"],
+            train_fraction=ds_cfg["train_fraction"],
+            flip_fraction=ds_cfg.get("flip_fraction", 0.0),
+        )
+        return make_instance(spec, seed)
     if ds_cfg["kind"] == "csv":
         return load_csv(ds_cfg["train"]), load_csv(ds_cfg["test"])
     raise ValueError(f"unknown dataset kind {ds_cfg['kind']!r}")
@@ -145,12 +152,11 @@ def cmd_train(args) -> int:
     tc = _train_config(cfg, seed)
     model, trace = train(ds_train, ds_test, tc)
     extra = {"method": tc.method, "loss": tc.loss.value, "seed": seed}
-    if tc.method != "erm":
-        tb = mix_coefficients(tc.alpha).theta_bar
+    if trace.rescale is not None:
         extra["rescale"] = {
-            "xbar": ds_train.x_mean.tolist(),
-            "ybar": ds_train.y_mean.tolist(),
-            "theta_bar": tb,
+            "xbar": trace.rescale.xbar.tolist(),
+            "ybar": trace.rescale.ybar.tolist(),
+            "theta_bar": trace.rescale.theta_bar,
             "alpha": tc.alpha,
         }
     save_model_json(model, out / "model.json", extra=extra)
@@ -159,23 +165,26 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _mode_from_args(mode: str, extra: dict) -> PredictionMode:
-    if mode == "raw":
-        return PredictionMode.raw()
-    resc = extra.get("rescale")
-    if resc is None:
-        raise SystemExit("model artifact carries no rescaling statistics; cannot eval rescaled")
-    return PredictionMode.rescaled(
-        np.asarray(resc["xbar"]), np.asarray(resc["ybar"]), resc["theta_bar"]
-    )
+def _load_model(args):
+    """The saved model, its metadata, and the config at the seed it was trained
+    on unless ``--seed`` is given."""
+    model, extra = load_model_json(args.model)
+    cfg = _load_config(args)
+    if args.seed is None and "seed" in extra:
+        cfg = dict(cfg, seed=extra["seed"])
+    return model, extra, cfg
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    model, extra = load_model_json(args.model)
+    model, extra, cfg = _load_model(args)
     _, ds_test = _datasets_from_config(cfg, cfg["seed"])
-    mode = _mode_from_args(args.mode, extra)
-    row = metrics(model, ds_test, mode)
+    rescale = None
+    if args.mode == "rescaled":
+        resc = extra.get("rescale")
+        if resc is None:
+            raise SystemExit("model artifact carries no rescaling statistics; cannot eval rescaled")
+        rescale = Rescale(np.asarray(resc["xbar"]), np.asarray(resc["ybar"]), resc["theta_bar"])
+    row = metrics(model, ds_test, rescale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, out)
@@ -217,13 +226,12 @@ def cmd_sweep(args) -> int:
             run_cfg = _deep_update(cfg, {"seed": seed, "train": {"alpha": alpha}})
             ds_train, ds_test = _datasets_from_config(run_cfg, seed)
             tc = _train_config(run_cfg, seed)
-            model, _ = train(ds_train, ds_test, tc)
-            modes = {"raw": PredictionMode.raw()}
-            if tc.method != "erm":
-                tb = mix_coefficients(alpha).theta_bar
-                modes["rescaled"] = PredictionMode.rescaled(ds_train.x_mean, ds_train.y_mean, tb)
-            for mode_name, mode in modes.items():
-                row = metrics(model, ds_test, mode)
+            model, trace = train(ds_train, ds_test, tc)
+            modes = {"raw": None}
+            if trace.rescale is not None:
+                modes["rescaled"] = trace.rescale
+            for mode_name, rescale in modes.items():
+                row = metrics(model, ds_test, rescale)
                 for name in metric_names:
                     per_mode[mode_name][name].append(getattr(row, name))
         for mode_name, totals in per_mode.items():
@@ -264,8 +272,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    cfg = _load_config(args)
-    model, extra = load_model_json(args.model)
+    model, extra, cfg = _load_model(args)
     ds_train, _ = _datasets_from_config(cfg, cfg["seed"])
     alpha = args.alpha if args.alpha is not None else extra.get("rescale", {}).get("alpha", 1.0)
     kind = _LOSS_BY_NAME[extra.get("loss", "ce")]

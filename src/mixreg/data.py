@@ -12,7 +12,6 @@ __all__ = [
     "ModifiedDataset",
     "make_two_moons",
     "flip_labels",
-    "stats",
     "modify",
     "train_test_split",
     "save_csv",
@@ -143,11 +142,6 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     flipped = Y.copy()
     flipped[rows] = flipped[rows][:, ::-1]
     return Dataset(ds.inputs.copy(), flipped)
-
-
-def stats(ds: Dataset):
-    """(x_mean, y_mean, sxx, sxy, syy) with divide-by-n covariances."""
-    return ds.x_mean, ds.y_mean, ds.sxx, ds.sxy, ds.syy
 
 
 def modify(ds: Dataset, theta_bar: float) -> ModifiedDataset:

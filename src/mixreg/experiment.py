@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .data import Dataset, flip_labels, make_two_moons, train_test_split
 from .losses import LossKind
-from .metrics import PredictionMode, metrics
+from .metrics import metrics
 from .regularizers import r_terms_general
 from .training import TrainConfig, train
 from .truncbeta import mix_coefficients
@@ -81,15 +81,8 @@ def run_method(
 ) -> MethodResult:
     cfg = spec.train_config(method, seed)
     model, trace = train(ds_train, ds_test, cfg)
-    raw = PredictionMode.raw()
-    m_raw = metrics(model, ds_test, raw)
-    if method == "erm":
-        natural = m_raw
-    else:
-        tb = mix_coefficients(spec.alpha).theta_bar
-        natural = metrics(
-            model, ds_test, PredictionMode.rescaled(ds_train.x_mean, ds_train.y_mean, tb)
-        )
+    m_raw = metrics(model, ds_test)
+    natural = m_raw if trace.rescale is None else metrics(model, ds_test, trace.rescale)
     return MethodResult(
         method=method,
         model=model,

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 __all__ = [
     "LossKind",
@@ -133,8 +134,7 @@ def grad_u_rows(kind: LossKind, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     if kind is LossKind.CROSS_ENTROPY:
         return softmax_rows(U) - Y
     if kind is LossKind.LOGISTIC:
-        s = 1.0 / (1.0 + np.exp(-U))
-        return s - Y
+        return expit(U) - Y
     raise ValueError(f"unknown loss kind {kind!r}")
 
 

@@ -10,6 +10,10 @@ For classifiers this transforms the logits; softmax is applied afterwards by
 the metric code. With theta_bar = 1 the map is the identity, and for balanced
 classes it only shifts every logit by the same constant, leaving the argmax
 at the shrunk point unchanged.
+
+Training builds the statistics (xbar, ybar, theta_bar) once per run as a
+:class:`Rescale` value, or None for plain fitting; :func:`predict` and
+:func:`metrics` take that value as it is.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from .data import Dataset
 from .losses import LossKind, entropy, loss_values, softmax_rows
 
 __all__ = [
-    "PredictionMode",
+    "Rescale",
     "MetricsRow",
     "rescaled_predict",
-    "predict_with_mode",
+    "predict",
     "ece",
     "metrics",
     "confidence_histogram",
@@ -37,35 +41,21 @@ CONFIDENCE_BINS = 20
 
 
 @dataclass(frozen=True)
-class PredictionMode:
-    """Raw prediction, or rescaled through frozen training-set statistics."""
+class Rescale:
+    """Frozen training statistics of the rescaled predictor.
 
-    kind: str = "raw"
-    xbar: np.ndarray | None = None
-    ybar: np.ndarray | None = None
-    theta_bar: float | None = None
+    Methods that fit mean-shrunk rows carry one; plain fitting carries None,
+    which means raw prediction.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("raw", "rescaled"):
-            raise ValueError(f"mode must be 'raw' or 'rescaled', got {self.kind!r}")
-        if self.kind == "rescaled":
-            if self.xbar is None or self.ybar is None or self.theta_bar is None:
-                raise ValueError("rescaled mode needs (xbar, ybar, theta_bar)")
-            if not 0.5 <= self.theta_bar <= 1.0:
-                raise ValueError("theta_bar must lie in [1/2, 1]")
+    xbar: np.ndarray
+    ybar: np.ndarray
+    theta_bar: float
 
-    @classmethod
-    def raw(cls) -> "PredictionMode":
-        return cls()
-
-    @classmethod
-    def rescaled(cls, xbar, ybar, theta_bar) -> "PredictionMode":
-        return cls(
-            kind="rescaled",
-            xbar=np.asarray(xbar, dtype=float),
-            ybar=np.asarray(ybar, dtype=float),
-            theta_bar=float(theta_bar),
-        )
+    @property
+    def zero_logit(self) -> float:
+        """Rescaled value of a zero raw logit: the class threshold of a scalar output."""
+        return float(self.ybar[0] * (1.0 - 1.0 / self.theta_bar))
 
 
 @dataclass(frozen=True)
@@ -103,10 +93,11 @@ def rescaled_predict(model, x: np.ndarray, xbar, ybar, theta_bar: float) -> np.n
     return ybar * (1.0 - 1.0 / theta_bar) + model.predict(shrunk) / theta_bar
 
 
-def predict_with_mode(model, X: np.ndarray, mode: PredictionMode) -> np.ndarray:
-    if mode.kind == "raw":
-        return model.predict(X)
-    return rescaled_predict(model, X, mode.xbar, mode.ybar, mode.theta_bar)
+def predict(model, x: np.ndarray, rescale: Rescale | None = None) -> np.ndarray:
+    """Raw outputs when ``rescale`` is None, else the rescaled prediction."""
+    if rescale is None:
+        return model.predict(x)
+    return rescaled_predict(model, x, rescale.xbar, rescale.ybar, rescale.theta_bar)
 
 
 def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
@@ -142,11 +133,14 @@ def confidence_histogram(confidences, n_bins: int = CONFIDENCE_BINS) -> np.ndarr
     return counts
 
 
-def metrics(model, ds_test: Dataset, mode: PredictionMode, n_ece_bins: int = ECE_BINS) -> MetricsRow:
-    """Accuracy, cross-entropy, calibration error, entropy and confidence stats."""
+def metrics(
+    model, ds_test: Dataset, rescale: Rescale | None = None, n_ece_bins: int = ECE_BINS
+) -> MetricsRow:
+    """Accuracy, cross-entropy, calibration error, entropy and confidence stats
+    of the raw (``rescale`` None) or rescaled predictor."""
     if not ds_test.is_classification():
         raise ValueError("metrics require simplex-valued test outputs")
-    logits = predict_with_mode(model, ds_test.inputs, mode)
+    logits = predict(model, ds_test.inputs, rescale)
     probs = softmax_rows(logits)
     labels = ds_test.labels()
     pred = probs.argmax(axis=1)

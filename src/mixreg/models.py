@@ -1,8 +1,7 @@
 """Differentiable predictors: linear-with-intercept and random Fourier features.
 
-Both models expose the value f(x), the input Jacobian (c, d), the input
-Hessian as a dense (c, d, d) tensor, and the gradient of a composed loss in
-the trainable parameters. All derivatives are analytic.
+Both models expose the value f(x), the input Jacobian (c, d) and the input
+Hessian as a dense (c, d, d) tensor. All derivatives are analytic.
 
 The feature model uses phi(x) = cos(S x + B) / sqrt(M) with frozen S and B;
 only the head weights w (c, M) train. Derivatives follow from the chain rule:
@@ -17,8 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-
-from .losses import LossKind, bundle
 
 __all__ = [
     "LinearModel",
@@ -72,11 +69,6 @@ class LinearModel:
     def input_hessian(self, x: np.ndarray) -> np.ndarray:
         c, d = self.W.shape
         return np.zeros((c, d, d))
-
-    def param_gradient(self, kind: LossKind, x: np.ndarray, y: np.ndarray):
-        """Gradient of l(y, f(x)) in (W, b): (grad_u x^T, grad_u)."""
-        gu = bundle(kind, y, self.predict(x)).grad_u
-        return np.outer(gu, np.asarray(x, dtype=float)), gu
 
     def copy(self) -> "LinearModel":
         return LinearModel(self.W.copy(), self.b.copy())
@@ -141,12 +133,6 @@ class RffModel:
     def input_hessian(self, x: np.ndarray) -> np.ndarray:
         cos_scaled = self.features(np.asarray(x, dtype=float))
         return -np.einsum("cm,m,mj,mk->cjk", self.w, cos_scaled, self.S, self.S)
-
-    def param_gradient(self, kind: LossKind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Gradient of l(y, f(x)) in the head weights: grad_u phi(x)^T."""
-        phi = self.features(x)
-        gu = bundle(kind, y, self.w @ phi).grad_u
-        return np.outer(gu, phi)
 
     def copy(self) -> "RffModel":
         return RffModel(self.S, self.B, self.w.copy())

@@ -3,10 +3,12 @@
 For row i the perturbation second moments are, with s2 = sigma_sq,
 g2 = gamma_sq and tb = theta_bar,
 
-    Cov_i = [ s2 (x~_i - xbar)(x~_i - xbar)^T + g2 Cov(x~) ] / tb^2
+    Cov_i = s2 (x_i - xbar)(x_i - xbar)^T + g2 Cov(x)
 
 (and analogously for outputs and the input/output cross block), which equals
-s2 (x_i - xbar)(x_i - xbar)^T + g2 Cov(x) on the original rows.
+[ s2 (x~_i - xbar)(x~_i - xbar)^T + g2 Cov(x~) ] / tb^2 on the shrunk rows.
+:func:`perturbation_covariances` is the one implementation, stacked over
+rows; :func:`exact_second_moments` is an independent oracle for it.
 
 Averaging the quadratic Taylor expansion of the loss over these perturbations
 splits the risk into the plain fit on shrunk data plus four penalties:
@@ -37,6 +39,7 @@ from .truncbeta import MixCoefficients, trunc_beta_raw_moment
 __all__ = [
     "PerExampleCovariances",
     "RegularizerBreakdown",
+    "perturbation_covariances",
     "per_example_covariances",
     "exact_second_moments",
     "quadratic_loss",
@@ -119,25 +122,34 @@ def psd_pinv_sqrt(A: np.ndarray):
     return (vecs * inv_root) @ vecs.T, int(np.count_nonzero(~keep))
 
 
-def per_example_covariances(
-    ds: Dataset,
-    coeffs: MixCoefficients,
-    i: int,
-    mod: ModifiedDataset | None = None,
+def perturbation_covariances(
+    ds: Dataset, coeffs: MixCoefficients, rows=None
 ) -> PerExampleCovariances:
-    """Closed-form perturbation covariances for row i, from the shrunk rows."""
+    """Closed-form perturbation covariances, stacked over rows.
+
+    Row i gets s2 (x_i - xbar)(x_i - xbar)^T + g2 Cov(x), and likewise for the
+    output and cross blocks, on the original rows. Returns arrays shaped
+    (k, d, d), (k, c, c) and (k, d, c) for the k selected ``rows`` (every row
+    when None).
+    """
+    X = ds.inputs if rows is None else ds.inputs[rows]
+    Y = ds.outputs if rows is None else ds.outputs[rows]
+    s2, g2 = coeffs.sigma_sq, coeffs.gamma_sq
+    Xc = X - ds.x_mean
+    Yc = Y - ds.y_mean
+    return PerExampleCovariances(
+        sxx=s2 * np.einsum("bi,bj->bij", Xc, Xc) + g2 * ds.sxx,
+        syy=s2 * np.einsum("bi,bj->bij", Yc, Yc) + g2 * ds.syy,
+        sxy=s2 * np.einsum("bi,bj->bij", Xc, Yc) + g2 * ds.sxy,
+    )
+
+
+def per_example_covariances(ds: Dataset, coeffs: MixCoefficients, i: int) -> PerExampleCovariances:
+    """Closed-form perturbation covariances for row i."""
     if not 0 <= i < ds.n:
         raise IndexError(f"row index {i} out of range for n={ds.n}")
-    if mod is None:
-        mod = modify(ds, coeffs.theta_bar)
-    s2, g2 = coeffs.sigma_sq, coeffs.gamma_sq
-    tb2 = coeffs.theta_bar**2
-    dx = mod.inputs[i] - mod.x_mean
-    dy = mod.outputs[i] - mod.y_mean
-    sxx = (s2 * np.outer(dx, dx) + g2 * mod.sxx) / tb2
-    syy = (s2 * np.outer(dy, dy) + g2 * mod.syy) / tb2
-    sxy = (s2 * np.outer(dx, dy) + g2 * mod.sxy) / tb2
-    return PerExampleCovariances(sxx=sxx, syy=syy, sxy=sxy)
+    cov = perturbation_covariances(ds, coeffs, [i])
+    return PerExampleCovariances(sxx=cov.sxx[0], syy=cov.syy[0], sxy=cov.sxy[0])
 
 
 def exact_second_moments(
@@ -239,7 +251,7 @@ def r_terms_general(
     erm_mod = r1 = r2 = r3 = r4 = 0.0
     clipped = 0
     for i in range(n):
-        cov = per_example_covariances(ds, coeffs, i, mod=mod)
+        cov = per_example_covariances(ds, coeffs, i)
         xt, yt = mod.inputs[i], mod.outputs[i]
         bnd = bundle(kind, yt, model.predict(xt))
         G = model.input_jacobian(xt)
@@ -276,7 +288,7 @@ def r_terms_ce(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
     erm_mod = r1 = r2 = r3 = 0.0
     clipped = 0
     for i in range(n):
-        cov = per_example_covariances(ds, coeffs, i, mod=mod)
+        cov = per_example_covariances(ds, coeffs, i)
         xt, yt = mod.inputs[i], mod.outputs[i]
         u = model.predict(xt)
         erm_mod += loss_value(LossKind.CROSS_ENTROPY, yt, u)
@@ -304,7 +316,7 @@ def r_terms_lr(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
     erm_mod = r1 = r2 = r3 = 0.0
     clipped = 0
     for i in range(n):
-        cov = per_example_covariances(ds, coeffs, i, mod=mod)
+        cov = per_example_covariances(ds, coeffs, i)
         xt = mod.inputs[i]
         yt = float(mod.outputs[i][0])
         u = float(np.asarray(model.predict(xt)).ravel()[0])
@@ -341,7 +353,7 @@ def r_terms_se(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
     erm_mod = r1 = r2 = r3 = r4 = 0.0
     clipped = 0
     for i in range(n):
-        cov = per_example_covariances(ds, coeffs, i, mod=mod)
+        cov = per_example_covariances(ds, coeffs, i)
         xt, yt = mod.inputs[i], mod.outputs[i]
         u = model.predict(xt)
         erm_mod += loss_value(LossKind.SQUARED_ERROR, yt, u)

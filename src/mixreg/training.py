@@ -8,8 +8,12 @@ The regularized method trains the uncompleted form of the penalties,
 
 whose value equals the completed R1 + R3 + R4 decomposition while avoiding
 matrix square roots inside the loop; all parameter gradients are analytic.
-Per-example covariances depend only on the data and the mixing weight, so
-they are precomputed once per dataset.
+The per-example covariances come stacked from
+:func:`regularizers.perturbation_covariances`, once per training run.
+
+The methods that fit mean-shrunk rows are scored with the rescaled
+predictor; :func:`train` builds its statistics once per run and returns them
+as ``trace.rescale`` (None for plain fitting, which predicts raw).
 """
 
 from __future__ import annotations
@@ -17,11 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .data import Dataset, modify
 from .losses import LossKind, grad_u_rows, loss_values, softmax_rows
+from .metrics import Rescale, predict
 from .models import LinearModel, RffModel, init_rff
 from .mixup import mixup_minibatch
+from .regularizers import perturbation_covariances
 from .truncbeta import MixCoefficients, mix_coefficients
 
 __all__ = [
@@ -30,7 +37,6 @@ __all__ = [
     "TrainingDiverged",
     "train",
     "approx_gradient",
-    "natural_predictions",
 ]
 
 METHODS = ("erm", "mixup", "erm_modified", "mixup_approx")
@@ -70,8 +76,13 @@ class TrainConfig:
 
 @dataclass
 class TrainTrace:
-    """Per-epoch rows: training objective, train/test accuracy, test loss."""
+    """Per-epoch rows: training objective, train/test accuracy, test loss.
 
+    ``rescale`` holds the run's rescaling statistics, or None when the method
+    predicts raw.
+    """
+
+    rescale: Rescale | None = None
     epochs: list = field(default_factory=list)
     objective: list = field(default_factory=list)
     train_acc: list = field(default_factory=list)
@@ -97,20 +108,6 @@ class TrainTrace:
                 fh.write("%d,%r,%r,%r,%r\n" % row)
 
 
-def natural_predictions(model, X: np.ndarray, method: str, rescale) -> np.ndarray:
-    """Model outputs under the evaluation the method's objective implies.
-
-    Methods that fit mean-shrunk rows learn a map between the shrunk spaces,
-    so their predictions are rescaled back through the training statistics;
-    plain fitting predicts directly.
-    """
-    if method == "erm" or rescale is None:
-        return model.predict(X)
-    xbar, ybar, tb = rescale
-    shrunk = tb * np.asarray(X, dtype=float) + (1.0 - tb) * xbar
-    return ybar * (1.0 - 1.0 / tb) + model.predict(shrunk) / tb
-
-
 def _accuracy(outputs: np.ndarray, targets: np.ndarray, threshold: float) -> float:
     if outputs.shape[1] == 1:
         pred = (outputs[:, 0] > threshold).astype(int)
@@ -123,15 +120,12 @@ class _ApproxContext:
 
     def __init__(self, ds: Dataset, coeffs: MixCoefficients, model):
         mod = modify(ds, coeffs.theta_bar)
-        s2, g2 = coeffs.sigma_sq, coeffs.gamma_sq
-        Xc = ds.inputs - ds.x_mean
-        Yc = ds.outputs - ds.y_mean
+        cov = perturbation_covariances(ds, coeffs)
         self.Xt = mod.inputs
         self.Yt = mod.outputs
-        self.A_all = s2 * np.einsum("bi,bj->bij", Xc, Xc) + g2 * ds.sxx
-        self.Syx_all = s2 * np.einsum("bc,bd->bcd", Yc, Xc) + g2 * ds.sxy.T
-        syy_diag = s2 * (Yc * Yc).sum(axis=1) + g2 * np.trace(ds.syy)
-        self.syy_trace = syy_diag
+        self.A_all = cov.sxx
+        self.Syx_all = np.ascontiguousarray(cov.sxy.transpose(0, 2, 1))
+        self.syy_trace = np.einsum("bcc->b", cov.syy)
         if isinstance(model, RffModel):
             self.phit = model.features(self.Xt)
             self.sint = model.sin_features(self.Xt)
@@ -173,7 +167,7 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx, drop_r2:
         hg = np.einsum("ba,bad->bad", P, G) - np.einsum("ba,bf,bfd->bad", P, P, G)
         term4 = np.zeros(nb)
     elif kind is LossKind.LOGISTIC:
-        s = 1.0 / (1.0 + np.exp(-U))
+        s = expit(U)
         v = s * (1.0 - s)
         q00 = Q[:, 0, 0]
         term2 = 0.5 * v[:, 0] * q00
@@ -199,7 +193,7 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx, drop_r2:
                 P = softmax_rows(U)
                 dLdu_reg += 0.5 * (P * t2 - P * (P * t2).sum(axis=1, keepdims=True))
             elif kind is LossKind.LOGISTIC:
-                s = 1.0 / (1.0 + np.exp(-U))
+                s = expit(U)
                 dLdu_reg += 0.5 * (s * (1.0 - s)) * t2
             else:
                 dLdu_reg += 0.5 * t2
@@ -271,12 +265,22 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
     """Run minibatch SGD per the config; returns (model, trace).
 
     Deterministic given the seed. The trace's accuracy and test-loss columns
-    use each method's natural predictor (see :func:`natural_predictions`).
-    Raises :class:`TrainingDiverged` when the objective stops being finite.
+    use each method's natural predictor: raw for plain fitting, rescaled
+    through ``trace.rescale`` for the methods that fit mean-shrunk rows.
+    Raises ValueError for a loss that does not match the targets or a batch
+    size that does not divide the training set, and
+    :class:`TrainingDiverged` when the objective stops being finite.
     """
-    if cfg.batch_size > ds_train.n:
-        raise ValueError("batch_size exceeds the training set size")
     n, d, c = ds_train.n, ds_train.d, ds_train.c
+    if n % cfg.batch_size:
+        raise ValueError(
+            f"batch_size {cfg.batch_size} does not divide the training set size {n}"
+        )
+    for ds in (ds_train, ds_test):
+        if cfg.loss is LossKind.LOGISTIC and ds.c != 1:
+            raise ValueError(f"the logistic loss needs one target column, got {ds.c}")
+        if cfg.loss is LossKind.CROSS_ENTROPY and not ds.is_classification():
+            raise ValueError("cross-entropy needs targets on the probability simplex")
     rng = np.random.default_rng(cfg.seed)
     if cfg.model == "linear":
         model = LinearModel(W=np.zeros((c, d)), b=np.zeros(c))
@@ -285,8 +289,8 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
 
     coeffs = mix_coefficients(cfg.alpha) if cfg.method != "erm" else None
     rescale = None
-    if cfg.method != "erm":
-        rescale = (ds_train.x_mean, ds_train.y_mean, coeffs.theta_bar)
+    if coeffs is not None:
+        rescale = Rescale(ds_train.x_mean, ds_train.y_mean, coeffs.theta_bar)
     mod = modify(ds_train, coeffs.theta_bar) if cfg.method in ("erm_modified",) else None
     ctx = (
         _ApproxContext(ds_train, coeffs, model) if cfg.method == "mixup_approx" else None
@@ -299,18 +303,13 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
         elif cfg.method == "erm_modified":
             phi_mod = model.features(mod.inputs)
 
-    # threshold for scalar-output accuracy under the natural predictor
-    if rescale is None:
-        zero_logit = 0.0
-    else:
-        zero_logit = float(ds_train.y_mean[0] * (1.0 - 1.0 / coeffs.theta_bar)) if c == 1 else 0.0
-
-    trace = TrainTrace()
+    zero_logit = 0.0 if rescale is None else rescale.zero_logit
+    trace = TrainTrace(rescale=rescale)
     velocity: dict = {}
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         batch_objs = []
-        for start in range(0, n - cfg.batch_size + 1, cfg.batch_size):
+        for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             if cfg.method == "erm":
                 value, grad = _plain_value_grad(
@@ -338,8 +337,8 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
                 f"objective became non-finite at epoch {epoch}; "
                 "the step size is likely too large"
             )
-        train_out = natural_predictions(model, ds_train.inputs, cfg.method, rescale)
-        test_out = natural_predictions(model, ds_test.inputs, cfg.method, rescale)
+        train_out = predict(model, ds_train.inputs, rescale)
+        test_out = predict(model, ds_test.inputs, rescale)
         trace.append(
             epoch,
             objective,

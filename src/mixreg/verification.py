@@ -235,10 +235,9 @@ def check_covariance_formula(
     """Closed-form covariances vs the direct moment expansion and Monte Carlo."""
     t0 = time.perf_counter()
     coeffs = mix_coefficients(alpha) if coeffs is None else coeffs
-    mod = modify(ds, coeffs.theta_bar)
     worst = 0.0
     for i in range(ds.n):
-        closed = per_example_covariances(ds, coeffs, i, mod=mod)
+        closed = per_example_covariances(ds, coeffs, i)
         oracle = exact_second_moments(ds, coeffs, i)
         for a, b in (
             (closed.sxx, oracle.sxx),
@@ -255,7 +254,7 @@ def check_covariance_formula(
     J = rng.integers(ds.n, size=n_mc)
     delta = (th - tb) * ds.inputs[i] + (1.0 - th) * ds.inputs[J] - (1.0 - tb) * ds.x_mean
     eps = (th - tb) * ds.outputs[i] + (1.0 - th) * ds.outputs[J] - (1.0 - tb) * ds.y_mean
-    closed = per_example_covariances(ds, coeffs, i, mod=mod)
+    closed = per_example_covariances(ds, coeffs, i)
     mc_rel = 0.0
     for emp, ana in (
         (delta.T @ delta / n_mc, closed.sxx),

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats as sps
 
 from mixreg.cli import _t_interval, main
+from mixreg.losses import LossKind
 
 TINY_CONFIG = {
     "seed": 0,
@@ -87,6 +88,41 @@ def test_eval_rescaled_requires_stats(tmp_path):
     with pytest.raises(SystemExit):
         main(["eval", "--config", str(cfg), "--model", str(out / "model.json"),
               "--mode", "rescaled", "--out", str(tmp_path / "bad")])
+
+
+def test_eval_and_breakdown_default_to_the_model_seed(tmp_path):
+    from mixreg.experiment import ExperimentSpec, make_instance
+    from mixreg.metrics import metrics
+    from mixreg.models import load_model_json
+    from mixreg.regularizers import r_terms_general
+    from mixreg.truncbeta import mix_coefficients
+
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "train"
+    main(["train", "--config", str(cfg), "--out", str(out), "--seed", "3"])
+    model_path = str(out / "model.json")
+    ds = TINY_CONFIG["dataset"]
+    spec = ExperimentSpec(n=ds["n"], noise=ds["noise"], train_fraction=ds["train_fraction"],
+                          flip_fraction=ds["flip_fraction"])
+    ds_train, ds_test = make_instance(spec, 3)
+    model, _ = load_model_json(model_path)
+
+    main(["eval", "--config", str(cfg), "--model", model_path, "--out", str(tmp_path / "ev")])
+    with open(tmp_path / "ev" / "metrics.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["seed"] == "3"
+    assert float(row["accuracy"]) == metrics(model, ds_test).accuracy
+
+    main(["breakdown", "--config", str(cfg), "--model", model_path, "--out", str(tmp_path / "bd")])
+    total = float((tmp_path / "bd" / "breakdown.csv").read_text().splitlines()[1].split(",")[5])
+    br = r_terms_general(ds_train, model, LossKind.CROSS_ENTROPY, mix_coefficients(1.0))
+    assert total == br.total
+
+    main(["eval", "--config", str(cfg), "--model", model_path, "--seed", "0",
+          "--out", str(tmp_path / "ev0")])
+    with open(tmp_path / "ev0" / "metrics.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["seed"] == "0"
 
 
 def test_verify_exit_code_and_json(tmp_path):

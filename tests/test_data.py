@@ -8,7 +8,6 @@ from mixreg.data import (
     make_two_moons,
     modify,
     save_csv,
-    stats,
     train_test_split,
 )
 
@@ -74,13 +73,12 @@ def test_flip_labels_requires_one_hot():
 
 def test_stats_two_point_and_duplication():
     ds = Dataset(np.array([[-1.0], [1.0]]), np.array([[0.0], [0.0]]))
-    xbar, ybar, sxx, _, _ = stats(ds)
-    assert xbar[0] == 0.0 and sxx[0, 0] == 1.0
+    assert ds.x_mean[0] == 0.0 and ds.sxx[0, 0] == 1.0
     doubled = Dataset(
         np.vstack([ds.inputs, ds.inputs]), np.vstack([ds.outputs, ds.outputs])
     )
-    for a, b in zip(stats(ds), stats(doubled)):
-        assert np.allclose(a, b, atol=1e-15)
+    for name in ("x_mean", "y_mean", "sxx", "sxy", "syy"):
+        assert np.allclose(getattr(ds, name), getattr(doubled, name), atol=1e-15)
 
 
 def test_stats_match_double_loop_oracle():

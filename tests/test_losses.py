@@ -6,6 +6,7 @@ from mixreg.losses import (
     LossKind,
     bundle,
     entropy,
+    grad_u_rows,
     loss_value,
     loss_values,
     sigmoid,
@@ -143,3 +144,10 @@ def test_shape_mismatch_raises():
         loss_value(LossKind.SQUARED_ERROR, np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
         bundle(LossKind.LOGISTIC, np.zeros(2), np.zeros(2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_logistic_row_gradient_is_overflow_safe():
+    U = np.array([[-800.0], [800.0]])
+    Y = np.array([[1.0], [0.0]])
+    assert np.array_equal(grad_u_rows(LossKind.LOGISTIC, Y, U), [[-1.0], [1.0]])

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixreg.data import Dataset, make_two_moons
 from mixreg.metrics import (
-    PredictionMode,
+    Rescale,
     confidence_histogram,
     ece,
     metrics,
-    predict_with_mode,
+    predict,
     rescaled_predict,
 )
 from mixreg.models import LinearModel, init_rff
@@ -32,6 +34,22 @@ def test_rescaled_identity_at_theta_one():
     xbar, ybar = rng.normal(size=2), rng.normal(size=2)
     out = rescaled_predict(model, X, xbar, ybar, 1.0)
     assert np.abs(out - model.predict(X)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    d=st.integers(1, 4),
+    c=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rescaled_identity_at_theta_one_property(n, d, c, seed):
+    rng = np.random.default_rng(seed)
+    model = init_rff(d, 20, 3.0, c, seed=seed)
+    model.w = rng.normal(size=model.w.shape)
+    X = rng.normal(size=(n, d))
+    rescale = Rescale(rng.normal(size=d), rng.normal(size=c), 1.0)
+    assert np.array_equal(predict(model, X, rescale), model.predict(X))
 
 
 def test_rescaled_noop_for_centered_homogeneous_linear():
@@ -60,9 +78,9 @@ def test_rescaled_theta_validation():
     with pytest.raises(ValueError):
         rescaled_predict(model, np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.3)
     with pytest.raises(ValueError):
-        PredictionMode.rescaled(np.zeros(2), np.zeros(2), 1.4)
-    with pytest.raises(ValueError):
-        PredictionMode(kind="rescaled")
+        predict(model, np.zeros((2, 2)), Rescale(np.zeros(2), np.zeros(2), 1.4))
+    with pytest.raises(TypeError):
+        Rescale(np.zeros(2), np.zeros(2))
 
 
 def test_ece_trivial_cases():
@@ -95,7 +113,7 @@ def test_ece_validation():
 
 def test_metrics_constant_uniform_predictor():
     ds = make_two_moons(200, 0.05, seed=4)
-    row = metrics(_ConstantLogits([0.0, 0.0]), ds, PredictionMode.raw())
+    row = metrics(_ConstantLogits([0.0, 0.0]), ds)
     assert row.mean_entropy == pytest.approx(np.log(2.0), abs=1e-12)
     assert row.mean_confidence == pytest.approx(0.5, abs=1e-12)
     assert abs(row.accuracy - 0.5) < 4 * np.sqrt(0.25 / 200) + 1e-9
@@ -115,7 +133,7 @@ def test_metrics_perfect_predictor():
             logits[np.arange(X.shape[0]), lab[: X.shape[0]]] = 50.0
             return logits
 
-    row = metrics(_Oracle(), ds, PredictionMode.raw())
+    row = metrics(_Oracle(), ds)
     assert row.accuracy == 1.0
     assert row.ece == pytest.approx(0.0, abs=1e-9)
 
@@ -123,7 +141,7 @@ def test_metrics_perfect_predictor():
 def test_metrics_requires_classification():
     ds = Dataset(np.zeros((4, 2)), np.random.default_rng(6).normal(size=(4, 2)))
     with pytest.raises(ValueError):
-        metrics(_ConstantLogits([0.0, 0.0]), ds, PredictionMode.raw())
+        metrics(_ConstantLogits([0.0, 0.0]), ds)
 
 
 def test_histogram_bins_and_modes():
@@ -132,7 +150,6 @@ def test_histogram_bins_and_modes():
     ds = make_two_moons(30, 0.05, seed=7)
     model = init_rff(2, 40, 3.0, 2, seed=7)
     model.w = np.random.default_rng(7).normal(size=model.w.shape)
-    mode = PredictionMode.rescaled(ds.x_mean, ds.y_mean, 0.75)
-    out = predict_with_mode(model, ds.inputs, mode)
+    out = predict(model, ds.inputs, Rescale(ds.x_mean, ds.y_mean, 0.75))
     expected = rescaled_predict(model, ds.inputs, ds.x_mean, ds.y_mean, 0.75)
     assert np.array_equal(out, expected)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import central_grad, central_jacobian, rel_err
-from mixreg.losses import LossKind, loss_value
+from conftest import central_jacobian, rel_err
 from mixreg.models import LinearModel, RffModel, init_rff, load_model_json, save_model_json
 
 
@@ -67,35 +66,6 @@ def test_rff_derivatives_match_finite_differences(seed):
                 lambda xx, a=a: model.input_jacobian(xx)[a], x, h=1e-6
             )
             assert rel_err(hess[a], hess_fd, floor=1e-3) < 1e-5
-
-
-def test_linear_param_gradient_chain_rule():
-    rng = np.random.default_rng(4)
-    model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
-    x, y = rng.normal(size=3), rng.normal(size=2)
-    gW, gb = model.param_gradient(LossKind.SQUARED_ERROR, x, y)
-    resid = model.predict(x) - y
-    assert np.allclose(gW, np.outer(resid, x), atol=1e-12)
-    assert np.allclose(gb, resid, atol=1e-12)
-    # zero at the minimum
-    gW0, gb0 = model.param_gradient(LossKind.SQUARED_ERROR, x, model.predict(x))
-    assert np.abs(gW0).max() < 1e-14 and np.abs(gb0).max() < 1e-14
-
-
-def test_rff_param_gradient_matches_finite_differences():
-    rng = np.random.default_rng(5)
-    model = init_rff(d=2, M=20, sigma_rff=2.0, c=2, seed=5)
-    model.w = rng.normal(size=model.w.shape)
-    x = rng.normal(size=2)
-    y = np.array([1.0, 0.0])
-    grad = model.param_gradient(LossKind.CROSS_ENTROPY, x, y)
-
-    def f(wflat):
-        probe = RffModel(model.S, model.B, wflat.reshape(model.w.shape))
-        return loss_value(LossKind.CROSS_ENTROPY, y, probe.predict(x))
-
-    fd = central_grad(f, model.w.ravel(), h=1e-6).reshape(model.w.shape)
-    assert rel_err(grad, fd, floor=1e-6) < 1e-6
 
 
 def test_init_rff_distributions():

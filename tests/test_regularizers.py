@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind, loss_value
@@ -12,6 +14,7 @@ from mixreg.regularizers import (
     lambda_second_moment,
     mols_fit,
     per_example_covariances,
+    perturbation_covariances,
     psd_pinv,
     psd_sqrt,
     quadratic_loss,
@@ -58,14 +61,15 @@ def test_covariances_vanish_as_alpha_to_zero():
 
 def test_closed_form_equals_unmodified_expression():
     """Both stated forms of the covariance agree: the shrunk-row expression
-    divided by theta_bar^2 equals the original-row expression."""
+    divided by theta_bar^2 equals the original-row expression computed here."""
     ds = _random_dataset(1)
     coeffs = mix_coefficients(0.6)
+    mod = modify(ds, coeffs.theta_bar)
     for i in range(ds.n):
         cov = per_example_covariances(ds, coeffs, i)
-        dx = ds.inputs[i] - ds.x_mean
-        direct = coeffs.sigma_sq * np.outer(dx, dx) + coeffs.gamma_sq * ds.sxx
-        assert np.abs(cov.sxx - direct).max() < 1e-12
+        dx = mod.inputs[i] - mod.x_mean
+        shrunk = coeffs.sigma_sq * np.outer(dx, dx) + coeffs.gamma_sq * mod.sxx
+        assert np.abs(cov.sxx - shrunk / coeffs.theta_bar**2).max() < 1e-12
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -82,6 +86,25 @@ def test_covariance_formula_matches_exact_oracle(seed):
     oracle = exact_second_moments(ds, coeffs, i)
     for a, b in ((closed.sxx, oracle.sxx), (closed.syy, oracle.syy), (closed.sxy, oracle.sxy)):
         assert np.abs(a - b).max() / max(np.abs(b).max(), 1e-12) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    d=st.integers(1, 4),
+    c=st.integers(1, 4),
+    log_alpha=st.floats(np.log(1e-3), np.log(1e6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_covariances_match_exact_oracle_property(n, d, c, log_alpha, seed):
+    ds = _random_dataset(seed, n=n, d=d, c=c)
+    coeffs = mix_coefficients(float(np.exp(log_alpha)))
+    stacked = perturbation_covariances(ds, coeffs)
+    for i in range(n):
+        oracle = exact_second_moments(ds, coeffs, i)
+        for a, b in ((stacked.sxx[i], oracle.sxx), (stacked.syy[i], oracle.syy),
+                     (stacked.sxy[i], oracle.sxy)):
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_exact_moments_single_point_dataset():

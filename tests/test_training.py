@@ -4,15 +4,10 @@ import pytest
 from conftest import central_grad
 from mixreg.data import Dataset, make_two_moons, flip_labels, train_test_split
 from mixreg.losses import LossKind
+from mixreg.metrics import predict
 from mixreg.models import LinearModel, RffModel, init_rff
 from mixreg.regularizers import approx_mixup_objective, mols_fit
-from mixreg.training import (
-    TrainConfig,
-    TrainingDiverged,
-    approx_gradient,
-    natural_predictions,
-    train,
-)
+from mixreg.training import TrainConfig, TrainingDiverged, approx_gradient, train
 from mixreg.truncbeta import mix_coefficients
 
 
@@ -211,16 +206,21 @@ def test_training_diverges_raises():
 
 def test_natural_predictions_rescaling():
     tr, te = _moons_split(14, n=20)
-    model = init_rff(2, 25, 3.0, 2, seed=15)
-    model.w = np.random.default_rng(15).normal(size=model.w.shape)
+    base = dict(epochs=2, batch_size=10, step_size=2.0, seed=15, model="rff",
+                rff_features=25, rff_scale=3.0)
+    _, erm_trace = train(tr, te, TrainConfig(method="erm", **base))
+    assert erm_trace.rescale is None
+    model, trace = train(tr, te, TrainConfig(method="mixup", alpha=1.0, **base))
+    assert np.array_equal(predict(model, te.inputs, None), model.predict(te.inputs))
     tb = mix_coefficients(1.0).theta_bar
-    rescale = (tr.x_mean, tr.y_mean, tb)
-    raw = natural_predictions(model, te.inputs, "erm", rescale)
-    assert np.allclose(raw, model.predict(te.inputs))
-    resc = natural_predictions(model, te.inputs, "mixup", rescale)
+    rescale = trace.rescale
+    assert np.array_equal(rescale.xbar, tr.x_mean) and np.array_equal(rescale.ybar, tr.y_mean)
+    assert rescale.theta_bar == tb
+    resc = predict(model, te.inputs, rescale)
     shrunk = tb * te.inputs + (1 - tb) * tr.x_mean
     expected = tr.y_mean * (1 - 1 / tb) + model.predict(shrunk) / tb
     assert np.allclose(resc, expected, atol=1e-12)
+    assert trace.test_acc[-1] == np.mean(resc.argmax(axis=1) == te.labels())
 
 
 def test_all_methods_run_and_write_csv(tmp_path):
@@ -249,3 +249,43 @@ def test_config_validation():
     tr, te = _moons_split(17, n=20)
     with pytest.raises(ValueError):
         train(tr, te, TrainConfig(method="erm", batch_size=999))
+
+
+def test_logistic_loss_needs_one_target_column():
+    tr, te = _moons_split(18, n=20)
+    cfg = TrainConfig(method="erm", epochs=1, batch_size=10, loss=LossKind.LOGISTIC,
+                      model="rff", rff_features=10)
+    with pytest.raises(ValueError, match="one target column"):
+        train(tr, te, cfg)
+    tr1, te1 = (Dataset(ds.inputs, ds.outputs[:, 1:]) for ds in (tr, te))
+    _, trace = train(tr1, te1, cfg)
+    assert len(trace) == 1
+
+
+def test_cross_entropy_needs_simplex_targets():
+    rng = np.random.default_rng(19)
+    ds = Dataset(rng.normal(size=(10, 2)), rng.normal(size=(10, 2)))
+    cfg = TrainConfig(method="erm", epochs=1, batch_size=10, model="linear")
+    with pytest.raises(ValueError, match="simplex"):
+        train(ds, ds, cfg)
+
+
+def test_batch_size_must_divide_training_set():
+    tr, te = _moons_split(20, n=30)
+    assert tr.n == 15
+    cfg = TrainConfig(method="erm", epochs=1, batch_size=10, model="rff", rff_features=10)
+    with pytest.raises(ValueError, match="does not divide"):
+        train(tr, te, cfg)
+
+
+@pytest.mark.filterwarnings("error")
+def test_logistic_approx_gradient_is_overflow_safe():
+    """Logits of +-800 give finite values and gradients and no warning."""
+    M = 4
+    ds = Dataset(np.zeros((2, 2)), np.array([[0.0], [1.0]]))
+    for u in (-800.0, 800.0):
+        # S = 0 and B = 0 make every feature 1/sqrt(M), so every logit is u
+        model = RffModel(S=np.zeros((M, 2)), B=np.zeros(M), w=np.full((1, M), u / np.sqrt(M)))
+        value, grad = approx_gradient(ds, model, LossKind.LOGISTIC, mix_coefficients(1.0),
+                                      drop_r2=False)
+        assert np.isfinite(value) and np.all(np.isfinite(grad))

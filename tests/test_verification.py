@@ -181,7 +181,7 @@ def test_sentinel_dropped_terms_break_covariance_check(monkeypatch, dropped):
     """Dropping either variance term of the covariance formula must fail."""
     from mixreg.regularizers import PerExampleCovariances
 
-    def mutated(ds, coeffs, i, mod=None):
+    def mutated(ds, coeffs, i):
         dx = ds.inputs[i] - ds.x_mean
         dy = ds.outputs[i] - ds.y_mean
         s2 = 0.0 if dropped == "sigma_sq" else coeffs.sigma_sq
