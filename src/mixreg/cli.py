@@ -9,7 +9,8 @@ Subcommands:
 
 eval and breakdown rebuild the dataset at the seed stored in model.json
 unless --seed is given; eval --mode rescaled uses the rescaling statistics
-stored there.
+stored there. The artifact fixes the method and alpha, so eval takes neither
+flag; breakdown takes --alpha for its penalties, else the alpha stored there.
 
 Config file (JSON; flags override file values):
 
@@ -151,7 +152,7 @@ def cmd_train(args) -> int:
     ds_train, ds_test = _datasets_from_config(cfg, seed)
     tc = _train_config(cfg, seed)
     model, trace = train(ds_train, ds_test, tc)
-    extra = {"method": tc.method, "loss": tc.loss.value, "seed": seed}
+    extra = {"method": tc.method, "loss": tc.loss.value, "seed": seed, "alpha": tc.alpha}
     if trace.rescale is not None:
         extra["rescale"] = {
             "xbar": trace.rescale.xbar.tolist(),
@@ -187,7 +188,12 @@ def cmd_eval(args) -> int:
     row = metrics(model, ds_test, rescale)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
+    # only what this evaluation read; the artifact fixes method and alpha
+    _echo_config(
+        {"seed": cfg["seed"], "dataset": cfg["dataset"], "model_path": str(args.model),
+         "mode": args.mode},
+        out,
+    )
     with open(out / "metrics.csv", "w") as fh:
         fh.write("method,mode,seed," + row.csv_header() + "\n")
         fh.write(
@@ -274,14 +280,23 @@ def cmd_verify(args) -> int:
 def cmd_breakdown(args) -> int:
     model, extra, cfg = _load_model(args)
     ds_train, _ = _datasets_from_config(cfg, cfg["seed"])
-    alpha = args.alpha if args.alpha is not None else extra.get("rescale", {}).get("alpha", 1.0)
+    alpha = args.alpha
+    if alpha is None:
+        # artifacts from before alpha was stored for every method keep it
+        # only under the mixing methods' rescaling statistics
+        alpha = extra.get("alpha", extra.get("rescale", {}).get("alpha"))
+    if alpha is None:
+        raise SystemExit("model artifact stores no alpha; pass --alpha for the breakdown")
     kind = _LOSS_BY_NAME[extra.get("loss", "ce")]
     br = r_terms_general(ds_train, model, kind, mix_coefficients(alpha))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "breakdown.csv", "w") as fh:
-        fh.write("erm_modified,r1,r2,r3,r4,total\n")
-        fh.write("%r,%r,%r,%r,%r,%r\n" % (br.erm_modified, br.r1, br.r2, br.r3, br.r4, br.total))
+        fh.write("erm_modified,r1,r2,r3,r4,total,clipped_inverses\n")
+        fh.write(
+            "%r,%r,%r,%r,%r,%r,%d\n"
+            % (br.erm_modified, br.r1, br.r2, br.r3, br.r4, br.total, br.clipped_inverses)
+        )
     print(f"wrote {out / 'breakdown.csv'}")
     return 0
 
@@ -291,11 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_mode=False):
+    def common(p, with_alpha=True, with_method=True, with_mode=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--alpha", type=float, default=None)
-        p.add_argument("--method", default=None)
+        if with_alpha:
+            p.add_argument("--alpha", type=float, default=None)
+        if with_method:
+            p.add_argument("--method", default=None)
         p.add_argument("--out", default="out", help="output directory")
         if with_mode:
             p.add_argument("--mode", choices=("raw", "rescaled"), default="raw")
@@ -305,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a saved model")
-    common(p_eval, with_mode=True)
+    common(p_eval, with_alpha=False, with_method=False, with_mode=True)
     p_eval.add_argument("--model", required=True, help="model.json path")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -321,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_break = sub.add_parser("breakdown", help="regularizer decomposition of a model")
-    common(p_break)
+    common(p_break, with_method=False)
     p_break.add_argument("--model", required=True, help="model.json path")
     p_break.set_defaults(func=cmd_breakdown)
     return parser

@@ -13,7 +13,8 @@ at the shrunk point unchanged.
 
 Training builds the statistics (xbar, ybar, theta_bar) once per run as a
 :class:`Rescale` value, or None for plain fitting; :func:`predict` and
-:func:`metrics` take that value as it is.
+:func:`metrics` take that value as it is. Its ``shrink`` and ``unshrink``
+steps are the only copy of the formula above.
 """
 
 from __future__ import annotations
@@ -45,17 +46,32 @@ class Rescale:
     """Frozen training statistics of the rescaled predictor.
 
     Methods that fit mean-shrunk rows carry one; plain fitting carries None,
-    which means raw prediction.
+    which means raw prediction. The map is split in two steps so that a
+    caller can featurize the shrunk rows once and unshrink fresh outputs:
+    ``unshrink(f(shrink(x)))`` is the rescaled prediction.
     """
 
     xbar: np.ndarray
     ybar: np.ndarray
     theta_bar: float
 
+    def shrink(self, x: np.ndarray) -> np.ndarray:
+        """Input side: theta_bar x + (1 - theta_bar) xbar."""
+        tb = self.theta_bar
+        if not 0.5 <= tb <= 1.0:
+            raise ValueError("theta_bar must lie in [1/2, 1]")
+        x = np.asarray(x, dtype=float)
+        return tb * x + (1.0 - tb) * np.asarray(self.xbar, dtype=float)
+
+    def unshrink(self, out: np.ndarray) -> np.ndarray:
+        """Output side: ybar (1 - 1/theta_bar) + out / theta_bar."""
+        tb = self.theta_bar
+        return np.asarray(self.ybar, dtype=float) * (1.0 - 1.0 / tb) + out / tb
+
     @property
     def zero_logit(self) -> float:
         """Rescaled value of a zero raw logit: the class threshold of a scalar output."""
-        return float(self.ybar[0] * (1.0 - 1.0 / self.theta_bar))
+        return float(self.unshrink(0.0)[0])
 
 
 @dataclass(frozen=True)
@@ -84,20 +100,14 @@ class MetricsRow:
 
 def rescaled_predict(model, x: np.ndarray, xbar, ybar, theta_bar: float) -> np.ndarray:
     """Evaluate the model at the shrunk input and map the output back."""
-    if not 0.5 <= theta_bar <= 1.0:
-        raise ValueError("theta_bar must lie in [1/2, 1]")
-    x = np.asarray(x, dtype=float)
-    xbar = np.asarray(xbar, dtype=float)
-    ybar = np.asarray(ybar, dtype=float)
-    shrunk = theta_bar * x + (1.0 - theta_bar) * xbar
-    return ybar * (1.0 - 1.0 / theta_bar) + model.predict(shrunk) / theta_bar
+    return predict(model, x, Rescale(xbar, ybar, theta_bar))
 
 
 def predict(model, x: np.ndarray, rescale: Rescale | None = None) -> np.ndarray:
     """Raw outputs when ``rescale`` is None, else the rescaled prediction."""
     if rescale is None:
         return model.predict(x)
-    return rescaled_predict(model, x, rescale.xbar, rescale.ybar, rescale.theta_bar)
+    return rescale.unshrink(model.predict(rescale.shrink(x)))
 
 
 def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:

@@ -14,6 +14,13 @@ The per-example covariances come stacked from
 The methods that fit mean-shrunk rows are scored with the rescaled
 predictor; :func:`train` builds its statistics once per run and returns them
 as ``trace.rescale`` (None for plain fitting, which predicts raw).
+
+The per-epoch trace scores the same train and test rows every epoch, so a
+cosine-feature model featurizes them once per run (after the shrink step of
+``trace.rescale`` when there is one) and each epoch only applies the current
+head and the unshrink step. The trace columns equal those of
+:func:`metrics.predict` on the same model bit for bit. Mixed rows change
+every step and are featurized as they come.
 """
 
 from __future__ import annotations
@@ -144,9 +151,10 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx, drop_r2:
     is_rff = isinstance(model, RffModel)
     if is_rff:
         Phib = ctx.phit[idx]
+        sinb = ctx.sint[idx]
         U = Phib @ model.w.T
         root_m = np.sqrt(model.n_features)
-        G = np.einsum("am,bm,md->bad", model.w, ctx.sint[idx], model.S) / (-root_m)
+        G = ((sinb[:, None, :] * model.w) @ model.S) / (-root_m)
     else:
         Xb = ctx.Xt[idx]
         U = Xb @ model.W.T + model.b
@@ -202,7 +210,7 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx, drop_r2:
     dLdu = gu + dLdu_reg
     if is_rff:
         gw = dLdu.T @ Phib
-        gw += np.einsum("bad,md,bm->am", dLdG, model.S, ctx.sint[idx]) / (-root_m)
+        gw += np.einsum("bam,bm->am", dLdG @ model.S.T, sinb) / (-root_m)
         if not drop_r2:
             gw += 0.5 * np.einsum("ba,bm->am", gu, q_r2)
         return float(values.mean()), gw / nb
@@ -242,6 +250,23 @@ def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):
     U = Xb @ model.W.T + model.b
     gu = grad_u_rows(kind, Yb, U)
     return float(loss_values(kind, Yb, U).mean()), (gu.T @ Xb / nb, gu.sum(axis=0) / nb)
+
+
+def _fixed_rows_predictor(model, x: np.ndarray, rescale: Rescale | None, phi=None):
+    """Zero-argument callable giving ``predict(model, x, rescale)`` under the
+    model's current weights.
+
+    A cosine-feature model featurizes the rows once, here (or reuses ``phi``,
+    the features of the same rows); a linear model has no features to keep
+    and predicts directly.
+    """
+    if not isinstance(model, RffModel):
+        return lambda: predict(model, x, rescale)
+    if phi is None:
+        phi = model.features(x if rescale is None else rescale.shrink(x))
+    if rescale is None:
+        return lambda: phi @ model.w.T
+    return lambda: rescale.unshrink(phi @ model.w.T)
 
 
 def _step(model, grad, velocity, cfg: TrainConfig):
@@ -303,6 +328,8 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
         elif cfg.method == "erm_modified":
             phi_mod = model.features(mod.inputs)
 
+    predict_train = _fixed_rows_predictor(model, ds_train.inputs, rescale, phi_train)
+    predict_test = _fixed_rows_predictor(model, ds_test.inputs, rescale)
     zero_logit = 0.0 if rescale is None else rescale.zero_logit
     trace = TrainTrace(rescale=rescale)
     velocity: dict = {}
@@ -337,8 +364,8 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
                 f"objective became non-finite at epoch {epoch}; "
                 "the step size is likely too large"
             )
-        train_out = predict(model, ds_train.inputs, rescale)
-        test_out = predict(model, ds_test.inputs, rescale)
+        train_out = predict_train()
+        test_out = predict_test()
         trace.append(
             epoch,
             objective,

@@ -142,9 +142,80 @@ def test_breakdown_csv(tmp_path):
     assert main(["breakdown", "--config", str(cfg), "--model", str(out / "model.json"),
                  "--out", str(bout)]) == 0
     lines = (bout / "breakdown.csv").read_text().splitlines()
-    assert lines[0] == "erm_modified,r1,r2,r3,r4,total"
+    assert lines[0] == "erm_modified,r1,r2,r3,r4,total,clipped_inverses"
     vals = [float(v) for v in lines[1].split(",")]
     assert vals[5] == pytest.approx(sum(vals[:5]), abs=1e-9)
+
+
+def test_breakdown_reports_clipped_inverses(tmp_path):
+    from mixreg.experiment import ExperimentSpec, make_instance
+    from mixreg.models import load_model_json
+    from mixreg.regularizers import r_terms_general
+    from mixreg.truncbeta import mix_coefficients
+
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "train"
+    main(["train", "--config", str(cfg), "--out", str(out)])
+    main(["breakdown", "--config", str(cfg), "--model", str(out / "model.json"),
+          "--out", str(tmp_path / "bd")])
+    with open(tmp_path / "bd" / "breakdown.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    model, _ = load_model_json(out / "model.json")
+    ds = TINY_CONFIG["dataset"]
+    spec = ExperimentSpec(n=ds["n"], noise=ds["noise"], train_fraction=ds["train_fraction"],
+                          flip_fraction=ds["flip_fraction"])
+    ds_train, _ = make_instance(spec, 0)
+    br = r_terms_general(ds_train, model, LossKind.CROSS_ENTROPY, mix_coefficients(1.0))
+    # the softmax Hessian has a null vector on every row
+    assert int(row["clipped_inverses"]) == br.clipped_inverses >= ds_train.n
+
+
+def test_eval_refuses_flags_the_artifact_fixes(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "train"
+    main(["train", "--config", str(cfg), "--out", str(out)])
+    for flag, value in (("--alpha", "8"), ("--method", "erm")):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--config", str(cfg), "--model", str(out / "model.json"),
+                  "--mode", "rescaled", flag, value, "--out", str(tmp_path / "ev_bad")])
+        assert exc.value.code != 0
+        assert flag in capsys.readouterr().err
+    assert not (tmp_path / "ev_bad").exists()
+    main(["eval", "--config", str(cfg), "--model", str(out / "model.json"),
+          "--mode", "rescaled", "--out", str(tmp_path / "ev")])
+    echoed = json.loads((tmp_path / "ev" / "config.json").read_text())
+    assert "train" not in echoed and "alpha" not in json.dumps(echoed)
+    assert echoed["seed"] == 0 and echoed["mode"] == "rescaled"
+
+
+def test_breakdown_of_erm_uses_the_trained_alpha(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "erm"
+    main(["train", "--config", str(cfg), "--out", str(out), "--method", "erm",
+          "--alpha", "0.3"])
+    model_path = out / "model.json"
+    assert json.loads(model_path.read_text())["extra"]["alpha"] == 0.3
+    main(["breakdown", "--config", str(cfg), "--model", str(model_path),
+          "--out", str(tmp_path / "stored")])
+    main(["breakdown", "--config", str(cfg), "--model", str(model_path), "--alpha", "0.3",
+          "--out", str(tmp_path / "flag")])
+    main(["breakdown", "--config", str(cfg), "--model", str(model_path), "--alpha", "1.0",
+          "--out", str(tmp_path / "one")])
+    stored, flag, one = ((tmp_path / d / "breakdown.csv").read_text() for d in ("stored", "flag", "one"))
+    assert stored == flag
+    assert stored != one
+
+    # an erm artifact written before alpha was stored for every method
+    payload = json.loads(model_path.read_text())
+    del payload["extra"]["alpha"]
+    old_path = tmp_path / "old_model.json"
+    old_path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit, match="--alpha"):
+        main(["breakdown", "--config", str(cfg), "--model", str(old_path),
+              "--out", str(tmp_path / "old")])
+    main(["breakdown", "--config", str(cfg), "--model", str(old_path), "--alpha", "0.3",
+          "--out", str(tmp_path / "old")])
+    assert (tmp_path / "old" / "breakdown.csv").read_text() == flag
 
 
 def test_sweep_aggregation(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind, loss_values
@@ -46,6 +48,55 @@ def test_constant_model_same_draw_identity():
         (lam[:, None] * Yc[I] + (1 - lam[:, None]) * Yc[J]) ** 2, axis=1
     )
     assert np.abs(vals - direct).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    d=st.integers(1, 4),
+    c=st.integers(1, 4),
+    log_alpha=st.floats(np.log(1e-3), np.log(1e6)),
+    draws=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.floats(0.0, 1.0)),
+        min_size=1, max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_per_draw_identity_property(n, d, c, log_alpha, draws, seed):
+    """Each pairwise summand equals the perturbed-form summand
+    l(y~_i + eps_i, f(x~_i + delta_i)) of the same draw, folded so that
+    theta = max(lam, 1 - lam) and row i is the one weighted by theta.
+
+    Summands are compared relative to their size, or absolutely below one.
+    """
+    rng = np.random.default_rng(seed)
+    I = np.array([i % n for i, _, _ in draws])
+    J = np.array([j % n for _, j, _ in draws])
+    lam = np.array([lam for _, _, lam in draws])
+    theta = np.maximum(lam, 1.0 - lam)[:, None]
+    rows = np.where(lam >= 0.5, I, J)
+    partners = np.where(lam >= 0.5, J, I)
+    tb = mix_coefficients(float(np.exp(log_alpha))).theta_bar
+    models = (
+        LinearModel(W=rng.normal(size=(c, d)), b=rng.normal(size=c)),
+        init_rff(d, 8, 2.0, c, seed=int(rng.integers(2**31))),
+    )
+    models[1].w = rng.normal(size=models[1].w.shape)
+    x = rng.normal(size=(n, d))
+    cases = [(LossKind.SQUARED_ERROR, Dataset(x, rng.normal(size=(n, c))))]
+    if c >= 2:
+        cases.append((LossKind.CROSS_ENTROPY, Dataset(x, rng.dirichlet(np.ones(c), size=n))))
+    for kind, ds in cases:
+        mod = modify(ds, tb)
+        delta = ((theta - tb) * ds.inputs[rows] + (1.0 - theta) * ds.inputs[partners]
+                 - (1.0 - tb) * ds.x_mean)
+        eps = ((theta - tb) * ds.outputs[rows] + (1.0 - theta) * ds.outputs[partners]
+               - (1.0 - tb) * ds.y_mean)
+        for model in models:
+            pair = pair_loss_values(ds, model, kind, I, J, lam)
+            pert = loss_values(kind, mod.outputs[rows] + eps,
+                               model.predict(mod.inputs[rows] + delta))
+            assert np.all(np.abs(pair - pert) <= 1e-12 * np.maximum(np.abs(pert), 1.0))
 
 
 def test_alpha_to_zero_recovers_plain_risk():

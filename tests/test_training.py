@@ -3,7 +3,7 @@ import pytest
 
 from conftest import central_grad
 from mixreg.data import Dataset, make_two_moons, flip_labels, train_test_split
-from mixreg.losses import LossKind
+from mixreg.losses import LossKind, loss_values
 from mixreg.metrics import predict
 from mixreg.models import LinearModel, RffModel, init_rff
 from mixreg.regularizers import approx_mixup_objective, mols_fit
@@ -221,6 +221,43 @@ def test_natural_predictions_rescaling():
     expected = tr.y_mean * (1 - 1 / tb) + model.predict(shrunk) / tb
     assert np.allclose(resc, expected, atol=1e-12)
     assert trace.test_acc[-1] == np.mean(resc.argmax(axis=1) == te.labels())
+
+
+@pytest.mark.parametrize("model_kind", ["rff", "linear"])
+@pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup", "mixup_approx"])
+def test_trace_equals_the_predictor_on_the_final_model(method, model_kind):
+    """The trace's cached features cannot drift from ``metrics.predict``."""
+    tr, te = _moons_split(21, n=40)
+    cfg = TrainConfig(method=method, alpha=0.7, epochs=3, batch_size=10, step_size=2.0,
+                      seed=4, model=model_kind, rff_features=30, rff_scale=3.0)
+    model, trace = train(tr, te, cfg)
+    train_out = predict(model, tr.inputs, trace.rescale)
+    test_out = predict(model, te.inputs, trace.rescale)
+    assert trace.train_acc[-1] == float(np.mean(train_out.argmax(1) == tr.labels()))
+    assert trace.test_acc[-1] == float(np.mean(test_out.argmax(1) == te.labels()))
+    assert trace.test_loss[-1] == float(loss_values(cfg.loss, te.outputs, test_out).mean())
+
+
+@pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup_approx"])
+def test_fixed_rows_are_featurized_once_per_run(method, monkeypatch):
+    """Only mixed rows change between epochs; no other featurization may
+    grow with the epoch count."""
+    calls = []
+    features = RffModel.features
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return features(self, x)
+
+    monkeypatch.setattr(RffModel, "features", counted)
+    tr, te = _moons_split(22, n=40)
+    counts = []
+    for epochs in (2, 6):
+        calls.clear()
+        train(tr, te, TrainConfig(method=method, alpha=1.0, epochs=epochs, batch_size=10,
+                                  step_size=2.0, seed=5, model="rff", rff_features=20))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_all_methods_run_and_write_csv(tmp_path):
