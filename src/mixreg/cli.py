@@ -4,7 +4,9 @@ Subcommands:
   train       fit one model per the config, save model JSON + trace CSV
   eval        score a saved model on a dataset, raw or rescaled
   sweep       repeat train+eval over alphas and seeds, aggregate mean / 95% CI
-  verify      run the numerical certification suite (exit 0 iff all pass)
+  verify      run the numerical certification suite (exit 0 iff all pass);
+              --out writes verify.json (one report per check) and
+              verify_summary.json (total seconds, peak RSS, seconds per check)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
 eval and breakdown rebuild the dataset at the seed stored in model.json
@@ -32,7 +34,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -266,14 +270,24 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    t0 = time.perf_counter()
     reports = run_all(seed=args.seed if args.seed is not None else 0)
+    total_s = time.perf_counter() - t0
     print(format_report_table(reports))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "verify.json", "w") as fh:
             fh.write(reports_to_json(reports))
-        print(f"wrote {out / 'verify.json'}")
+        summary = {
+            "total_s": total_s,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "checks": [{"name": r.name, "runtime_s": r.runtime_s} for r in reports],
+        }
+        with open(out / "verify_summary.json", "w") as fh:
+            json.dump(summary, fh, indent=2)
+        print(f"wrote {out / 'verify.json'} and {out / 'verify_summary.json'}")
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -11,6 +11,12 @@ l(y~_i + eps_i, f(x~_i + delta_i)) where (x~, y~) are the mean-shrunk rows and
 
 are zero-mean. The identity x~_i + delta_i = theta x_i + (1 - theta) x_j holds
 per draw, so the two risk forms agree summand by summand.
+
+The Monte Carlo estimators draw in chunks of ``_CHUNK`` draws. The chunk
+counts draws, so it fixes the order in which the random stream is consumed
+and therefore every draw. Memory per chunk is draws x (d + c) for the mixed
+rows plus one row block of the model's prediction (``models._PHASE_ELEMS``
+phase elements for a cosine-feature head), whatever the feature count.
 """
 
 from __future__ import annotations
@@ -81,19 +87,29 @@ def pair_loss_values(
 
 
 def _streamed_estimate(draw_chunk, n_draws: int) -> McEstimate:
+    """Mean and standard error over chunks of draws.
+
+    Squared deviations are summed about each chunk's own mean and merged
+    across chunks with Chan et al.'s pairwise update, so a large common
+    offset in the losses does not cancel the variance.
+    """
     total = 0.0
-    total_sq = 0.0
+    m2 = 0.0
     done = 0
     while done < n_draws:
         k = min(_CHUNK, n_draws - done)
         vals = draw_chunk(k)
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
+        chunk_total = vals.sum()
+        dev = vals - chunk_total / k
+        m2 += float(dev @ dev)
+        if done:
+            shift = chunk_total / k - total / done
+            m2 += shift * shift * done * k / (done + k)
+        total += chunk_total
         done += k
     mean = total / n_draws
     if n_draws > 1:
-        var = max(total_sq - n_draws * mean * mean, 0.0) / (n_draws - 1)
-        stderr = float(np.sqrt(var / n_draws))
+        stderr = float(np.sqrt(m2 / (n_draws - 1) / n_draws))
     else:
         stderr = float("nan")
     return McEstimate(mean=float(mean), stderr=stderr, n_draws=n_draws)

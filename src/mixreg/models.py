@@ -8,6 +8,12 @@ only the head weights w (c, M) train. Derivatives follow from the chain rule:
 
     df_i/dx_j      = -(1/sqrt(M)) sum_m w_im sin(S_m.x + B_m) S_mj
     d2f_i/dx_j dx_k = -(1/sqrt(M)) sum_m w_im cos(S_m.x + B_m) S_mj S_mk
+
+Batch predictions of the feature model are evaluated in row blocks of at
+most ``_PHASE_ELEMS`` phase elements (rows x M), so the memory a prediction
+needs beyond its (n, c) output does not grow with n. A batch that fits in
+one block, such as every training, trace and metrics call at the default
+spec, is a single ``features(x) @ w.T``.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ __all__ = [
     "save_model_json",
     "load_model_json",
 ]
+
+# 2 MiB of float64 phases per block, the per-core L2 of the machine the
+# Monte Carlo paths were measured on
+_PHASE_ELEMS = 1 << 18
 
 
 def hessian_contraction(hess: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -121,10 +131,23 @@ class RffModel:
         return sin
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        phi = self.features(x)
-        if phi.ndim == 1:
-            return self.w @ phi
-        return phi @ self.w.T
+        """w phi(x) for a point (d,) -> (c,) or a batch (n, d) -> (n, c).
+
+        A batch of more than ``_PHASE_ELEMS // M`` rows is featurized block
+        by block into a preallocated output.
+        """
+        x = np.asarray(x, dtype=float)
+        rows = max(1, _PHASE_ELEMS // self.n_features)
+        if x.ndim != 2 or x.shape[0] <= rows:
+            phi = self.features(x)
+            if phi.ndim == 1:
+                return self.w @ phi
+            return phi @ self.w.T
+        out = np.empty((x.shape[0], self.out_dim))
+        for start in range(0, x.shape[0], rows):
+            stop = start + rows
+            np.matmul(self.features(x[start:stop]), self.w.T, out=out[start:stop])
+        return out
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         sin = self.sin_features(np.asarray(x, dtype=float))

@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .data import Dataset, make_two_moons, modify
 from .losses import LossKind, bundle, entropy, loss_values, softmax_rows
-from .models import LinearModel, RffModel, hessian_contraction, init_rff
+from .models import _PHASE_ELEMS, LinearModel, RffModel, hessian_contraction, init_rff
 from .mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc, sample_theta
 from .regularizers import (
     RegularizerBreakdown,
@@ -252,14 +252,22 @@ def check_covariance_formula(
     tb = coeffs.theta_bar
     th = sample_theta(alpha, rng, size=n_mc)[:, None]
     J = rng.integers(ds.n, size=n_mc)
-    delta = (th - tb) * ds.inputs[i] + (1.0 - th) * ds.inputs[J] - (1.0 - tb) * ds.x_mean
-    eps = (th - tb) * ds.outputs[i] + (1.0 - th) * ds.outputs[J] - (1.0 - tb) * ds.y_mean
+    # second moments accumulated over blocks of draws, never all n_mc at once
+    sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
+    step = max(1, _PHASE_ELEMS // (ds.d + ds.c))
+    for start in range(0, n_mc, step):
+        th_b, J_b = th[start : start + step], J[start : start + step]
+        delta = (th_b - tb) * ds.inputs[i] + (1.0 - th_b) * ds.inputs[J_b] - (1.0 - tb) * ds.x_mean
+        eps = (th_b - tb) * ds.outputs[i] + (1.0 - th_b) * ds.outputs[J_b] - (1.0 - tb) * ds.y_mean
+        sxx += delta.T @ delta
+        syy += eps.T @ eps
+        sxy += delta.T @ eps
     closed = per_example_covariances(ds, coeffs, i)
     mc_rel = 0.0
     for emp, ana in (
-        (delta.T @ delta / n_mc, closed.sxx),
-        (eps.T @ eps / n_mc, closed.syy),
-        (delta.T @ eps / n_mc, closed.sxy),
+        (sxx / n_mc, closed.sxx),
+        (syy / n_mc, closed.syy),
+        (sxy / n_mc, closed.sxy),
     ):
         mc_rel = max(
             mc_rel, float(np.linalg.norm(emp - ana) / max(np.linalg.norm(ana), 1e-30))

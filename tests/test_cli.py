@@ -134,6 +134,21 @@ def test_verify_exit_code_and_json(tmp_path):
     assert all(r["passed"] for r in payload)
 
 
+def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
+    import mixreg.cli as cli
+    from mixreg.verification import CheckReport
+
+    reports = [CheckReport("a", True, 0.0, 1.0, 0.25), CheckReport("a", True, 0.0, 1.0, 0.5),
+               CheckReport("b", False, 2.0, 1.0, 0.125)]
+    monkeypatch.setattr(cli, "run_all", lambda seed: reports)
+    assert main(["verify", "--out", str(tmp_path)]) == 1
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert set(summary) == {"total_s", "peak_rss_mb", "checks"}
+    assert summary["total_s"] >= 0.0 and summary["peak_rss_mb"] > 0.0
+    assert summary["checks"] == [{"name": r.name, "runtime_s": r.runtime_s} for r in reports]
+    assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
+
+
 def test_breakdown_csv(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "train"

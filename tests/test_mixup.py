@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mixreg import mixup
 from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind, loss_values
 from mixreg.mixup import (
@@ -179,6 +182,52 @@ def test_two_estimators_agree_on_rff():
     a = mixup_risk_mc(ds, model, LossKind.CROSS_ENTROPY, 1.0, 1_000_000, np.random.default_rng(3))
     b = perturbed_erm_risk_mc(ds, model, LossKind.CROSS_ENTROPY, 1.0, 1_000_000, np.random.default_rng(4))
     assert abs(a.mean - b.mean) < 4 * np.hypot(a.stderr, b.stderr)
+
+
+@pytest.mark.parametrize("offset", [1e5, 1e6])
+@pytest.mark.parametrize("chunk", [mixup._CHUNK, 700])
+def test_stderr_survives_a_large_loss_offset(offset, chunk, monkeypatch):
+    """Losses near offset + 1e-3 N(0, 1): the streamed standard error equals
+    the two-pass one on the same summands, in one chunk and across chunks."""
+    rng = np.random.default_rng(8)
+    ds = Dataset(rng.normal(size=(30, 2)), 1e-3 / np.sqrt(2 * offset) * rng.normal(size=(30, 1)))
+    model = LinearModel(W=np.zeros((1, 2)), b=[np.sqrt(2 * offset)])
+    summands = []
+
+    def recording(*args):
+        vals = pair_loss_values(*args)
+        summands.append(vals)
+        return vals
+
+    monkeypatch.setattr(mixup, "_CHUNK", chunk)
+    monkeypatch.setattr(mixup, "pair_loss_values", recording)
+    est = mixup_risk_mc(ds, model, LossKind.SQUARED_ERROR, 1.0, 5000, np.random.default_rng(9))
+    vals = np.concatenate(summands)
+    assert vals.size == 5000 and abs(vals.mean() / offset - 1.0) < 1e-6
+    two_pass = vals.std(ddof=1) / np.sqrt(vals.size)
+    assert abs(est.stderr - two_pass) <= 1e-6 * two_pass
+
+
+def test_monte_carlo_memory_is_bounded_by_one_phase_block():
+    """At 1000 features, 20 000 draws never hold a 20 000-row phase block
+    (160 MB); the traced peak stays under 16 MB."""
+    ds = make_two_moons(50, 0.05, seed=3)
+    model = init_rff(2, 1000, 3.0, 2, seed=4)
+    model.w = np.random.default_rng(4).normal(size=model.w.shape)
+    n_draws = 20_000
+    rng = np.random.default_rng(5)
+    I, J = rng.integers(ds.n, size=n_draws), rng.integers(ds.n, size=n_draws)
+    lam = rng.beta(1.0, 1.0, size=n_draws)
+    kind = LossKind.CROSS_ENTROPY
+    tracemalloc.start()
+    try:
+        pair_loss_values(ds, model, kind, I, J, lam)
+        mixup_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(6))
+        perturbed_erm_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(7))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_perturbed_estimator_alpha_to_zero():

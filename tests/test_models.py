@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import central_jacobian, rel_err
-from mixreg.models import LinearModel, RffModel, init_rff, load_model_json, save_model_json
+from mixreg.models import (
+    _PHASE_ELEMS,
+    LinearModel,
+    RffModel,
+    init_rff,
+    load_model_json,
+    save_model_json,
+)
 
 
 def test_linear_identity_predict():
@@ -66,6 +73,36 @@ def test_rff_derivatives_match_finite_differences(seed):
                 lambda xx, a=a: model.input_jacobian(xx)[a], x, h=1e-6
             )
             assert rel_err(hess[a], hess_fd, floor=1e-3) < 1e-5
+
+
+@pytest.mark.parametrize("M", [40, 1000])
+@pytest.mark.parametrize("c", [1, 2])
+def test_rff_predict_in_row_blocks(M, c, monkeypatch):
+    """Batches past one block of _PHASE_ELEMS phases equal the one-shot
+    expression to round-off; a batch of one block is that expression."""
+    rows = max(1, _PHASE_ELEMS // M)
+    model = init_rff(d=2, M=M, sigma_rff=3.0, c=c, seed=M + c)
+    model.w = np.random.default_rng(c).normal(size=model.w.shape)
+    xs = {n: np.random.default_rng(n).normal(size=(n, 2)) for n in (1, rows, rows + 1, 3 * rows + 7)}
+    expected = {n: model.features(x) @ model.w.T for n, x in xs.items()}
+
+    seen = []
+    features = RffModel.features
+
+    def recording(self, x):
+        seen.append(np.shape(x))
+        return features(self, x)
+
+    monkeypatch.setattr(RffModel, "features", recording)
+    for n, x in xs.items():
+        got = model.predict(x)
+        assert got.shape == (n, c)
+        if n <= rows:
+            assert np.array_equal(got, expected[n])
+        else:
+            assert np.abs(got - expected[n]).max() <= 2e-15 * np.abs(expected[n]).max()
+    assert max(shape[0] for shape in seen) <= rows
+    assert sum(shape[0] for shape in seen) == sum(xs)
 
 
 def test_init_rff_distributions():
