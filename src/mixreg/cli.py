@@ -269,6 +269,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process in MiB; ``ru_maxrss`` counts
+    bytes on macOS and KiB on Linux and the BSDs."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
+
+
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     reports = run_all(seed=args.seed if args.seed is not None else 0)
@@ -281,8 +288,7 @@ def cmd_verify(args) -> int:
             fh.write(reports_to_json(reports))
         summary = {
             "total_s": total_s,
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "peak_rss_mb": _peak_rss_mb(),
             "checks": [{"name": r.name, "runtime_s": r.runtime_s} for r in reports],
         }
         with open(out / "verify_summary.json", "w") as fh:

@@ -11,9 +11,12 @@ only the head weights w (c, M) train. Derivatives follow from the chain rule:
 
 Batch predictions of the feature model are evaluated in row blocks of at
 most ``_PHASE_ELEMS`` phase elements (rows x M), so the memory a prediction
-needs beyond its (n, c) output does not grow with n. A batch that fits in
-one block, such as every training, trace and metrics call at the default
-spec, is a single ``features(x) @ w.T``.
+needs beyond its (n, c) output does not grow with n. ``row_blocks`` fixes
+the blocks and ``head`` applies w to their features; a caller that keeps
+the features of fixed rows (the training trace) uses the same two steps and
+gets the same numbers as ``predict``. A batch that fits in one block, such
+as every training, trace and metrics call at the default spec, is a single
+``features(x) @ w.T``.
 """
 
 from __future__ import annotations
@@ -130,24 +133,32 @@ class RffModel:
         np.sin(sin, out=sin)
         return sin
 
+    def row_blocks(self, x: np.ndarray) -> list[np.ndarray]:
+        """Consecutive row views of a batch (n, d), each of at most
+        ``_PHASE_ELEMS // M`` rows (at least one)."""
+        rows = max(1, _PHASE_ELEMS // self.n_features)
+        return [x[start : start + rows] for start in range(0, x.shape[0], rows)]
+
+    def head(self, phi_blocks, n: int) -> np.ndarray:
+        """w phi stacked into (n, c) from the feature blocks of consecutive rows."""
+        out = np.empty((n, self.out_dim))
+        start = 0
+        for phi in phi_blocks:
+            stop = start + phi.shape[0]
+            np.matmul(phi, self.w.T, out=out[start:stop])
+            start = stop
+        return out
+
     def predict(self, x: np.ndarray) -> np.ndarray:
         """w phi(x) for a point (d,) -> (c,) or a batch (n, d) -> (n, c).
 
-        A batch of more than ``_PHASE_ELEMS // M`` rows is featurized block
-        by block into a preallocated output.
+        A batch is featurized one row block at a time, so at most one block
+        of phases is alive.
         """
         x = np.asarray(x, dtype=float)
-        rows = max(1, _PHASE_ELEMS // self.n_features)
-        if x.ndim != 2 or x.shape[0] <= rows:
-            phi = self.features(x)
-            if phi.ndim == 1:
-                return self.w @ phi
-            return phi @ self.w.T
-        out = np.empty((x.shape[0], self.out_dim))
-        for start in range(0, x.shape[0], rows):
-            stop = start + rows
-            np.matmul(self.features(x[start:stop]), self.w.T, out=out[start:stop])
-        return out
+        if x.ndim == 1:
+            return self.w @ self.features(x)
+        return self.head(map(self.features, self.row_blocks(x)), x.shape[0])
 
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         sin = self.sin_features(np.asarray(x, dtype=float))

@@ -252,21 +252,24 @@ def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):
     return float(loss_values(kind, Yb, U).mean()), (gu.T @ Xb / nb, gu.sum(axis=0) / nb)
 
 
-def _fixed_rows_predictor(model, x: np.ndarray, rescale: Rescale | None, phi=None):
+def _fixed_rows_predictor(model, x: np.ndarray, rescale: Rescale | None, phi_blocks=None):
     """Zero-argument callable giving ``predict(model, x, rescale)`` under the
     model's current weights.
 
-    A cosine-feature model featurizes the rows once, here (or reuses ``phi``,
-    the features of the same rows); a linear model has no features to keep
-    and predicts directly.
+    A cosine-feature model featurizes the row blocks of ``RffModel.predict``
+    once, here (or reuses ``phi_blocks``, the features of those blocks), and
+    applies the current head with ``RffModel.head``; a linear model has no
+    features to keep and predicts directly.
     """
     if not isinstance(model, RffModel):
         return lambda: predict(model, x, rescale)
-    if phi is None:
-        phi = model.features(x if rescale is None else rescale.shrink(x))
+    if phi_blocks is None:
+        rows = x if rescale is None else rescale.shrink(x)
+        phi_blocks = [model.features(xb) for xb in model.row_blocks(rows)]
+    n = x.shape[0]
     if rescale is None:
-        return lambda: phi @ model.w.T
-    return lambda: rescale.unshrink(phi @ model.w.T)
+        return lambda: model.head(phi_blocks, n)
+    return lambda: rescale.unshrink(model.head(phi_blocks, n))
 
 
 def _step(model, grad, velocity, cfg: TrainConfig):
@@ -321,14 +324,15 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
         _ApproxContext(ds_train, coeffs, model) if cfg.method == "mixup_approx" else None
     )
     # cache features of fixed training rows; mixed rows change every step
-    phi_train = phi_mod = None
+    phi_train = phi_mod = train_blocks = None
     if isinstance(model, RffModel):
         if cfg.method == "erm":
-            phi_train = model.features(ds_train.inputs)
+            train_blocks = [model.features(xb) for xb in model.row_blocks(ds_train.inputs)]
+            phi_train = np.concatenate(train_blocks)
         elif cfg.method == "erm_modified":
             phi_mod = model.features(mod.inputs)
 
-    predict_train = _fixed_rows_predictor(model, ds_train.inputs, rescale, phi_train)
+    predict_train = _fixed_rows_predictor(model, ds_train.inputs, rescale, train_blocks)
     predict_test = _fixed_rows_predictor(model, ds_test.inputs, rescale)
     zero_logit = 0.0 if rescale is None else rescale.zero_logit
     trace = TrainTrace(rescale=rescale)

@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .data import Dataset, make_two_moons, modify
 from .losses import LossKind, bundle, entropy, loss_values, softmax_rows
-from .models import _PHASE_ELEMS, LinearModel, RffModel, hessian_contraction, init_rff
+from .models import LinearModel, RffModel, hessian_contraction, init_rff
 from .mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc, sample_theta
 from .regularizers import (
     RegularizerBreakdown,
@@ -62,6 +62,9 @@ __all__ = [
     "reports_to_json",
     "format_report_table",
 ]
+
+# draws per block of the Monte Carlo covariance moments
+_MC_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -254,9 +257,8 @@ def check_covariance_formula(
     J = rng.integers(ds.n, size=n_mc)
     # second moments accumulated over blocks of draws, never all n_mc at once
     sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
-    step = max(1, _PHASE_ELEMS // (ds.d + ds.c))
-    for start in range(0, n_mc, step):
-        th_b, J_b = th[start : start + step], J[start : start + step]
+    for start in range(0, n_mc, _MC_DRAW_BLOCK):
+        th_b, J_b = th[start : start + _MC_DRAW_BLOCK], J[start : start + _MC_DRAW_BLOCK]
         delta = (th_b - tb) * ds.inputs[i] + (1.0 - th_b) * ds.inputs[J_b] - (1.0 - tb) * ds.x_mean
         eps = (th_b - tb) * ds.outputs[i] + (1.0 - th_b) * ds.outputs[J_b] - (1.0 - tb) * ds.y_mean
         sxx += delta.T @ delta

@@ -149,6 +149,18 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
 
 
+@pytest.mark.parametrize("platform, maxrss", [("linux", 3 * 2**10), ("darwin", 3 * 2**20)])
+def test_peak_rss_reads_ru_maxrss_in_the_platform_unit(platform, maxrss, monkeypatch):
+    import resource
+    import types
+
+    import mixreg.cli as cli
+
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    monkeypatch.setattr(resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=maxrss))
+    assert cli._peak_rss_mb() == 3.0
+
+
 def test_breakdown_csv(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "train"

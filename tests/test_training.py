@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import central_grad
+from mixreg import models
 from mixreg.data import Dataset, make_two_moons, flip_labels, train_test_split
 from mixreg.losses import LossKind, loss_values
-from mixreg.metrics import predict
+from mixreg.metrics import Rescale, predict
 from mixreg.models import LinearModel, RffModel, init_rff
 from mixreg.regularizers import approx_mixup_objective, mols_fit
-from mixreg.training import TrainConfig, TrainingDiverged, approx_gradient, train
+from mixreg.training import (
+    TrainConfig,
+    TrainingDiverged,
+    _fixed_rows_predictor,
+    approx_gradient,
+    train,
+)
 from mixreg.truncbeta import mix_coefficients
 
 
@@ -223,19 +230,47 @@ def test_natural_predictions_rescaling():
     assert trace.test_acc[-1] == np.mean(resc.argmax(axis=1) == te.labels())
 
 
-@pytest.mark.parametrize("model_kind", ["rff", "linear"])
-@pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup", "mixup_approx"])
-def test_trace_equals_the_predictor_on_the_final_model(method, model_kind):
-    """The trace's cached features cannot drift from ``metrics.predict``."""
+def _assert_trace_is_predict(method, model_kind, rff_features):
     tr, te = _moons_split(21, n=40)
     cfg = TrainConfig(method=method, alpha=0.7, epochs=3, batch_size=10, step_size=2.0,
-                      seed=4, model=model_kind, rff_features=30, rff_scale=3.0)
+                      seed=4, model=model_kind, rff_features=rff_features, rff_scale=3.0)
     model, trace = train(tr, te, cfg)
     train_out = predict(model, tr.inputs, trace.rescale)
     test_out = predict(model, te.inputs, trace.rescale)
     assert trace.train_acc[-1] == float(np.mean(train_out.argmax(1) == tr.labels()))
     assert trace.test_acc[-1] == float(np.mean(test_out.argmax(1) == te.labels()))
     assert trace.test_loss[-1] == float(loss_values(cfg.loss, te.outputs, test_out).mean())
+
+
+@pytest.mark.parametrize("model_kind", ["rff", "linear"])
+@pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup", "mixup_approx"])
+def test_trace_equals_the_predictor_on_the_final_model(method, model_kind):
+    """The trace's cached features cannot drift from ``metrics.predict``."""
+    _assert_trace_is_predict(method, model_kind, 30)
+
+
+@pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup", "mixup_approx"])
+def test_trace_equals_the_predictor_across_row_blocks(method, monkeypatch):
+    """The same with 20-row train and test sets split into blocks of 7 rows."""
+    monkeypatch.setattr(models, "_PHASE_ELEMS", 7 * 64)
+    _assert_trace_is_predict(method, "rff", 64)
+
+
+@pytest.mark.parametrize("phase_elems", [None, 7 * 64])
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_fixed_rows_predictor_is_predict(rescaled, phase_elems, monkeypatch):
+    """The trace's head on cached feature blocks gives ``metrics.predict``'s
+    array exactly, with 40 rows in one block or in blocks of 7."""
+    if phase_elems is not None:
+        monkeypatch.setattr(models, "_PHASE_ELEMS", phase_elems)
+    tr, te = _moons_split(23, n=80)
+    model = init_rff(2, 64, 3.0, 2, seed=6)
+    model.w = np.random.default_rng(6).normal(size=model.w.shape)
+    rescale = Rescale(tr.x_mean, tr.y_mean, 0.8) if rescaled else None
+    cached = _fixed_rows_predictor(model, te.inputs, rescale)
+    assert np.array_equal(cached(), predict(model, te.inputs, rescale))
+    model.w = 2.0 * model.w
+    assert np.array_equal(cached(), predict(model, te.inputs, rescale))
 
 
 @pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup_approx"])
