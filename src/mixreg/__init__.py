@@ -18,12 +18,12 @@ Library layout:
 
 from .data import (
     Dataset,
-    ModifiedDataset,
     flip_labels,
     load_csv,
     make_two_moons,
     modify,
     save_csv,
+    shrink,
     train_test_split,
 )
 from .losses import LossBundle, LossKind, bundle, entropy, sigmoid, softmax

@@ -25,9 +25,11 @@ Config file (JSON; flags override file values):
                  or {"kind": "linear"},
       "train":   {"method": "mixup", "alpha": 1.0, "epochs": 500,
                   "batch_size": 50, "step_size": 5.0, "loss": "ce",
-                  "drop_r2": true, "momentum": 0.0, "weight_decay": 0.0},
+                  "drop_r2": true},
       "repetitions": 10
     }
+
+A key outside this layout ends the command with exit code 2 and names the key.
 """
 
 from __future__ import annotations
@@ -72,11 +74,18 @@ DEFAULT_CONFIG = {
         "step_size": 5.0,
         "loss": "ce",
         "drop_r2": True,
-        "momentum": 0.0,
-        "weight_decay": 0.0,
     },
     "repetitions": 10,
 }
+
+
+def _unknown_keys(cfg: dict) -> list:
+    """Keys of a config file that no config section knows, as dotted paths."""
+    known = {s: set(DEFAULT_CONFIG[s]) for s in ("dataset", "model", "train")}
+    known["dataset"] |= {"train", "test"}  # the csv kind
+    return [k for k in cfg if k not in DEFAULT_CONFIG] + [
+        f"{s}.{k}" for s in known for k in cfg.get(s, {}) if k not in known[s]
+    ]
 
 
 def _deep_update(base: dict, override: dict) -> dict:
@@ -93,7 +102,13 @@ def _load_config(args) -> dict:
     cfg = DEFAULT_CONFIG
     if getattr(args, "config", None):
         with open(args.config) as fh:
-            cfg = _deep_update(cfg, json.load(fh))
+            from_file = json.load(fh)
+        unknown = _unknown_keys(from_file)
+        if unknown:
+            print(f"mixreg: unknown config keys in {args.config}: {', '.join(unknown)}",
+                  file=sys.stderr)
+            raise SystemExit(2)
+        cfg = _deep_update(cfg, from_file)
     override: dict = {}
     if getattr(args, "seed", None) is not None:
         override["seed"] = args.seed
@@ -137,8 +152,6 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
         model=m["kind"],
         rff_features=m.get("features", 1000),
         rff_scale=m.get("scale", 10.0),
-        momentum=t.get("momentum", 0.0),
-        weight_decay=t.get("weight_decay", 0.0),
     )
 
 

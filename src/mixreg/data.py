@@ -1,4 +1,8 @@
-"""Dataset container, the two-moons generator, and the mean-shrinkage map."""
+"""Dataset container, the two-moons generator, and the mean-shrinkage map.
+
+:func:`shrink` is the one copy of the map: :func:`modify` applies it to the
+rows a method fits and :class:`metrics.Rescale` to test inputs, bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -9,9 +13,9 @@ import numpy as np
 
 __all__ = [
     "Dataset",
-    "ModifiedDataset",
     "make_two_moons",
     "flip_labels",
+    "shrink",
     "modify",
     "train_test_split",
     "save_csv",
@@ -87,17 +91,6 @@ class Dataset:
         return self.outputs.argmax(axis=1)
 
 
-@dataclass(frozen=True)
-class ModifiedDataset(Dataset):
-    """Dataset with rows shrunk toward the mean by a factor theta_bar.
-
-    Rows are x~ = xbar + theta_bar (x - xbar) and likewise for outputs, so the
-    column means are unchanged and every covariance scales by theta_bar^2.
-    """
-
-    theta_bar: float = 1.0
-
-
 def make_two_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaved half-circles with one-hot labels in R^2.
 
@@ -144,16 +137,23 @@ def flip_labels(ds: Dataset, fraction: float, seed: int) -> Dataset:
     return Dataset(ds.inputs.copy(), flipped)
 
 
-def modify(ds: Dataset, theta_bar: float) -> ModifiedDataset:
-    """Shrink every row toward the dataset mean by the factor theta_bar.
-
-    Invertible for theta_bar > 0: x = xbar + (x~ - xbar) / theta_bar.
-    """
+def shrink(z, zbar, theta_bar: float) -> np.ndarray:
+    """Pull z toward zbar: theta_bar z + (1 - theta_bar) zbar, for theta_bar in [1/2, 1]."""
     if not 0.5 <= theta_bar <= 1.0:
         raise ValueError(f"theta_bar must lie in [1/2, 1], got {theta_bar}")
-    Xt = ds.x_mean + theta_bar * (ds.inputs - ds.x_mean)
-    Yt = ds.y_mean + theta_bar * (ds.outputs - ds.y_mean)
-    return ModifiedDataset(Xt, Yt, theta_bar=theta_bar)
+    z, zbar = np.asarray(z, dtype=float), np.asarray(zbar, dtype=float)
+    return theta_bar * z + (1.0 - theta_bar) * zbar
+
+
+def modify(ds: Dataset, theta_bar: float) -> Dataset:
+    """Shrink every row toward the dataset mean by the factor theta_bar.
+
+    Means are kept and covariances scale by theta_bar^2. Invertible for
+    theta_bar > 0: x = xbar + (x~ - xbar) / theta_bar.
+    """
+    return Dataset(
+        shrink(ds.inputs, ds.x_mean, theta_bar), shrink(ds.outputs, ds.y_mean, theta_bar)
+    )
 
 
 def train_test_split(ds: Dataset, train_fraction: float, seed: int):

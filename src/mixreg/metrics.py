@@ -13,8 +13,9 @@ at the shrunk point unchanged.
 
 Training builds the statistics (xbar, ybar, theta_bar) once per run as a
 :class:`Rescale` value, or None for plain fitting; :func:`predict` and
-:func:`metrics` take that value as it is. Its ``shrink`` and ``unshrink``
-steps are the only copy of the formula above.
+:func:`metrics` take that value as it is. Its ``shrink`` step is
+:func:`data.shrink`, which also makes the fitted rows, and ``unshrink`` is
+the only copy of the output side.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, shrink
 from .losses import LossKind, entropy, loss_values, softmax_rows
 
 __all__ = [
@@ -57,11 +58,7 @@ class Rescale:
 
     def shrink(self, x: np.ndarray) -> np.ndarray:
         """Input side: theta_bar x + (1 - theta_bar) xbar."""
-        tb = self.theta_bar
-        if not 0.5 <= tb <= 1.0:
-            raise ValueError("theta_bar must lie in [1/2, 1]")
-        x = np.asarray(x, dtype=float)
-        return tb * x + (1.0 - tb) * np.asarray(self.xbar, dtype=float)
+        return shrink(x, self.xbar, self.theta_bar)
 
     def unshrink(self, out: np.ndarray) -> np.ndarray:
         """Output side: ybar (1 - 1/theta_bar) + out / theta_bar."""

@@ -192,14 +192,12 @@ def mixup_minibatch(
     batch_y: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
-    shared_lam: bool = False,
     lam: np.ndarray | None = None,
 ):
     """Convex-combine each batch row with a uniformly drawn partner row.
 
-    One lam ~ Beta(alpha, alpha) per pair by default; ``shared_lam`` draws a
-    single lam for the whole batch. ``lam`` overrides the draw (testing hook).
-    Returns (mixed_x, mixed_y).
+    One lam ~ Beta(alpha, alpha) per pair; ``lam`` overrides the draw
+    (testing hook). Returns (mixed_x, mixed_y).
     """
     batch_x = np.asarray(batch_x, dtype=float)
     batch_y = np.asarray(batch_y, dtype=float)
@@ -208,7 +206,7 @@ def mixup_minibatch(
         raise ValueError("batch must be nonempty")
     partner = rng.integers(m, size=m)
     if lam is None:
-        lam = np.full(m, rng.beta(alpha, alpha)) if shared_lam else rng.beta(alpha, alpha, size=m)
+        lam = rng.beta(alpha, alpha, size=m)
     else:
         lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,))
     lam_col = lam[:, None]

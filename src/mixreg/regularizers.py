@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, ModifiedDataset, modify
+from .data import Dataset, modify
 from .losses import LossKind, bundle, loss_value, sigmoid, softmax, softmax_hessian
 from .models import LinearModel, hessian_contraction
 from .truncbeta import MixCoefficients, trunc_beta_raw_moment
@@ -195,7 +195,7 @@ def exact_second_moments(
 
 
 def quadratic_loss(
-    ds_mod: ModifiedDataset,
+    ds_mod: Dataset,
     model,
     kind: LossKind,
     i: int,

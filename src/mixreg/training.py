@@ -15,12 +15,12 @@ The methods that fit mean-shrunk rows are scored with the rescaled
 predictor; :func:`train` builds its statistics once per run and returns them
 as ``trace.rescale`` (None for plain fitting, which predicts raw).
 
-The per-epoch trace scores the same train and test rows every epoch, so a
-cosine-feature model featurizes them once per run (after the shrink step of
-``trace.rescale`` when there is one) and each epoch only applies the current
-head and the unshrink step. The trace columns equal those of
-:func:`metrics.predict` on the same model bit for bit. Mixed rows change
-every step and are featurized as they come.
+A run fits the training rows (plain fitting) or their mean-shrunk form,
+:func:`data.modify`, which is the shrink step of ``trace.rescale`` bit for
+bit. A cosine-feature model featurizes those rows and the test rows once per
+run; the fitted rows' features serve the objective and the per-epoch trace,
+whose columns equal those of :func:`metrics.predict` bit for bit. Mixed rows
+change every step and are featurized as they come.
 """
 
 from __future__ import annotations
@@ -66,9 +66,6 @@ class TrainConfig:
     model: str = "rff"
     rff_features: int = 1000
     rff_scale: float = 10.0
-    shared_lam: bool = False
-    momentum: float = 0.0
-    weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -122,24 +119,32 @@ def _accuracy(outputs: np.ndarray, targets: np.ndarray, threshold: float) -> flo
     return float((outputs.argmax(axis=1) == targets.argmax(axis=1)).mean())
 
 
-class _ApproxContext:
-    """Per-dataset precomputation for the regularized objective."""
+def _fixed_features(model, rows: np.ndarray):
+    """Features of fixed rows made in the row blocks of ``RffModel.predict``,
+    so ``head`` on their row blocks is ``predict``; None for a linear model."""
+    if not isinstance(model, RffModel):
+        return None
+    return np.concatenate([model.features(xb) for xb in model.row_blocks(rows)])
 
-    def __init__(self, ds: Dataset, coeffs: MixCoefficients, model):
-        mod = modify(ds, coeffs.theta_bar)
+
+class _ApproxContext:
+    """Per-dataset precomputation for the regularized objective on the rows
+    ``fit = modify(ds, theta_bar)`` with features ``phit``."""
+
+    def __init__(self, ds: Dataset, fit: Dataset, phit, coeffs: MixCoefficients, model):
         cov = perturbation_covariances(ds, coeffs)
-        self.Xt = mod.inputs
-        self.Yt = mod.outputs
+        self.Xt = fit.inputs
+        self.Yt = fit.outputs
         self.A_all = cov.sxx
         self.Syx_all = np.ascontiguousarray(cov.sxy.transpose(0, 2, 1))
         self.syy_trace = np.einsum("bcc->b", cov.syy)
+        self.phit = phit
         if isinstance(model, RffModel):
-            self.phit = model.features(self.Xt)
             self.sint = model.sin_features(self.Xt)
             # S_m Cov_i S_m^T for every (i, m); only the Hessian term needs it
             self.sas = np.einsum("mj,bjk,mk->bm", model.S, self.A_all, model.S)
         else:
-            self.phit = self.sint = self.sas = None
+            self.sint = self.sas = None
 
 
 def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx, drop_r2: bool):
@@ -234,14 +239,15 @@ def approx_gradient(
     Returns (value, gradient) with the gradient shaped like the model's
     trainable parameters ((gW, gb) for linear, gw for features).
     """
-    ctx = _ApproxContext(ds, coeffs, model)
+    fit = modify(ds, coeffs.theta_bar)
+    ctx = _ApproxContext(ds, fit, _fixed_features(model, fit.inputs), coeffs, model)
     idx = np.arange(ds.n) if indices is None else np.asarray(indices)
     return _approx_value_grad(ctx, model, kind, idx, drop_r2)
 
 
 def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):
     """Mean loss and its parameter gradient on a prepared batch."""
-    nb = Xb.shape[0] if Xb is not None else phi_b.shape[0]
+    nb = Yb.shape[0]
     if isinstance(model, RffModel):
         phi = model.features(Xb) if phi_b is None else phi_b
         U = phi @ model.w.T
@@ -252,41 +258,32 @@ def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):
     return float(loss_values(kind, Yb, U).mean()), (gu.T @ Xb / nb, gu.sum(axis=0) / nb)
 
 
-def _fixed_rows_predictor(model, x: np.ndarray, rescale: Rescale | None, phi_blocks=None):
+def _fixed_rows_predictor(model, x: np.ndarray, rescale: Rescale | None, phi=None):
     """Zero-argument callable giving ``predict(model, x, rescale)`` under the
     model's current weights.
 
-    A cosine-feature model featurizes the row blocks of ``RffModel.predict``
-    once, here (or reuses ``phi_blocks``, the features of those blocks), and
-    applies the current head with ``RffModel.head``; a linear model has no
-    features to keep and predicts directly.
+    A cosine-feature model featurizes the rows once, here (or reuses ``phi``,
+    the features of the rows after the shrink step), and applies the current
+    head with ``RffModel.head``; a linear model has no features to keep and
+    predicts directly.
     """
     if not isinstance(model, RffModel):
         return lambda: predict(model, x, rescale)
-    if phi_blocks is None:
-        rows = x if rescale is None else rescale.shrink(x)
-        phi_blocks = [model.features(xb) for xb in model.row_blocks(rows)]
-    n = x.shape[0]
+    if phi is None:
+        phi = _fixed_features(model, x if rescale is None else rescale.shrink(x))
+    phi_blocks, n = model.row_blocks(phi), x.shape[0]
     if rescale is None:
         return lambda: model.head(phi_blocks, n)
     return lambda: rescale.unshrink(model.head(phi_blocks, n))
 
 
-def _step(model, grad, velocity, cfg: TrainConfig):
-    lr, mu, wd = cfg.step_size, cfg.momentum, cfg.weight_decay
+def _step(model, grad, step_size: float) -> None:
     if isinstance(model, RffModel):
-        g = grad + wd * model.w if wd else grad
-        velocity["w"] = mu * velocity.get("w", 0.0) - lr * g
-        model.w = model.w + velocity["w"]
+        model.w = model.w - step_size * grad
     else:
         gW, gb = grad
-        if wd:
-            gW = gW + wd * model.W
-            gb = gb + wd * model.b
-        velocity["W"] = mu * velocity.get("W", 0.0) - lr * gW
-        velocity["b"] = mu * velocity.get("b", 0.0) - lr * gb
-        model.W = model.W + velocity["W"]
-        model.b = model.b + velocity["b"]
+        model.W = model.W - step_size * gW
+        model.b = model.b - step_size * gb
 
 
 def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
@@ -315,53 +312,39 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
     else:
         model = init_rff(d, cfg.rff_features, cfg.rff_scale, c, cfg.seed)
 
-    coeffs = mix_coefficients(cfg.alpha) if cfg.method != "erm" else None
-    rescale = None
-    if coeffs is not None:
+    rescale = coeffs = None
+    fit = ds_train
+    if cfg.method != "erm":
+        coeffs = mix_coefficients(cfg.alpha)
         rescale = Rescale(ds_train.x_mean, ds_train.y_mean, coeffs.theta_bar)
-    mod = modify(ds_train, coeffs.theta_bar) if cfg.method in ("erm_modified",) else None
-    ctx = (
-        _ApproxContext(ds_train, coeffs, model) if cfg.method == "mixup_approx" else None
-    )
-    # cache features of fixed training rows; mixed rows change every step
-    phi_train = phi_mod = train_blocks = None
-    if isinstance(model, RffModel):
-        if cfg.method == "erm":
-            train_blocks = [model.features(xb) for xb in model.row_blocks(ds_train.inputs)]
-            phi_train = np.concatenate(train_blocks)
-        elif cfg.method == "erm_modified":
-            phi_mod = model.features(mod.inputs)
-
-    predict_train = _fixed_rows_predictor(model, ds_train.inputs, rescale, train_blocks)
+        fit = modify(ds_train, coeffs.theta_bar)
+    # fixed rows are featurized once; mixed rows change every step
+    phi_fit = _fixed_features(model, fit.inputs)
+    if cfg.method == "mixup_approx":
+        ctx = _ApproxContext(ds_train, fit, phi_fit, coeffs, model)
+    predict_train = _fixed_rows_predictor(model, ds_train.inputs, rescale, phi_fit)
     predict_test = _fixed_rows_predictor(model, ds_test.inputs, rescale)
     zero_logit = 0.0 if rescale is None else rescale.zero_logit
     trace = TrainTrace(rescale=rescale)
-    velocity: dict = {}
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
         batch_objs = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            if cfg.method == "erm":
+            if cfg.method in ("erm", "erm_modified"):
                 value, grad = _plain_value_grad(
-                    model, cfg.loss, ds_train.inputs[idx], ds_train.outputs[idx],
-                    phi_b=None if phi_train is None else phi_train[idx],
-                )
-            elif cfg.method == "erm_modified":
-                value, grad = _plain_value_grad(
-                    model, cfg.loss, mod.inputs[idx], mod.outputs[idx],
-                    phi_b=None if phi_mod is None else phi_mod[idx],
+                    model, cfg.loss, fit.inputs[idx], fit.outputs[idx],
+                    phi_b=None if phi_fit is None else phi_fit[idx],
                 )
             elif cfg.method == "mixup":
                 Xm, Ym = mixup_minibatch(
-                    ds_train.inputs[idx], ds_train.outputs[idx], cfg.alpha, rng,
-                    shared_lam=cfg.shared_lam,
+                    ds_train.inputs[idx], ds_train.outputs[idx], cfg.alpha, rng
                 )
                 value, grad = _plain_value_grad(model, cfg.loss, Xm, Ym)
             else:
                 value, grad = _approx_value_grad(ctx, model, cfg.loss, idx, cfg.drop_r2)
             batch_objs.append(value)
-            _step(model, grad, velocity, cfg)
+            _step(model, grad, cfg.step_size)
         objective = float(np.mean(batch_objs))
         if not np.isfinite(objective):
             raise TrainingDiverged(

@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .data import Dataset, make_two_moons, modify
+from .data import Dataset, make_two_moons, modify, shrink
 from .losses import LossKind, bundle, entropy, loss_values, softmax_rows
 from .models import LinearModel, RffModel, hessian_contraction, init_rff
 from .mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc, sample_theta
@@ -463,7 +463,7 @@ def check_label_smoothing(
     coeffs = mix_coefficients(alpha)
     tb = coeffs.theta_bar
     X, Y = ds.inputs, ds.outputs
-    Yt = ds.y_mean + tb * (Y - ds.y_mean)
+    Yt = shrink(Y, ds.y_mean, tb)
 
     W0, g0 = _newton_ce_fit(X, Y, grad_tol=grad_tol / 10, ridge=ridge)
     W1, g1 = _newton_ce_fit(X, Yt, grad_tol=grad_tol / 10, ridge=ridge)
@@ -477,7 +477,7 @@ def check_label_smoothing(
     avg_z = float(np.mean([entropy(row) for row in p]))
     avg_zt = float(np.mean([entropy(row) for row in pt]))
     z_bar = entropy(ds.y_mean)
-    lhs = tb * avg_z + (1.0 - tb) * z_bar
+    lhs = float(shrink(avg_z, z_bar, tb))
     violation = max(lhs - avg_zt, 0.0)
     secondary = avg_z <= z_bar
     plain_holds = avg_z <= avg_zt + slack

@@ -1,4 +1,13 @@
 import numpy as np
+import pytest
+
+from mixreg.verification import run_all
+
+
+@pytest.fixture(scope="session")
+def run_all_reports():
+    """The certification suite at seed 0, run once per test session."""
+    return run_all(seed=0)
 
 
 def central_grad(f, x, h=1e-6):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from mixreg.cli import _t_interval, main
+from mixreg.cli import DEFAULT_CONFIG, _t_interval, main
 from mixreg.losses import LossKind
 
 TINY_CONFIG = {
@@ -47,6 +47,33 @@ def test_train_outputs_and_determinism(tmp_path):
     rows = (out1 / "trace.csv").read_text().splitlines()
     assert rows[0] == "epoch,objective,train_acc,test_acc,test_loss"
     assert len(rows) == 5
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [(None, "repetition"), ("dataset", "noize"), ("model", "width"), ("train", "stepsize"),
+     ("train", "momentum")],
+)
+def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys, section, key):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    (cfg if section is None else cfg[section])[key] = 0.1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_config_loads_as_a_config_file(tmp_path):
+    import argparse
+
+    from mixreg.cli import _load_config
+
+    path = tmp_path / "default.json"
+    path.write_text(json.dumps(DEFAULT_CONFIG))
+    assert _load_config(argparse.Namespace(config=str(path))) == DEFAULT_CONFIG
 
 
 def test_flag_overrides_config(tmp_path):
@@ -125,9 +152,13 @@ def test_eval_and_breakdown_default_to_the_model_seed(tmp_path):
     assert row["seed"] == "0"
 
 
-def test_verify_exit_code_and_json(tmp_path):
+def test_verify_exit_code_and_json(tmp_path, monkeypatch, run_all_reports):
+    import mixreg.cli as cli
+
+    seeds = []
+    monkeypatch.setattr(cli, "run_all", lambda seed: seeds.append(seed) or run_all_reports)
     code = main(["verify", "--seed", "0", "--out", str(tmp_path / "v")])
-    assert code == 0
+    assert code == 0 and seeds == [0]
     payload = json.loads((tmp_path / "v" / "verify.json").read_text())
     assert all(set(r) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "details"}
                for r in payload)

@@ -8,8 +8,10 @@ from mixreg.data import (
     make_two_moons,
     modify,
     save_csv,
+    shrink,
     train_test_split,
 )
+from mixreg.metrics import Rescale
 
 
 def test_two_moons_zero_noise_on_circles():
@@ -106,7 +108,8 @@ def test_stats_match_double_loop_oracle():
 def test_modify_identity_and_fixed_point():
     ds = make_two_moons(20, 0.05, seed=2)
     same = modify(ds, 1.0)
-    assert np.allclose(same.inputs, ds.inputs, atol=1e-15)
+    assert np.array_equal(same.inputs, ds.inputs)
+    assert np.array_equal(same.outputs, ds.outputs)
     X = np.vstack([ds.inputs, ds.x_mean])
     Y = np.vstack([ds.outputs, ds.y_mean])
     with_mean = Dataset(X, Y)
@@ -118,12 +121,21 @@ def test_modify_hand_case_and_round_trip():
     ds = Dataset(np.array([[0.0], [2.0]]), np.array([[0.0], [1.0]]))
     mod = modify(ds, 0.75)
     assert np.allclose(mod.inputs.ravel(), [0.25, 1.75], atol=1e-15)
-    recovered = ds.x_mean + (mod.inputs - ds.x_mean) / mod.theta_bar
+    recovered = ds.x_mean + (mod.inputs - ds.x_mean) / 0.75
     assert np.abs(recovered - ds.inputs).max() < 1e-12
     with pytest.raises(ValueError):
         modify(ds, 0.3)
     with pytest.raises(ValueError):
         modify(ds, 1.2)
+
+
+@pytest.mark.parametrize("tb", [0.6, 0.75, 0.9])
+def test_modify_shrinks_with_the_rescaled_predictor_bits(tb):
+    """The rows a method fits are the rows its rescaled predictor sees."""
+    ds = make_two_moons(300, 0.01, seed=0)
+    mod = modify(ds, tb)
+    assert np.array_equal(mod.inputs, Rescale(ds.x_mean, ds.y_mean, tb).shrink(ds.inputs))
+    assert np.array_equal(mod.outputs, shrink(ds.outputs, ds.y_mean, tb))
 
 
 def test_modified_covariances_scale_quadratically():

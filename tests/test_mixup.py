@@ -287,16 +287,6 @@ def test_minibatch_mean_preserved_statistically():
     assert np.abs(mean_of_means - X.mean(axis=0)).max() < 0.01
 
 
-def test_minibatch_shared_lambda_flag():
-    rng = np.random.default_rng(12)
-    X = rng.normal(size=(8, 2))
-    Y = rng.normal(size=(8, 2))
-    mx, _ = mixup_minibatch(X, Y, 1.0, rng, shared_lam=True)
-    # with one shared lam, each mixed row lies on the segment with the same
-    # coefficient; recover lam from the first coordinate where possible
-    assert mx.shape == X.shape
-
-
 def test_estimator_input_validation():
     ds = _small_regression(7)
     model = _ConstantModel(np.zeros(2))

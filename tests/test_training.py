@@ -276,7 +276,8 @@ def test_fixed_rows_predictor_is_predict(rescaled, phase_elems, monkeypatch):
 @pytest.mark.parametrize("method", ["erm", "erm_modified", "mixup_approx"])
 def test_fixed_rows_are_featurized_once_per_run(method, monkeypatch):
     """Only mixed rows change between epochs; no other featurization may
-    grow with the epoch count."""
+    grow with the epoch count, and the fitted rows are featurized once for
+    the objective and the trace together, as many calls as plain fitting."""
     calls = []
     features = RffModel.features
 
@@ -286,13 +287,13 @@ def test_fixed_rows_are_featurized_once_per_run(method, monkeypatch):
 
     monkeypatch.setattr(RffModel, "features", counted)
     tr, te = _moons_split(22, n=40)
-    counts = []
-    for epochs in (2, 6):
+    counts = {}
+    for name, epochs in ((method, 2), (method, 6), ("erm", 2)):
         calls.clear()
-        train(tr, te, TrainConfig(method=method, alpha=1.0, epochs=epochs, batch_size=10,
+        train(tr, te, TrainConfig(method=name, alpha=1.0, epochs=epochs, batch_size=10,
                                   step_size=2.0, seed=5, model="rff", rff_features=20))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+        counts[name, epochs] = len(calls)
+    assert counts[method, 2] == counts[method, 6] == counts["erm", 2] > 0
 
 
 def test_all_methods_run_and_write_csv(tmp_path):

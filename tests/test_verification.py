@@ -19,7 +19,6 @@ from mixreg.verification import (
     expected_quadratic_loss,
     format_report_table,
     reports_to_json,
-    run_all,
 )
 
 
@@ -138,8 +137,8 @@ def test_taylor_checks():
     assert rep2.passed and rep2.name == "taylor_exact_se_linear"
 
 
-def test_run_all_green_and_serializable():
-    reports = run_all(seed=0)
+def test_run_all_green_and_serializable(run_all_reports):
+    reports = run_all_reports
     assert len(reports) == 12
     assert all(r.passed for r in reports)
     payload = json.loads(reports_to_json(reports))
