@@ -42,7 +42,7 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtrit
 
 from .data import load_csv
 from .experiment import ExperimentSpec, make_instance
@@ -226,7 +226,7 @@ def _t_interval(values: np.ndarray):
     mean = float(np.mean(values))
     if n < 2:
         return mean, None, None
-    half = float(sps.t.ppf(0.975, n - 1) * np.std(values, ddof=1) / np.sqrt(n))
+    half = float(stdtrit(n - 1, 0.975) * np.std(values, ddof=1) / np.sqrt(n))
     return mean, mean - half, mean + half
 
 

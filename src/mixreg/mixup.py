@@ -9,14 +9,19 @@ l(y~_i + eps_i, f(x~_i + delta_i)) where (x~, y~) are the mean-shrunk rows and
     delta_i = (theta - theta_bar) x_i + (1 - theta) x_j - (1 - theta_bar) xbar
     eps_i   = (theta - theta_bar) y_i + (1 - theta) y_j - (1 - theta_bar) ybar
 
-are zero-mean. The identity x~_i + delta_i = theta x_i + (1 - theta) x_j holds
-per draw, so the two risk forms agree summand by summand.
+are zero-mean (``perturbation`` is the one place this is computed). The
+identity x~_i + delta_i = theta x_i + (1 - theta) x_j holds per draw, so the
+two risk forms agree summand by summand (``pair_loss_values`` and
+``perturbed_loss_values``).
 
 The Monte Carlo estimators draw in chunks of ``_CHUNK`` draws. The chunk
 counts draws, so it fixes the order in which the random stream is consumed
-and therefore every draw. Memory per chunk is draws x (d + c) for the mixed
-rows plus one row block of the model's prediction (``models._PHASE_ELEMS``
-phase elements for a cosine-feature head), whatever the feature count.
+and therefore every draw. The summands evaluate a chunk in blocks of at most
+``_DRAW_BLOCK`` draws and write each block's losses into one output, so a
+chunk holds its index and weight draws (three arrays of ``_CHUNK`` values),
+the gathered, mixed or perturbed rows and losses of one draw block, and one
+row block of the model's prediction (``models._PHASE_ELEMS`` phase elements
+for a cosine-feature head), whatever the feature count.
 """
 
 from __future__ import annotations
@@ -27,19 +32,24 @@ import numpy as np
 
 from .data import Dataset, modify
 from .losses import LossKind, loss_values
-from .truncbeta import MixCoefficients, sample_theta
+from .truncbeta import MixCoefficients, mix_coefficients, sample_theta
 
 __all__ = [
     "PerturbationDraw",
     "McEstimate",
+    "perturbation",
     "sample_perturbation",
     "pair_loss_values",
+    "perturbed_loss_values",
     "mixup_risk_mc",
     "perturbed_erm_risk_mc",
     "mixup_minibatch",
 ]
 
 _CHUNK = 200_000
+# draws per block of summand temporaries; also the block over which
+# ``verification`` accumulates its Monte Carlo perturbation moments
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,6 +59,47 @@ class McEstimate:
     mean: float
     stderr: float
     n_draws: int
+
+
+class _Moments:
+    """Running count, sum and sum of squared deviations of streamed draws.
+
+    Squared deviations are summed about each block's own mean and merged
+    across blocks with Chan et al.'s pairwise update, so a large common
+    offset in the draws does not cancel the variance.
+    """
+
+    def __init__(self) -> None:
+        self.n = 0
+        self.total = 0.0
+        self.m2 = 0.0
+
+    def add(self, vals: np.ndarray) -> None:
+        k = vals.shape[0]
+        block_total = vals.sum()
+        dev = vals - block_total / k
+        self.m2 += float(dev @ dev)
+        if self.n:
+            shift = block_total / k - self.total / self.n
+            self.m2 += shift * shift * self.n * k / (self.n + k)
+        self.total += block_total
+        self.n += k
+
+    def estimate(self) -> McEstimate:
+        stderr = float(np.sqrt(self.m2 / (self.n - 1) / self.n)) if self.n > 1 else float("nan")
+        return McEstimate(mean=float(self.total / self.n), stderr=stderr, n_draws=self.n)
+
+
+def _draw_blocks(n: int, model=None) -> list[slice]:
+    """Consecutive slices of n draws, at most ``_DRAW_BLOCK`` each.
+
+    A model with prediction row blocks (``RffModel.block_rows``) gets a
+    whole number of them per slice, at least one, so it contracts the same
+    row blocks as one ``predict`` over all n draws and returns the same bits.
+    """
+    rows = getattr(model, "block_rows", 1)
+    step = max(rows, _DRAW_BLOCK // rows * rows)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 @dataclass(frozen=True)
@@ -62,6 +113,22 @@ class PerturbationDraw:
     epsilon: np.ndarray
 
 
+def perturbation(ds: Dataset, theta_bar: float, i, j, theta):
+    """(delta, eps) of row(s) i with partner(s) j and folded weight(s) theta:
+
+        (theta - theta_bar) z_i + (1 - theta) z_j - (1 - theta_bar) zbar
+
+    for z the inputs and for z the outputs. A scalar theta gives one (d,)
+    and one (c,) vector; k weights give (k, d) and (k, c) rows, with i and j
+    scalars or k indices each.
+    """
+    th = np.asarray(theta, dtype=float)[..., None]
+    return tuple(
+        (th - theta_bar) * z[i] + (1.0 - th) * z[j] - (1.0 - theta_bar) * z_mean
+        for z, z_mean in ((ds.inputs, ds.x_mean), (ds.outputs, ds.y_mean))
+    )
+
+
 def sample_perturbation(
     ds: Dataset, coeffs: MixCoefficients, i: int, rng: np.random.Generator
 ) -> PerturbationDraw:
@@ -70,9 +137,7 @@ def sample_perturbation(
         raise IndexError(f"row index {i} out of range for n={ds.n}")
     theta = sample_theta(coeffs.alpha, rng)
     j = int(rng.integers(ds.n))
-    tb = coeffs.theta_bar
-    delta = (theta - tb) * ds.inputs[i] + (1.0 - theta) * ds.inputs[j] - (1.0 - tb) * ds.x_mean
-    epsilon = (theta - tb) * ds.outputs[i] + (1.0 - theta) * ds.outputs[j] - (1.0 - tb) * ds.y_mean
+    delta, epsilon = perturbation(ds, coeffs.theta_bar, i, j, theta)
     return PerturbationDraw(i=i, j=j, theta=theta, delta=delta, epsilon=epsilon)
 
 
@@ -80,39 +145,50 @@ def pair_loss_values(
     ds: Dataset, model, kind: LossKind, I: np.ndarray, J: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
     """Loss of the mixed pair for each (i, j, lam) triple; the pure summand."""
-    lam = np.asarray(lam, dtype=float)[:, None]
-    Xm = lam * ds.inputs[I] + (1.0 - lam) * ds.inputs[J]
-    Ym = lam * ds.outputs[I] + (1.0 - lam) * ds.outputs[J]
-    return loss_values(kind, Ym, model.predict(Xm))
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty(len(lam))
+    for b in _draw_blocks(out.shape[0], model):
+        lb = lam[b, None]
+        Xm = lb * ds.inputs[I[b]]
+        Xm += (1.0 - lb) * ds.inputs[J[b]]
+        Ym = lb * ds.outputs[I[b]]
+        Ym += (1.0 - lb) * ds.outputs[J[b]]
+        out[b] = loss_values(kind, Ym, model.predict(Xm))
+    return out
+
+
+def perturbed_loss_values(
+    ds: Dataset,
+    model,
+    kind: LossKind,
+    I: np.ndarray,
+    J: np.ndarray,
+    theta: np.ndarray,
+    theta_bar: float,
+) -> np.ndarray:
+    """l(y~_i + eps_i, f(x~_i + delta_i)) for each (i, j, theta) triple, with
+    (x~, y~) the rows shrunk by theta_bar; the perturbed-form summand.
+
+    theta_bar cancels in x~_i + delta_i, so any value in [1/2, 1] gives
+    ``pair_loss_values`` at lam = theta up to rounding; the rounding is that
+    of the given theta_bar.
+    """
+    mod = modify(ds, theta_bar)
+    out = np.empty(len(theta))
+    for b in _draw_blocks(out.shape[0], model):
+        delta, eps = perturbation(ds, theta_bar, I[b], J[b], theta[b])
+        delta += mod.inputs[I[b]]
+        eps += mod.outputs[I[b]]
+        out[b] = loss_values(kind, eps, model.predict(delta))
+    return out
 
 
 def _streamed_estimate(draw_chunk, n_draws: int) -> McEstimate:
-    """Mean and standard error over chunks of draws.
-
-    Squared deviations are summed about each chunk's own mean and merged
-    across chunks with Chan et al.'s pairwise update, so a large common
-    offset in the losses does not cancel the variance.
-    """
-    total = 0.0
-    m2 = 0.0
-    done = 0
-    while done < n_draws:
-        k = min(_CHUNK, n_draws - done)
-        vals = draw_chunk(k)
-        chunk_total = vals.sum()
-        dev = vals - chunk_total / k
-        m2 += float(dev @ dev)
-        if done:
-            shift = chunk_total / k - total / done
-            m2 += shift * shift * done * k / (done + k)
-        total += chunk_total
-        done += k
-    mean = total / n_draws
-    if n_draws > 1:
-        stderr = float(np.sqrt(m2 / (n_draws - 1) / n_draws))
-    else:
-        stderr = float("nan")
-    return McEstimate(mean=float(mean), stderr=stderr, n_draws=n_draws)
+    """Mean and standard error over chunks of draws."""
+    moments = _Moments()
+    while moments.n < n_draws:
+        moments.add(draw_chunk(min(_CHUNK, n_draws - moments.n)))
+    return moments.estimate()
 
 
 def mixup_risk_mc(
@@ -149,40 +225,23 @@ def perturbed_erm_risk_mc(
     alpha: float,
     n_draws: int,
     rng: np.random.Generator,
-    coeffs: MixCoefficients | None = None,
 ) -> McEstimate:
     """Estimate of the same risk through the shrunk-data-plus-noise form.
 
     Row i is uniform, then (theta, j) drive the perturbation; each summand is
-    l(y~_i + eps_i, f(x~_i + delta_i)).
+    l(y~_i + eps_i, f(x~_i + delta_i)) with theta_bar the mean of theta.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if n_draws < 1:
         raise ValueError("need at least one draw")
-    if coeffs is None:
-        from .truncbeta import mix_coefficients
-
-        coeffs = mix_coefficients(alpha)
-    tb = coeffs.theta_bar
-    mod = modify(ds, tb)
+    tb = mix_coefficients(alpha).theta_bar
 
     def chunk(k: int) -> np.ndarray:
         I = rng.integers(ds.n, size=k)
-        theta = sample_theta(alpha, rng, size=k)[:, None]
+        theta = sample_theta(alpha, rng, size=k)
         J = rng.integers(ds.n, size=k)
-        delta = (
-            (theta - tb) * ds.inputs[I]
-            + (1.0 - theta) * ds.inputs[J]
-            - (1.0 - tb) * ds.x_mean
-        )
-        eps = (
-            (theta - tb) * ds.outputs[I]
-            + (1.0 - theta) * ds.outputs[J]
-            - (1.0 - tb) * ds.y_mean
-        )
-        U = model.predict(mod.inputs[I] + delta)
-        return loss_values(kind, mod.outputs[I] + eps, U)
+        return perturbed_loss_values(ds, model, kind, I, J, theta, tb)
 
     return _streamed_estimate(chunk, int(n_draws))
 

@@ -133,10 +133,15 @@ class RffModel:
         np.sin(sin, out=sin)
         return sin
 
+    @property
+    def block_rows(self) -> int:
+        """Rows per prediction block: ``_PHASE_ELEMS // M``, at least one."""
+        return max(1, _PHASE_ELEMS // self.n_features)
+
     def row_blocks(self, x: np.ndarray) -> list[np.ndarray]:
         """Consecutive row views of a batch (n, d), each of at most
-        ``_PHASE_ELEMS // M`` rows (at least one)."""
-        rows = max(1, _PHASE_ELEMS // self.n_features)
+        ``block_rows`` rows."""
+        rows = self.block_rows
         return [x[start : start + rows] for start in range(0, x.shape[0], rows)]
 
     def head(self, phi_blocks, n: int) -> np.ndarray:

@@ -106,7 +106,6 @@ def sample_theta(alpha: float, rng: np.random.Generator, size: int | None = None
     """
     alpha = _validate_alpha(alpha)
     lam = rng.beta(alpha, alpha, size=size)
-    folded = np.maximum(lam, 1.0 - lam)
     if size is None:
-        return float(folded)
-    return folded
+        return float(np.maximum(lam, 1.0 - lam))
+    return np.maximum(lam, 1.0 - lam, out=lam)

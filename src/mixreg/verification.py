@@ -31,7 +31,16 @@ from numpy.polynomial.legendre import leggauss
 from .data import Dataset, make_two_moons, modify, shrink
 from .losses import LossKind, bundle, entropy, loss_values, softmax_rows
 from .models import LinearModel, RffModel, hessian_contraction, init_rff
-from .mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc, sample_theta
+from .mixup import (
+    _draw_blocks,
+    _Moments,
+    mixup_risk_mc,
+    pair_loss_values,
+    perturbation,
+    perturbed_erm_risk_mc,
+    perturbed_loss_values,
+    sample_theta,
+)
 from .regularizers import (
     RegularizerBreakdown,
     exact_second_moments,
@@ -62,9 +71,6 @@ __all__ = [
     "reports_to_json",
     "format_report_table",
 ]
-
-# draws per block of the Monte Carlo covariance moments
-_MC_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -182,37 +188,32 @@ def check_risk_rewrite(
     """Per-draw identity between the pairwise and perturbed risk forms, the
     zero-mean property of the perturbations, and paired MC estimators."""
     t0 = time.perf_counter()
-    coeffs = mix_coefficients(alpha)
-    tb = coeffs.theta_bar
-    mod = modify(ds, tb)
+    tb = mix_coefficients(alpha).theta_bar
     rng = np.random.default_rng(seed)
 
     I = rng.integers(ds.n, size=n_perdraw)
     theta = sample_theta(alpha, rng, size=n_perdraw)
     J = rng.integers(ds.n, size=n_perdraw)
     vals_pair = pair_loss_values(ds, model, kind, I, J, theta)
-    th = theta[:, None]
-    delta = (th - tb) * ds.inputs[I] + (1.0 - th) * ds.inputs[J] - (1.0 - tb) * ds.x_mean
-    eps = (th - tb) * ds.outputs[I] + (1.0 - th) * ds.outputs[J] - (1.0 - tb) * ds.y_mean
-    vals_pert = loss_values(kind, mod.outputs[I] + eps, model.predict(mod.inputs[I] + delta))
+    vals_pert = perturbed_loss_values(ds, model, kind, I, J, theta, tb)
     perdraw_err = float(np.max(np.abs(vals_pair - vals_pert)))
 
     # zero-mean perturbations, per coordinate, 4 standard errors
     mean_ok = True
     n_zero = 200_000
     for i in rng.choice(ds.n, size=min(5, ds.n), replace=False):
-        th_i = sample_theta(alpha, rng, size=n_zero)[:, None]
+        th_i = sample_theta(alpha, rng, size=n_zero)
         J_i = rng.integers(ds.n, size=n_zero)
-        d_i = (th_i - tb) * ds.inputs[i] + (1.0 - th_i) * ds.inputs[J_i] - (1.0 - tb) * ds.x_mean
-        e_i = (th_i - tb) * ds.outputs[i] + (1.0 - th_i) * ds.outputs[J_i] - (1.0 - tb) * ds.y_mean
-        for arr in (d_i, e_i):
-            se = arr.std(axis=0, ddof=1) / np.sqrt(n_zero)
-            mean_ok &= bool(np.all(np.abs(arr.mean(axis=0)) <= 4.0 * np.maximum(se, 1e-300)))
+        moments = [_Moments() for _ in range(ds.d + ds.c)]
+        for b in _draw_blocks(n_zero):
+            delta, eps = perturbation(ds, tb, i, J_i[b], th_i[b])
+            for acc, coord in zip(moments, np.hstack((delta, eps)).T):
+                acc.add(coord)
+        for est in (acc.estimate() for acc in moments):
+            mean_ok &= abs(est.mean) <= 4.0 * max(est.stderr, 1e-300)
 
     est_pair = mixup_risk_mc(ds, model, kind, alpha, n_mc, np.random.default_rng(seed + 1))
-    est_pert = perturbed_erm_risk_mc(
-        ds, model, kind, alpha, n_mc, np.random.default_rng(seed + 2), coeffs=coeffs
-    )
+    est_pert = perturbed_erm_risk_mc(ds, model, kind, alpha, n_mc, np.random.default_rng(seed + 2))
     gap = abs(est_pair.mean - est_pert.mean)
     sigma = float(np.hypot(est_pair.stderr, est_pert.stderr))
     mc_ok = gap <= 4.0 * sigma
@@ -253,14 +254,12 @@ def check_covariance_formula(
     rng = np.random.default_rng(seed)
     i = int(rng.integers(ds.n))
     tb = coeffs.theta_bar
-    th = sample_theta(alpha, rng, size=n_mc)[:, None]
+    th = sample_theta(alpha, rng, size=n_mc)
     J = rng.integers(ds.n, size=n_mc)
     # second moments accumulated over blocks of draws, never all n_mc at once
     sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
-    for start in range(0, n_mc, _MC_DRAW_BLOCK):
-        th_b, J_b = th[start : start + _MC_DRAW_BLOCK], J[start : start + _MC_DRAW_BLOCK]
-        delta = (th_b - tb) * ds.inputs[i] + (1.0 - th_b) * ds.inputs[J_b] - (1.0 - tb) * ds.x_mean
-        eps = (th_b - tb) * ds.outputs[i] + (1.0 - th_b) * ds.outputs[J_b] - (1.0 - tb) * ds.y_mean
+    for b in _draw_blocks(n_mc):
+        delta, eps = perturbation(ds, tb, i, J[b], th[b])
         sxx += delta.T @ delta
         syy += eps.T @ eps
         sxy += delta.T @ eps

@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
+import mixreg
 from mixreg.cli import DEFAULT_CONFIG, _t_interval, main
 from mixreg.losses import LossKind
 
@@ -324,13 +329,24 @@ def test_train_and_eval_from_csv_dataset(tmp_path):
 
 
 def test_t_interval_against_scipy_oracle():
-    values = np.array([0.8, 0.9, 0.85, 0.95, 0.7])
-    mean, lo, hi = _t_interval(values)
-    ref_lo, ref_hi = sps.t.interval(0.95, len(values) - 1, loc=values.mean(),
-                                    scale=sps.sem(values))
-    assert mean == pytest.approx(values.mean())
-    assert lo == pytest.approx(ref_lo, abs=1e-12)
-    assert hi == pytest.approx(ref_hi, abs=1e-12)
+    # two seeds (df = 1, the heaviest tail) and five seeds (df = 4)
+    for values in (np.array([0.8, 0.9]), np.array([0.8, 0.9, 0.85, 0.95, 0.7])):
+        mean, lo, hi = _t_interval(values)
+        ref_lo, ref_hi = sps.t.interval(0.95, len(values) - 1, loc=values.mean(),
+                                        scale=sps.sem(values))
+        assert mean == pytest.approx(values.mean())
+        assert lo == pytest.approx(ref_lo, abs=1e-12)
+        assert hi == pytest.approx(ref_hi, abs=1e-12)
     # identical rows collapse to a zero-width interval
     mean, lo, hi = _t_interval(np.full(4, 0.25))
     assert mean == lo == hi == 0.25
+
+
+def test_command_line_import_loads_no_scipy_stats():
+    """Importing the package and its command line, as ``mixreg verify``
+    does, leaves ``scipy.stats`` (tens of MB) unloaded."""
+    src = str(Path(mixreg.__file__).resolve().parent.parent)
+    code = "import sys, mixreg, mixreg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

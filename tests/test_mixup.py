@@ -13,6 +13,7 @@ from mixreg.mixup import (
     mixup_risk_mc,
     pair_loss_values,
     perturbed_erm_risk_mc,
+    perturbed_loss_values,
     sample_perturbation,
 )
 from mixreg.models import LinearModel, init_rff
@@ -228,6 +229,56 @@ def test_monte_carlo_memory_is_bounded_by_one_phase_block():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_monte_carlo_memory_is_bounded_by_one_draw_block():
+    """At 80 features the draws dominate: over one full chunk of draws each
+    estimator's traced peak stays under 16 MB (chunk-sized mixed and
+    perturbed rows took 21 and 24 MB)."""
+    ds = make_two_moons(50, 0.05, seed=3)
+    model = init_rff(2, 80, 3.0, 2, seed=4)
+    model.w = np.random.default_rng(4).normal(size=model.w.shape)
+    for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
+        tracemalloc.start()
+        try:
+            estimator(ds, model, LossKind.CROSS_ENTROPY, 1.0, mixup._CHUNK, np.random.default_rng(6))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, estimator.__name__
+
+
+@pytest.mark.parametrize("n_features, draw_block", [(80, None), (1000, 1000)])
+def test_summands_in_draw_blocks_equal_one_shot(n_features, draw_block, monkeypatch):
+    """Both summands, evaluated in draw blocks, equal bit for bit the
+    expressions over all draws at once, at draw counts around the block, and
+    the model never sees more than one block of rows."""
+    if draw_block is not None:
+        monkeypatch.setattr(mixup, "_DRAW_BLOCK", draw_block)
+    ds = make_two_moons(50, 0.05, seed=3)
+    model = init_rff(2, n_features, 3.0, 2, seed=4)
+    model.w = np.random.default_rng(4).normal(size=model.w.shape)
+    kind = LossKind.CROSS_ENTROPY
+    tb = mix_coefficients(1.0).theta_bar
+    mod = modify(ds, tb)
+    X, Y = ds.inputs, ds.outputs
+    block = mixup._draw_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop
+    rng = np.random.default_rng(5)
+    for n in (block - 1, block, block + 1, 3 * block + 7):
+        I, J = rng.integers(ds.n, size=n), rng.integers(ds.n, size=n)
+        lam = rng.beta(1.0, 1.0, size=n)
+        theta = np.maximum(lam, 1.0 - lam)
+        t = theta[:, None]
+        pair = loss_values(kind, t * Y[I] + (1.0 - t) * Y[J], model.predict(t * X[I] + (1.0 - t) * X[J]))
+        delta = (t - tb) * X[I] + (1.0 - t) * X[J] - (1.0 - tb) * ds.x_mean
+        eps = (t - tb) * Y[I] + (1.0 - t) * Y[J] - (1.0 - tb) * ds.y_mean
+        pert = loss_values(kind, mod.outputs[I] + eps, model.predict(mod.inputs[I] + delta))
+        rows = []
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "predict", lambda x, f=model.predict: rows.append(len(x)) or f(x))
+            assert np.array_equal(pair_loss_values(ds, model, kind, I, J, theta), pair), n
+            assert np.array_equal(perturbed_loss_values(ds, model, kind, I, J, theta, tb), pert), n
+        assert sum(rows) == 2 * n and max(rows) <= block
 
 
 def test_perturbed_estimator_alpha_to_zero():
