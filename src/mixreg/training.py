@@ -11,6 +11,14 @@ matrix square roots inside the loop; all parameter gradients are analytic.
 The per-example covariances come stacked from
 :func:`regularizers.perturbation_covariances`, once per training run.
 
+For a cosine-feature model every M-wide contraction of a step on nb rows is
+a plain 2-D gemm. The rows' input Jacobians are one (nb, M) x (M, c d)
+product, ``sin_b @ WS`` with ``WS[m, (a, j)] = w_am S_mj`` rebuilt each step
+(w moves), reshaped to (nb, c, d). The sine part of the head gradient is the
+(M, nb) x (nb, c d) product ``sin_b^T @ dL/dG`` contracted with S over j.
+Everything else works on (nb, c, d) and (nb, c, c) stacks, so no
+(nb, c, M) array is formed.
+
 The methods that fit mean-shrunk rows are scored with the rescaled
 predictor; :func:`train` builds its statistics once per run and returns them
 as ``trace.rescale`` (None for plain fitting, which predicts raw).
@@ -129,9 +137,15 @@ def _fixed_features(model, rows: np.ndarray):
 
 class _ApproxContext:
     """Per-dataset precomputation for the regularized objective on the rows
-    ``fit = modify(ds, theta_bar)`` with features ``phit``."""
+    ``fit = modify(ds, theta_bar)`` with features ``phit``.
 
-    def __init__(self, ds: Dataset, fit: Dataset, phit, coeffs: MixCoefficients, model):
+    ``sas`` is built only for a cosine-feature model that trains the Hessian
+    term (``drop_r2`` false), the one term that reads it.
+    """
+
+    def __init__(
+        self, ds: Dataset, fit: Dataset, phit, coeffs: MixCoefficients, model, drop_r2: bool
+    ):
         cov = perturbation_covariances(ds, coeffs)
         self.Xt = fit.inputs
         self.Yt = fit.outputs
@@ -139,85 +153,78 @@ class _ApproxContext:
         self.Syx_all = np.ascontiguousarray(cov.sxy.transpose(0, 2, 1))
         self.syy_trace = np.einsum("bcc->b", cov.syy)
         self.phit = phit
+        self.sint = self.St = self.sas = None
         if isinstance(model, RffModel):
             self.sint = model.sin_features(self.Xt)
-            # S_m Cov_i S_m^T for every (i, m); only the Hessian term needs it
-            self.sas = np.einsum("mj,bjk,mk->bm", model.S, self.A_all, model.S)
-        else:
-            self.sint = self.sas = None
+            self.St = np.ascontiguousarray(model.S.T)
+            if not drop_r2:
+                # S_m Cov_i S_m^T for every (i, m)
+                self.sas = np.einsum("mj,bjk,mk->bm", model.S, self.A_all, model.S)
 
 
-def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx, drop_r2: bool):
-    """Objective value and parameter gradient of the batch-restricted terms."""
+def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
+    """Objective value and parameter gradient of the batch-restricted terms,
+    with the Hessian term when the context holds ``sas``.
+
+    ``H`` is the loss Hessian in u per row: diag(P) - P P^T (CE), s(1 - s)
+    (LR) or the identity (SE). The penalty's u-Hessian term is
+    1/2 <H, G A G^T>, and its gradient in G is H G A - Cov^{yx}.
+    """
     Yb = ctx.Yt[idx]
     A = ctx.A_all[idx]
     Syx = ctx.Syx_all[idx]
-    nb = len(idx)
+    nb, c, d = Syx.shape
     is_rff = isinstance(model, RffModel)
     if is_rff:
         Phib = ctx.phit[idx]
         sinb = ctx.sint[idx]
         U = Phib @ model.w.T
         root_m = np.sqrt(model.n_features)
-        G = ((sinb[:, None, :] * model.w) @ model.S) / (-root_m)
+        # WS[m, (a, j)] = w_am S_mj, so one gemm gives every row's Jacobian;
+        # built as its transpose, whose rows are M long
+        WS = (model.w[:, None, :] * ctx.St).reshape(c * d, -1).T
+        G = (sinb @ WS).reshape(nb, c, d) / (-root_m)
     else:
-        Xb = ctx.Xt[idx]
-        U = Xb @ model.W.T + model.b
-        G = np.broadcast_to(model.W, (nb,) + model.W.shape)
+        U = ctx.Xt[idx] @ model.W.T + model.b
+        G = np.broadcast_to(model.W, (nb, c, d))
 
-    erm_vals = loss_values(kind, Yb, U)
     gu = grad_u_rows(kind, Yb, U)
-    Q = np.einsum("bad,bde,bfe->baf", G, A, G)
-    term5 = -np.einsum("bad,bad->b", Syx, G)
-    dLdu_reg = np.zeros_like(U)
+    GA = G @ A
+    Q = GA @ G.transpose(0, 2, 1)
+    values = loss_values(kind, Yb, U) - (Syx * G).sum(axis=(1, 2))
     if kind is LossKind.CROSS_ENTROPY:
         P = softmax_rows(U)
-        diag_q = np.einsum("baa->ba", Q)
-        qp = np.einsum("baf,bf->ba", Q, P)
-        term2 = 0.5 * ((P * diag_q).sum(axis=1) - np.einsum("ba,baf,bf->b", P, Q, P))
-        vec = diag_q - 2.0 * qp
-        dLdu_reg += 0.5 * (P * vec - P * (P * vec).sum(axis=1, keepdims=True))
-        hg = np.einsum("ba,bad->bad", P, G) - np.einsum("ba,bf,bfd->bad", P, P, G)
-        term4 = np.zeros(nb)
+        H = P[:, :, None] * (np.eye(c) - P[:, None, :])
+        vec = np.diagonal(Q, axis1=1, axis2=2) - 2.0 * (Q @ P[:, :, None])[:, :, 0]
+        dLdu = gu + 0.5 * (H @ vec[:, :, None])[:, :, 0]
     elif kind is LossKind.LOGISTIC:
         s = expit(U)
-        v = s * (1.0 - s)
-        q00 = Q[:, 0, 0]
-        term2 = 0.5 * v[:, 0] * q00
-        dLdu_reg += 0.5 * (v * (1.0 - 2.0 * s)) * q00[:, None]
-        hg = v[:, :, None] * G
-        term4 = np.zeros(nb)
+        H = (s * (1.0 - s))[:, :, None]
+        dLdu = gu + 0.5 * (H[:, :, 0] * (1.0 - 2.0 * s)) * Q[:, :, 0]
     elif kind is LossKind.SQUARED_ERROR:
-        term2 = 0.5 * np.einsum("baa->b", Q)
-        hg = G
-        term4 = 0.5 * ctx.syy_trace[idx]
+        H = np.eye(c)
+        values = values + 0.5 * ctx.syy_trace[idx]
+        dLdu = gu
     else:
         raise ValueError(f"unknown loss kind {kind!r}")
-    dLdG = np.einsum("bad,bde->bae", hg, A) - Syx
+    values = values + 0.5 * (H * Q).sum(axis=(1, 2))
+    dLdG = H @ GA - Syx
 
-    values = erm_vals + term2 + term5 + term4
-    if not drop_r2:
-        if is_rff:
-            q_r2 = -Phib * ctx.sas[idx]  # (1/sqrt(M)) cos * (S A S^T), negated
-            t2 = np.einsum("am,bm->ba", model.w, q_r2)
-            r2_vals = 0.5 * (gu * t2).sum(axis=1)
-            values = values + r2_vals
-            if kind is LossKind.CROSS_ENTROPY:
-                P = softmax_rows(U)
-                dLdu_reg += 0.5 * (P * t2 - P * (P * t2).sum(axis=1, keepdims=True))
-            elif kind is LossKind.LOGISTIC:
-                s = expit(U)
-                dLdu_reg += 0.5 * (s * (1.0 - s)) * t2
-            else:
-                dLdu_reg += 0.5 * t2
-        # linear models have zero input Hessian, so the term vanishes
+    # linear models have zero input Hessian, so the Hessian term vanishes
+    with_r2 = ctx.sas is not None
+    if with_r2:
+        q_r2 = -Phib * ctx.sas[idx]  # (1/sqrt(M)) cos * (S A S^T), negated
+        t2 = q_r2 @ model.w.T
+        values = values + 0.5 * (gu * t2).sum(axis=1)
+        dLdu = dLdu + 0.5 * (H @ t2[:, :, None])[:, :, 0]
 
-    dLdu = gu + dLdu_reg
     if is_rff:
+        # T[m, (a, j)] = sum_b sin_bm dL/dG_baj, contracted with S over j
+        T = sinb.T @ dLdG.reshape(nb, c * d)
         gw = dLdu.T @ Phib
-        gw += np.einsum("bam,bm->am", dLdG @ model.S.T, sinb) / (-root_m)
-        if not drop_r2:
-            gw += 0.5 * np.einsum("ba,bm->am", gu, q_r2)
+        gw += np.einsum("maj,mj->am", T.reshape(-1, c, d), model.S) / (-root_m)
+        if with_r2:
+            gw += 0.5 * (gu.T @ q_r2)
         return float(values.mean()), gw / nb
     gW = dLdu.T @ ctx.Xt[idx] + dLdG.sum(axis=0)
     gb = dLdu.sum(axis=0)
@@ -234,15 +241,23 @@ def approx_gradient(
 ):
     """Value and parameter gradient of the regularized objective on a batch.
 
-    ``indices`` restricts the per-example terms; None uses the whole dataset,
-    in which case the value equals :func:`regularizers.approx_mixup_objective`.
+    ``indices`` restricts the per-example terms to a non-empty 1-D array of
+    row numbers in [0, n), else ValueError; None uses the whole dataset, in
+    which case the value equals :func:`regularizers.approx_mixup_objective`.
     Returns (value, gradient) with the gradient shaped like the model's
     trainable parameters ((gW, gb) for linear, gw for features).
     """
+    if indices is None:
+        idx = np.arange(ds.n)
+    else:
+        idx = np.asarray(indices)
+        if idx.ndim != 1 or idx.size == 0:
+            raise ValueError("indices must be a non-empty 1-D array of row numbers")
+        if not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= ds.n:
+            raise ValueError(f"indices must be integers in [0, {ds.n})")
     fit = modify(ds, coeffs.theta_bar)
-    ctx = _ApproxContext(ds, fit, _fixed_features(model, fit.inputs), coeffs, model)
-    idx = np.arange(ds.n) if indices is None else np.asarray(indices)
-    return _approx_value_grad(ctx, model, kind, idx, drop_r2)
+    ctx = _ApproxContext(ds, fit, _fixed_features(model, fit.inputs), coeffs, model, drop_r2)
+    return _approx_value_grad(ctx, model, kind, idx)
 
 
 def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):
@@ -321,7 +336,7 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
     # fixed rows are featurized once; mixed rows change every step
     phi_fit = _fixed_features(model, fit.inputs)
     if cfg.method == "mixup_approx":
-        ctx = _ApproxContext(ds_train, fit, phi_fit, coeffs, model)
+        ctx = _ApproxContext(ds_train, fit, phi_fit, coeffs, model, cfg.drop_r2)
     predict_train = _fixed_rows_predictor(model, ds_train.inputs, rescale, phi_fit)
     predict_test = _fixed_rows_predictor(model, ds_test.inputs, rescale)
     zero_logit = 0.0 if rescale is None else rescale.zero_logit
@@ -342,7 +357,7 @@ def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
                 )
                 value, grad = _plain_value_grad(model, cfg.loss, Xm, Ym)
             else:
-                value, grad = _approx_value_grad(ctx, model, cfg.loss, idx, cfg.drop_r2)
+                value, grad = _approx_value_grad(ctx, model, cfg.loss, idx)
             batch_objs.append(value)
             _step(model, grad, cfg.step_size)
         objective = float(np.mean(batch_objs))

@@ -1,16 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import central_grad
 from mixreg import models
-from mixreg.data import Dataset, make_two_moons, flip_labels, train_test_split
-from mixreg.losses import LossKind, loss_values
+from mixreg.data import Dataset, make_two_moons, flip_labels, modify, train_test_split
+from mixreg.losses import LossKind, grad_u_rows, loss_values, softmax_rows
 from mixreg.metrics import Rescale, predict
 from mixreg.models import LinearModel, RffModel, init_rff
 from mixreg.regularizers import approx_mixup_objective, mols_fit
 from mixreg.training import (
     TrainConfig,
     TrainingDiverged,
+    _ApproxContext,
+    _approx_value_grad,
+    _fixed_features,
     _fixed_rows_predictor,
     approx_gradient,
     train,
@@ -149,6 +155,30 @@ def test_approx_gradient_rff_ce_with_r2():
     assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
 
 
+@pytest.mark.parametrize("drop_r2", [True, False])
+@pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED_ERROR])
+def test_approx_gradient_rff_lr_se_match_finite_differences(kind, drop_r2):
+    """The logistic (one target column) and squared-error branches, with the
+    Hessian term trained or dropped."""
+    tr, _ = _moons_split(24, n=16)
+    if kind is LossKind.LOGISTIC:
+        tr = Dataset(tr.inputs, tr.outputs[:, 1:])
+    model = init_rff(2, 20, 2.0, tr.c, seed=25)
+    model.w = 0.4 * np.random.default_rng(25).normal(size=model.w.shape)
+    coeffs = mix_coefficients(0.8)
+    value, grad = approx_gradient(tr, model, kind, coeffs, drop_r2=drop_r2)
+    assert value == pytest.approx(
+        approx_mixup_objective(tr, model, kind, coeffs, drop_r2=drop_r2), abs=1e-10
+    )
+
+    def f(wflat):
+        probe = RffModel(model.S, model.B, wflat.reshape(model.w.shape))
+        return approx_mixup_objective(tr, probe, kind, coeffs, drop_r2=drop_r2)
+
+    fd = central_grad(f, model.w.ravel(), h=1e-6).reshape(model.w.shape)
+    assert np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8) < 1e-4
+
+
 def test_approx_gradient_zero_head_finite():
     tr, _ = _moons_split(7, n=16)
     model = init_rff(2, 20, 2.0, 2, seed=8)
@@ -199,6 +229,159 @@ def test_batch_restriction_averages_to_full_gradient():
         tr, model, LossKind.CROSS_ENTROPY, coeffs, indices=np.arange(half, tr.n)
     )
     assert np.abs(0.5 * (first + second) - full).max() < 1e-12
+
+
+@pytest.mark.parametrize("indices", [[], np.array([], dtype=int)])
+def test_approx_gradient_rejects_an_empty_batch(indices):
+    tr, _ = _moons_split(11, n=20)
+    model = init_rff(2, 25, 2.0, 2, seed=12)
+    with pytest.raises(ValueError, match="non-empty"):
+        approx_gradient(tr, model, LossKind.CROSS_ENTROPY, mix_coefficients(1.0),
+                        indices=indices)
+
+
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_approx_gradient_rejects_rows_outside_the_dataset(bad):
+    """-1 must not wrap to the last row; n is one past the end."""
+    tr, _ = _moons_split(11, n=20)
+    assert tr.n == 10
+    model = init_rff(2, 25, 2.0, 2, seed=12)
+    with pytest.raises(ValueError, match=r"\[0, 10\)"):
+        approx_gradient(tr, model, LossKind.CROSS_ENTROPY, mix_coefficients(1.0),
+                        indices=[0, 3, bad])
+
+
+def _einsum_step(ctx, model, kind, idx, drop_r2):
+    """The regularized step in its earlier per-row einsum form, kept as an
+    independent reference for the gemm-shaped step of ``training``."""
+    Yb = ctx.Yt[idx]
+    A = ctx.A_all[idx]
+    Syx = ctx.Syx_all[idx]
+    nb = len(idx)
+    is_rff = isinstance(model, RffModel)
+    if is_rff:
+        Phib = ctx.phit[idx]
+        sinb = ctx.sint[idx]
+        U = Phib @ model.w.T
+        root_m = np.sqrt(model.n_features)
+        G = ((sinb[:, None, :] * model.w) @ model.S) / (-root_m)
+    else:
+        Xb = ctx.Xt[idx]
+        U = Xb @ model.W.T + model.b
+        G = np.broadcast_to(model.W, (nb,) + model.W.shape)
+
+    erm_vals = loss_values(kind, Yb, U)
+    gu = grad_u_rows(kind, Yb, U)
+    Q = np.einsum("bad,bde,bfe->baf", G, A, G)
+    term5 = -np.einsum("bad,bad->b", Syx, G)
+    dLdu_reg = np.zeros_like(U)
+    if kind is LossKind.CROSS_ENTROPY:
+        P = softmax_rows(U)
+        diag_q = np.einsum("baa->ba", Q)
+        qp = np.einsum("baf,bf->ba", Q, P)
+        term2 = 0.5 * ((P * diag_q).sum(axis=1) - np.einsum("ba,baf,bf->b", P, Q, P))
+        vec = diag_q - 2.0 * qp
+        dLdu_reg += 0.5 * (P * vec - P * (P * vec).sum(axis=1, keepdims=True))
+        hg = np.einsum("ba,bad->bad", P, G) - np.einsum("ba,bf,bfd->bad", P, P, G)
+        term4 = np.zeros(nb)
+    elif kind is LossKind.LOGISTIC:
+        s = expit(U)
+        v = s * (1.0 - s)
+        q00 = Q[:, 0, 0]
+        term2 = 0.5 * v[:, 0] * q00
+        dLdu_reg += 0.5 * (v * (1.0 - 2.0 * s)) * q00[:, None]
+        hg = v[:, :, None] * G
+        term4 = np.zeros(nb)
+    else:
+        term2 = 0.5 * np.einsum("baa->b", Q)
+        hg = G
+        term4 = 0.5 * ctx.syy_trace[idx]
+    dLdG = np.einsum("bad,bde->bae", hg, A) - Syx
+
+    values = erm_vals + term2 + term5 + term4
+    if not drop_r2 and is_rff:
+        q_r2 = -Phib * ctx.sas[idx]
+        t2 = np.einsum("am,bm->ba", model.w, q_r2)
+        values = values + 0.5 * (gu * t2).sum(axis=1)
+        if kind is LossKind.CROSS_ENTROPY:
+            P = softmax_rows(U)
+            dLdu_reg += 0.5 * (P * t2 - P * (P * t2).sum(axis=1, keepdims=True))
+        elif kind is LossKind.LOGISTIC:
+            s = expit(U)
+            dLdu_reg += 0.5 * (s * (1.0 - s)) * t2
+        else:
+            dLdu_reg += 0.5 * t2
+
+    dLdu = gu + dLdu_reg
+    if is_rff:
+        gw = dLdu.T @ Phib
+        gw += np.einsum("bam,bm->am", dLdG @ model.S.T, sinb) / (-root_m)
+        if not drop_r2:
+            gw += 0.5 * np.einsum("ba,bm->am", gu, q_r2)
+        return float(values.mean()), gw / nb
+    gW = dLdu.T @ ctx.Xt[idx] + dLdG.sum(axis=0)
+    gb = dLdu.sum(axis=0)
+    return float(values.mean()), (gW / nb, gb / nb)
+
+
+@pytest.mark.parametrize("drop_r2", [True, False])
+@pytest.mark.parametrize("model_kind", ["rff", "linear"])
+@pytest.mark.parametrize(
+    "kind", [LossKind.CROSS_ENTROPY, LossKind.LOGISTIC, LossKind.SQUARED_ERROR]
+)
+def test_approx_gradient_equals_the_einsum_reference(kind, model_kind, drop_r2):
+    """Value and gradient agree with the per-row einsum form to 1e-13
+    relative, on a 12-row batch of a 30-row set."""
+    tr, _ = _moons_split(26, n=60)
+    if kind is LossKind.LOGISTIC:
+        tr = Dataset(tr.inputs, tr.outputs[:, 1:])
+    rng = np.random.default_rng(26)
+    if model_kind == "rff":
+        model = init_rff(2, 40, 3.0, tr.c, seed=26)
+        model.w = rng.normal(size=model.w.shape)
+    else:
+        model = LinearModel(W=rng.normal(size=(tr.c, 2)), b=rng.normal(size=tr.c))
+    coeffs = mix_coefficients(0.7)
+    idx = rng.permutation(tr.n)[:12]
+    value, grad = approx_gradient(tr, model, kind, coeffs, indices=idx, drop_r2=drop_r2)
+    fit = modify(tr, coeffs.theta_bar)
+    ctx = _ApproxContext(tr, fit, _fixed_features(model, fit.inputs), coeffs, model, drop_r2)
+    ref_value, ref_grad = _einsum_step(ctx, model, kind, idx, drop_r2)
+    assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+    if model_kind == "rff":
+        grad, ref_grad = (grad,), (ref_grad,)
+    for got, ref in zip(grad, ref_grad, strict=True):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("drop_r2", [True, False])
+def test_hessian_table_is_built_only_for_the_hessian_term(drop_r2):
+    tr, _ = _moons_split(27, n=20)
+    model = init_rff(2, 25, 2.0, 2, seed=27)
+    coeffs = mix_coefficients(1.0)
+    fit = modify(tr, coeffs.theta_bar)
+    ctx = _ApproxContext(tr, fit, _fixed_features(model, fit.inputs), coeffs, model, drop_r2)
+    assert (ctx.sas is None) == drop_r2
+
+
+def test_default_shape_step_memory():
+    """One step at the protocol's shape (batch 50 of 150 rows, M = 1000,
+    c = d = 2, Hessian term dropped) peaks under 1000 KB; the two gathered
+    (50, 1000) feature blocks alone are 800 KB."""
+    tr = make_two_moons(150, 0.01, 28)
+    model = init_rff(2, 1000, 10.0, 2, seed=28)
+    model.w = 0.1 * np.random.default_rng(28).normal(size=model.w.shape)
+    coeffs = mix_coefficients(1.0)
+    fit = modify(tr, coeffs.theta_bar)
+    ctx = _ApproxContext(tr, fit, _fixed_features(model, fit.inputs), coeffs, model, True)
+    idx = np.random.default_rng(29).permutation(tr.n)[:50]
+    tracemalloc.start()
+    try:
+        _approx_value_grad(ctx, model, LossKind.CROSS_ENTROPY, idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * 1024
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
