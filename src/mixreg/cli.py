@@ -6,7 +6,8 @@ Subcommands:
   sweep       repeat train+eval over alphas and seeds, aggregate mean / 95% CI
   verify      run the numerical certification suite (exit 0 iff all pass);
               --out writes verify.json (one report per check) and
-              verify_summary.json (total seconds, peak RSS, seconds per check)
+              verify_summary.json (total seconds, CPU seconds over the same
+              span, Monte Carlo worker threads, peak RSS, seconds per check)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
 eval and breakdown rebuild the dataset at the seed stored in model.json
@@ -44,6 +45,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import stdtrit
 
+from . import mixup
 from .data import load_csv
 from .experiment import ExperimentSpec, make_instance
 from .losses import LossKind
@@ -289,10 +291,16 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
+def _cpu_s() -> float:
+    """User plus system seconds of this process, all threads together."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+
 def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+    t0, cpu0 = time.perf_counter(), _cpu_s()
     reports = run_all(seed=args.seed if args.seed is not None else 0)
-    total_s = time.perf_counter() - t0
+    total_s, cpu_s = time.perf_counter() - t0, _cpu_s() - cpu0
     print(format_report_table(reports))
     if args.out:
         out = Path(args.out)
@@ -301,6 +309,8 @@ def cmd_verify(args) -> int:
             fh.write(reports_to_json(reports))
         summary = {
             "total_s": total_s,
+            "cpu_s": cpu_s,
+            "mc_workers": mixup._WORKERS,
             "peak_rss_mb": _peak_rss_mb(),
             "checks": [{"name": r.name, "runtime_s": r.runtime_s} for r in reports],
         }

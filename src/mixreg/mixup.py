@@ -16,17 +16,29 @@ two risk forms agree summand by summand (``pair_loss_values`` and
 
 The Monte Carlo estimators draw in chunks of ``_CHUNK`` draws. The chunk
 counts draws, so it fixes the order in which the random stream is consumed
-and therefore every draw. The summands evaluate a chunk in blocks of at most
-``_DRAW_BLOCK`` draws and write each block's losses into one output, so a
-chunk holds its index and weight draws (three arrays of ``_CHUNK`` values),
-the gathered, mixed or perturbed rows and losses of one draw block, and one
-row block of the model's prediction (``models._PHASE_ELEMS`` phase elements
-for a cosine-feature head), whatever the feature count.
+and therefore every draw; chunks are drawn, and their moments merged, one
+after another on the calling thread. The summands split a chunk into task
+blocks of at most ``_DRAW_BLOCK // _TASKS_PER_BLOCK`` draws, each a whole
+number of the model's prediction row blocks, and ``_WORKERS`` threads (the
+calling thread and one helper thread per further usable CPU) evaluate them
+concurrently, each task writing its losses into its own slice of one output.
+So a chunk holds its index and weight draws (three arrays of ``_CHUNK``
+values) and, per worker, the gathered, mixed or perturbed rows and losses of
+one task block plus one row block of the model's prediction
+(``models._PHASE_ELEMS`` phase elements for a cosine-feature head), whatever
+the feature count. A task's losses depend only on its own draws, and its row
+blocks coincide with those of one ``predict`` over the whole chunk, so every
+summand and every estimate is the same bit for bit whatever the number of
+cores.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -47,9 +59,59 @@ __all__ = [
 ]
 
 _CHUNK = 200_000
-# draws per block of summand temporaries; also the block over which
-# ``verification`` accumulates its Monte Carlo perturbation moments
+# draws per block over which ``verification`` accumulates its Monte Carlo
+# perturbation moments
 _DRAW_BLOCK = 1 << 16
+# summand task blocks per ``_DRAW_BLOCK``: up to this many workers hold no
+# more draw temporaries together than one draw block. At 80 features a task
+# is one prediction row block; each helper thread keeps a malloc arena about
+# the size of its task's temporaries, which a larger task makes visible in
+# the peak RSS
+_TASKS_PER_BLOCK = 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+# threads that evaluate the summands' task blocks, the calling one included
+_WORKERS = _usable_cpus()
+
+
+@cache
+def _pool(threads: int):
+    """The helper threads, made (and their module loaded) on first use:
+    importing mixreg starts none."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(threads, thread_name_prefix="mixreg-mc")
+
+
+def _run_tasks(task, blocks: list[slice]) -> None:
+    """task(b) for every block, on the calling thread and up to
+    ``_WORKERS - 1`` helper threads, each taking the next block not yet
+    taken; once all have ended, a block's exception is raised here. The
+    caller works rather than waits, which saves one thread's malloc arena."""
+    todo = deque(blocks)  # popleft is thread-safe
+
+    def drain() -> None:
+        while True:
+            try:
+                b = todo.popleft()
+            except IndexError:
+                return
+            task(b)
+
+    helpers = [_pool(_WORKERS - 1).submit(drain) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    try:
+        drain()
+    finally:
+        wait(helpers)
+    for helper in helpers:
+        helper.result()
 
 
 @dataclass(frozen=True)
@@ -90,16 +152,32 @@ class _Moments:
         return McEstimate(mean=float(self.total / self.n), stderr=stderr, n_draws=self.n)
 
 
-def _draw_blocks(n: int, model=None) -> list[slice]:
-    """Consecutive slices of n draws, at most ``_DRAW_BLOCK`` each.
+def _draw_blocks(n: int, model=None, size: int | None = None) -> list[slice]:
+    """Consecutive slices of n draws, at most ``size`` (``_DRAW_BLOCK``) each.
 
     A model with prediction row blocks (``RffModel.block_rows``) gets a
     whole number of them per slice, at least one, so it contracts the same
     row blocks as one ``predict`` over all n draws and returns the same bits.
     """
     rows = getattr(model, "block_rows", 1)
-    step = max(rows, _DRAW_BLOCK // rows * rows)
+    step = max(rows, (_DRAW_BLOCK if size is None else size) // rows * rows)
     return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def _task_blocks(n: int, model) -> list[slice]:
+    return _draw_blocks(n, model, _DRAW_BLOCK // _TASKS_PER_BLOCK)
+
+
+def _checked_draws(ds: Dataset, I, J, weights):
+    """(I, J, weights) as arrays, after checking they are one length and the
+    indices are rows of ds; numpy would wrap a negative index silently."""
+    I, J, weights = np.asarray(I), np.asarray(J), np.asarray(weights, dtype=float)
+    if not I.ndim == J.ndim == weights.ndim == 1 or not len(I) == len(J) == len(weights):
+        raise ValueError("I, J and the mixing weights must be 1-D arrays of one length")
+    for idx in (I, J):
+        if idx.size and (not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= ds.n):
+            raise ValueError(f"row indices must be integers in [0, {ds.n})")
+    return I, J, weights
 
 
 @dataclass(frozen=True)
@@ -145,15 +223,18 @@ def pair_loss_values(
     ds: Dataset, model, kind: LossKind, I: np.ndarray, J: np.ndarray, lam: np.ndarray
 ) -> np.ndarray:
     """Loss of the mixed pair for each (i, j, lam) triple; the pure summand."""
-    lam = np.asarray(lam, dtype=float)
+    I, J, lam = _checked_draws(ds, I, J, lam)
     out = np.empty(len(lam))
-    for b in _draw_blocks(out.shape[0], model):
+
+    def task(b: slice) -> None:
         lb = lam[b, None]
         Xm = lb * ds.inputs[I[b]]
         Xm += (1.0 - lb) * ds.inputs[J[b]]
         Ym = lb * ds.outputs[I[b]]
         Ym += (1.0 - lb) * ds.outputs[J[b]]
         out[b] = loss_values(kind, Ym, model.predict(Xm))
+
+    _run_tasks(task, _task_blocks(len(out), model))
     return out
 
 
@@ -173,13 +254,17 @@ def perturbed_loss_values(
     ``pair_loss_values`` at lam = theta up to rounding; the rounding is that
     of the given theta_bar.
     """
+    I, J, theta = _checked_draws(ds, I, J, theta)
     mod = modify(ds, theta_bar)
     out = np.empty(len(theta))
-    for b in _draw_blocks(out.shape[0], model):
+
+    def task(b: slice) -> None:
         delta, eps = perturbation(ds, theta_bar, I[b], J[b], theta[b])
         delta += mod.inputs[I[b]]
         eps += mod.outputs[I[b]]
         out[b] = loss_values(kind, eps, model.predict(delta))
+
+    _run_tasks(task, _task_blocks(len(out), model))
     return out
 
 

@@ -152,6 +152,7 @@ class RffModel:
             stop = start + phi.shape[0]
             np.matmul(phi, self.w.T, out=out[start:stop])
             start = stop
+            del phi  # else it stays alive while the next block is featurized
         return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats as sps
 
 import mixreg
+from mixreg import mixup
 from mixreg.cli import DEFAULT_CONFIG, _t_interval, main
 from mixreg.losses import LossKind
 
@@ -168,6 +169,9 @@ def test_verify_exit_code_and_json(tmp_path, monkeypatch, run_all_reports):
     assert all(set(r) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "details"}
                for r in payload)
     assert all(r["passed"] for r in payload)
+    summary = json.loads((tmp_path / "v" / "verify_summary.json").read_text())
+    assert summary["mc_workers"] == mixup._WORKERS >= 1
+    assert 0.0 <= summary["cpu_s"] and summary["total_s"] >= 0.0
 
 
 def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
@@ -179,7 +183,7 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_all", lambda seed: reports)
     assert main(["verify", "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
-    assert set(summary) == {"total_s", "peak_rss_mb", "checks"}
+    assert set(summary) == {"total_s", "cpu_s", "mc_workers", "peak_rss_mb", "checks"}
     assert summary["total_s"] >= 0.0 and summary["peak_rss_mb"] > 0.0
     assert summary["checks"] == [{"name": r.name, "runtime_s": r.runtime_s} for r in reports]
     assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
@@ -350,3 +354,19 @@ def test_command_line_import_loads_no_scipy_stats():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_command_line_import_and_training_start_no_thread():
+    """Importing the package and its command line, and training, start no
+    thread: the Monte Carlo task pool is made on first use."""
+    src = str(Path(mixreg.__file__).resolve().parent.parent)
+    code = (
+        "import threading, mixreg, mixreg.cli\n"
+        "from mixreg.experiment import ExperimentSpec, run_seed\n"
+        "print(threading.active_count())\n"
+        "run_seed(ExperimentSpec(n=40, rff_features=30, epochs=3, batch_size=10), 0)\n"
+        "print(threading.active_count(), mixreg.mixup._pool.cache_info().currsize)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1", "0"]

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -279,6 +280,131 @@ def test_summands_in_draw_blocks_equal_one_shot(n_features, draw_block, monkeypa
             assert np.array_equal(pair_loss_values(ds, model, kind, I, J, theta), pair), n
             assert np.array_equal(perturbed_loss_values(ds, model, kind, I, J, theta, tb), pert), n
         assert sum(rows) == 2 * n and max(rows) <= block
+
+
+def _worker_case(case):
+    """(dataset, model, loss) of one worker-count invariance case."""
+    if case == "linear":
+        ds = _small_regression(12, n=40)
+        rng = np.random.default_rng(12)
+        return ds, LinearModel(W=rng.normal(size=(2, 2)), b=rng.normal(size=2)), LossKind.SQUARED_ERROR
+    ds = make_two_moons(50, 0.05, seed=3)
+    model = init_rff(2, int(case), 3.0, 2, seed=4)
+    model.w = np.random.default_rng(4).normal(size=model.w.shape)
+    return ds, model, LossKind.CROSS_ENTROPY
+
+
+@pytest.mark.parametrize("case, draw_block", [("80", None), ("1000", 4000), ("linear", None)])
+def test_summands_and_estimates_do_not_depend_on_worker_count(case, draw_block, monkeypatch):
+    """With 1, 2 or 3 pool workers both summands equal, bit for bit, the
+    expressions over all draws at once (for the linear model a single
+    ``x @ W.T + b`` over every draw), and both estimators return equal
+    estimates, at draw counts around a task block and across chunks."""
+    if draw_block is not None:
+        monkeypatch.setattr(mixup, "_DRAW_BLOCK", draw_block)
+    ds, model, kind = _worker_case(case)
+    block = mixup._task_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop
+    assert case != "linear" or block == mixup._DRAW_BLOCK // mixup._TASKS_PER_BLOCK
+    monkeypatch.setattr(mixup, "_CHUNK", 2 * block + 3)
+    tb = mix_coefficients(1.0).theta_bar
+    mod = modify(ds, tb)
+    X, Y = ds.inputs, ds.outputs
+    rng = np.random.default_rng(5)
+    for n in (block - 1, block, block + 1, 3 * block + 7):
+        I, J = rng.integers(ds.n, size=n), rng.integers(ds.n, size=n)
+        theta = np.maximum(rng.beta(1.0, 1.0, size=n), 0.5)
+        t = theta[:, None]
+        pair = loss_values(kind, t * Y[I] + (1.0 - t) * Y[J], model.predict(t * X[I] + (1.0 - t) * X[J]))
+        delta = (t - tb) * X[I] + (1.0 - t) * X[J] - (1.0 - tb) * ds.x_mean
+        eps = (t - tb) * Y[I] + (1.0 - t) * Y[J] - (1.0 - tb) * ds.y_mean
+        pert = loss_values(kind, mod.outputs[I] + eps, model.predict(mod.inputs[I] + delta))
+        estimates = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mixup, "_WORKERS", workers)
+            assert np.array_equal(pair_loss_values(ds, model, kind, I, J, theta), pair), (n, workers)
+            assert np.array_equal(perturbed_loss_values(ds, model, kind, I, J, theta, tb), pert), (n, workers)
+            estimates.append(tuple(
+                estimator(ds, model, kind, 1.0, n, np.random.default_rng(n))
+                for estimator in (mixup_risk_mc, perturbed_erm_risk_mc)
+            ))
+        assert estimates[0] == estimates[1] == estimates[2], n
+
+
+def test_many_small_blocks_on_more_workers_than_cores(monkeypatch):
+    """Hundreds of 16-draw task blocks on more workers than cores, with the
+    interpreter switching threads every microsecond, fill every slice of the
+    output exactly once: the summand equals the one-shot expression."""
+    monkeypatch.setattr(mixup, "_DRAW_BLOCK", 16 * mixup._TASKS_PER_BLOCK)
+    monkeypatch.setattr(mixup, "_WORKERS", 2 * mixup._usable_cpus() + 1)
+    ds, model, kind = _worker_case("linear")
+    rng = np.random.default_rng(13)
+    n = 5000
+    I, J, lam = rng.integers(ds.n, size=n), rng.integers(ds.n, size=n), rng.beta(1.0, 1.0, size=n)
+    t = lam[:, None]
+    expected = loss_values(kind, t * ds.outputs[I] + (1.0 - t) * ds.outputs[J],
+                           model.predict(t * ds.inputs[I] + (1.0 - t) * ds.inputs[J]))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert np.array_equal(pair_loss_values(ds, model, kind, I, J, lam), expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_failing_block_raises_from_the_summand(monkeypatch):
+    """An exception in one task block is raised by the summand call itself,
+    after which the pool serves the next call."""
+    monkeypatch.setattr(mixup, "_WORKERS", 2)
+    ds, model, kind = _worker_case("80")
+    block = mixup._task_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop
+    n = 3 * block + 7
+    rng = np.random.default_rng(6)
+    I, J, lam = rng.integers(ds.n, size=n), rng.integers(ds.n, size=n), rng.beta(1.0, 1.0, size=n)
+    theta = np.maximum(lam, 1.0 - lam)
+    tb = mix_coefficients(1.0).theta_bar
+    error = FloatingPointError("one block failed")
+
+    def predict(x, f=model.predict):
+        if len(x) < block:
+            raise error
+        return f(x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(model, "predict", predict)
+        with pytest.raises(FloatingPointError) as pair_info:
+            pair_loss_values(ds, model, kind, I, J, lam)
+        with pytest.raises(FloatingPointError) as pert_info:
+            perturbed_loss_values(ds, model, kind, I, J, theta, tb)
+    assert pair_info.value is error and pert_info.value is error
+    assert np.all(np.isfinite(pair_loss_values(ds, model, kind, I, J, lam)))
+
+
+@pytest.mark.parametrize(
+    "I, J, weights",
+    [([-1], [0], [0.5]), ([10], [0], [0.5]), ([0], [-1], [0.5]), ([0], [10], [0.5]),
+     ([0, 1], [0], [0.5]), ([0], [0, 1], [0.5]), ([0, 1], [0, 1], [0.5]), ([0.0], [0], [0.5])],
+)
+def test_summands_reject_rows_outside_the_dataset_and_ragged_draws(I, J, weights):
+    """A row index outside [0, n) (numpy would wrap -1 to n - 1), a float
+    index, or index and weight arrays of different lengths raise ValueError
+    before the model is called."""
+    ds = _small_regression(7, n=10)
+    calls = []
+
+    class Recording(_ConstantModel):
+        def predict(self, x):
+            calls.append(len(x))
+            return super().predict(x)
+
+    model = Recording(np.zeros(2))
+    kind = LossKind.SQUARED_ERROR
+    I, J, weights = np.array(I), np.array(J), np.array(weights)
+    with pytest.raises(ValueError):
+        pair_loss_values(ds, model, kind, I, J, weights)
+    with pytest.raises(ValueError):
+        perturbed_loss_values(ds, model, kind, I, J, np.maximum(weights, 0.5), 0.75)
+    assert calls == []
 
 
 def test_perturbed_estimator_alpha_to_zero():
