@@ -19,7 +19,7 @@ print(f"{'model from':14s} {'erm_mod':>9s} {'R1':>9s} {'R2':>9s} {'R3':>9s} "
 for seed in range(3):
     ds_train, ds_test = make_instance(spec, seed)
     for method in ("erm", "mixup"):
-        res = run_method(spec, ds_train, ds_test, method, seed)
+        res = run_method(ds_train, ds_test, spec.train_config(method, seed))
         br = r_terms_general(ds_train, res.model, LossKind.CROSS_ENTROPY, coeffs)
         print(
             f"{method + f' (s{seed})':14s} {br.erm_modified:9.4f} {br.r1:9.4f} "

@@ -19,7 +19,7 @@ print(f"{'method':14s} {'test acc':>9s} {'raw acc':>8s} {'confidence':>11s} {'se
 
 for method in DEFAULT_METHODS:
     t0 = time.time()
-    res = run_method(spec, ds_train, ds_test, method, seed)
+    res = run_method(ds_train, ds_test, spec.train_config(method, seed))
     print(
         f"{method:14s} {res.test_acc:9.3f} {res.test_acc_raw:8.3f} "
         f"{res.mean_conf_natural:11.3f} {time.time() - t0:8.1f}"

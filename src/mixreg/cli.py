@@ -3,7 +3,7 @@
 Subcommands:
   train       fit one model per the config, save model JSON + trace CSV
   eval        score a saved model on a dataset, raw or rescaled
-  sweep       repeat train+eval over alphas and seeds, aggregate mean / 95% CI
+  sweep       experiment.run_method over alphas and seeds, aggregate mean / 95% CI
   verify      run the numerical certification suite (exit 0 iff all pass);
               --out writes verify.json (one report per check) and
               verify_summary.json (total seconds, CPU seconds over the same
@@ -15,7 +15,8 @@ unless --seed is given; eval --mode rescaled uses the rescaling statistics
 stored there. The artifact fixes the method and alpha, so eval takes neither
 flag; breakdown takes --alpha for its penalties, else the alpha stored there.
 
-Config file (JSON; flags override file values):
+Config file (JSON; flags override file values). The defaults, shown here,
+are ExperimentSpec's two-moons protocol trained with mixup:
 
     {
       "seed": 0,
@@ -24,13 +25,14 @@ Config file (JSON; flags override file values):
                  or {"kind": "csv", "train": "tr.csv", "test": "te.csv"},
       "model":   {"kind": "rff", "features": 1000, "scale": 10.0}
                  or {"kind": "linear"},
-      "train":   {"method": "mixup", "alpha": 1.0, "epochs": 500,
+      "train":   {"method": "mixup", "alpha": 1.0, "epochs": 200,
                   "batch_size": 50, "step_size": 5.0, "loss": "ce",
                   "drop_r2": true},
       "repetitions": 10
     }
 
-A key outside this layout ends the command with exit code 2 and names the key.
+A key outside this layout, or a value its key does not allow, ends the
+command with exit code 2 and names the key before any output is written.
 """
 
 from __future__ import annotations
@@ -47,44 +49,57 @@ from scipy.special import stdtrit
 
 from . import mixup
 from .data import load_csv
-from .experiment import ExperimentSpec, make_instance
+from .experiment import ExperimentSpec, make_instance, run_method
 from .losses import LossKind
 from .metrics import Rescale, metrics, write_histogram_csv
 from .models import load_model_json, save_model_json
 from .regularizers import r_terms_general
-from .training import TrainConfig, train
+from .training import METHODS, MODELS, TrainConfig, train
 from .truncbeta import mix_coefficients
 from .verification import format_report_table, reports_to_json, run_all
 
-_LOSS_BY_NAME = {"se": LossKind.SQUARED_ERROR, "ce": LossKind.CROSS_ENTROPY, "lr": LossKind.LOGISTIC}
+_SPEC = ExperimentSpec()
+_DEFAULT_TRAIN = _SPEC.train_config("mixup", TrainConfig.seed)
+# the keys each dataset and model kind reads besides "kind"
+_KIND_KEYS = {
+    "dataset": {"two_moons": ("n", "noise", "train_fraction", "flip_fraction"),
+                "csv": ("train", "test")},
+    "model": {"rff": ("features", "scale"), "linear": ()},
+}
+# config key -> TrainConfig field, by section
+_TRAIN_FIELDS = {
+    "model": {"kind": "model", "features": "rff_features", "scale": "rff_scale"},
+    "train": {k: k for k in ("method", "alpha", "epochs", "batch_size", "step_size", "loss",
+                             "drop_r2")},
+}
+_CHOICES = {
+    ("dataset", "kind"): tuple(_KIND_KEYS["dataset"]),
+    ("model", "kind"): MODELS,
+    ("train", "method"): METHODS,
+    ("train", "loss"): tuple(k.value for k in LossKind),
+}
+
 
 DEFAULT_CONFIG = {
-    "seed": 0,
-    "dataset": {
-        "kind": "two_moons",
-        "n": 300,
-        "noise": 0.01,
-        "train_fraction": 0.5,
-        "flip_fraction": 0.2,
-    },
-    "model": {"kind": "rff", "features": 1000, "scale": 10.0},
-    "train": {
-        "method": "mixup",
-        "alpha": 1.0,
-        "epochs": 500,
-        "batch_size": 50,
-        "step_size": 5.0,
-        "loss": "ce",
-        "drop_r2": True,
-    },
-    "repetitions": 10,
+    "seed": _DEFAULT_TRAIN.seed,
+    "dataset": {"kind": "two_moons",
+                **{k: getattr(_SPEC, k) for k in _KIND_KEYS["dataset"]["two_moons"]}},
+    **{s: {k: getattr(_DEFAULT_TRAIN, f) for k, f in keys.items()}
+       for s, keys in _TRAIN_FIELDS.items()},
+    "repetitions": _SPEC.repetitions,
 }
+DEFAULT_CONFIG["train"]["loss"] = _DEFAULT_TRAIN.loss.value
+
+
+def _fail(message: str):
+    print(f"mixreg: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _unknown_keys(cfg: dict) -> list:
     """Keys of a config file that no config section knows, as dotted paths."""
     known = {s: set(DEFAULT_CONFIG[s]) for s in ("dataset", "model", "train")}
-    known["dataset"] |= {"train", "test"}  # the csv kind
+    known["dataset"] |= set(_KIND_KEYS["dataset"]["csv"])
     return [k for k in cfg if k not in DEFAULT_CONFIG] + [
         f"{s}.{k}" for s in known for k in cfg.get(s, {}) if k not in known[s]
     ]
@@ -107,54 +122,49 @@ def _load_config(args) -> dict:
             from_file = json.load(fh)
         unknown = _unknown_keys(from_file)
         if unknown:
-            print(f"mixreg: unknown config keys in {args.config}: {', '.join(unknown)}",
-                  file=sys.stderr)
-            raise SystemExit(2)
+            _fail(f"unknown config keys in {args.config}: {', '.join(unknown)}")
         cfg = _deep_update(cfg, from_file)
-    override: dict = {}
-    if getattr(args, "seed", None) is not None:
-        override["seed"] = args.seed
-    train_over = {}
-    if getattr(args, "alpha", None) is not None:
-        train_over["alpha"] = args.alpha
-    if getattr(args, "method", None) is not None:
-        train_over["method"] = args.method
-    if train_over:
-        override["train"] = train_over
+    flags = {k: getattr(args, k, None) for k in ("seed", "alpha", "method")}
+    override = {"train": {k: flags[k] for k in ("alpha", "method") if flags[k] is not None}}
+    if flags["seed"] is not None:
+        override["seed"] = flags["seed"]
     return _deep_update(cfg, override)
 
 
-def _datasets_from_config(cfg: dict, seed: int):
-    ds_cfg = cfg["dataset"]
-    if ds_cfg["kind"] == "two_moons":
-        spec = ExperimentSpec(
-            n=ds_cfg["n"],
-            noise=ds_cfg["noise"],
-            train_fraction=ds_cfg["train_fraction"],
-            flip_fraction=ds_cfg.get("flip_fraction", 0.0),
-        )
-        return make_instance(spec, seed)
-    if ds_cfg["kind"] == "csv":
-        return load_csv(ds_cfg["train"]), load_csv(ds_cfg["test"])
-    raise ValueError(f"unknown dataset kind {ds_cfg['kind']!r}")
+def _resolve(cfg: dict):
+    """The (train, test) datasets and the TrainConfig of a merged config.
+
+    A value outside its key's choices, or one TrainConfig rejects, ends the
+    command with exit code 2 before any output is written.
+    """
+    for (section, key), choices in _CHOICES.items():
+        if cfg[section][key] not in choices:
+            _fail(f"{section}.{key} must be one of {choices}, got {cfg[section][key]!r}")
+    fields = {f: cfg[s][k] for s, keys in _TRAIN_FIELDS.items() for k, f in keys.items()}
+    try:
+        tc = TrainConfig(seed=cfg["seed"], **dict(fields, loss=LossKind(fields["loss"])))
+    except ValueError as exc:
+        _fail(f"invalid config: {exc}")
+    ds = cfg["dataset"]
+    if ds["kind"] == "csv":
+        return (load_csv(ds["train"]), load_csv(ds["test"])), tc
+    moons = ExperimentSpec(**{k: ds[k] for k in _KIND_KEYS["dataset"]["two_moons"]})
+    return make_instance(moons, cfg["seed"]), tc
 
 
-def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    t = cfg["train"]
-    m = cfg["model"]
-    return TrainConfig(
-        method=t["method"],
-        alpha=t["alpha"],
-        epochs=t["epochs"],
-        batch_size=t["batch_size"],
-        step_size=t["step_size"],
-        seed=seed,
-        drop_r2=t.get("drop_r2", True),
-        loss=_LOSS_BY_NAME[t.get("loss", "ce")],
-        model=m["kind"],
-        rff_features=m.get("features", 1000),
-        rff_scale=m.get("scale", 10.0),
-    )
+def _used(cfg: dict, unused=()) -> dict:
+    """The config without the keys a run does not read: other kinds' keys,
+    ``drop_r2`` outside mixup_approx, and the dotted keys in ``unused``."""
+    drop = set(unused)
+    for s, kinds in _KIND_KEYS.items():
+        drop |= {f"{s}.{k}" for keys in kinds.values() for k in keys
+                 if k not in kinds[cfg[s]["kind"]]}
+    if cfg["train"]["method"] != "mixup_approx":
+        drop.add("train.drop_r2")
+    return {
+        k: {sk: sv for sk, sv in v.items() if f"{k}.{sk}" not in drop} if isinstance(v, dict) else v
+        for k, v in cfg.items() if k not in drop
+    }
 
 
 def _echo_config(cfg: dict, out: Path) -> None:
@@ -164,14 +174,12 @@ def _echo_config(cfg: dict, out: Path) -> None:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
+    (ds_train, ds_test), tc = _resolve(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
-    seed = cfg["seed"]
-    ds_train, ds_test = _datasets_from_config(cfg, seed)
-    tc = _train_config(cfg, seed)
+    _echo_config(_used(cfg, ["repetitions"]), out)
     model, trace = train(ds_train, ds_test, tc)
-    extra = {"method": tc.method, "loss": tc.loss.value, "seed": seed, "alpha": tc.alpha}
+    extra = {"method": tc.method, "loss": tc.loss.value, "seed": tc.seed, "alpha": tc.alpha}
     if trace.rescale is not None:
         extra["rescale"] = {
             "xbar": trace.rescale.xbar.tolist(),
@@ -197,7 +205,7 @@ def _load_model(args):
 
 def cmd_eval(args) -> int:
     model, extra, cfg = _load_model(args)
-    _, ds_test = _datasets_from_config(cfg, cfg["seed"])
+    (_, ds_test), _ = _resolve(cfg)
     rescale = None
     if args.mode == "rescaled":
         resc = extra.get("rescale")
@@ -209,7 +217,7 @@ def cmd_eval(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # only what this evaluation read; the artifact fixes method and alpha
     _echo_config(
-        {"seed": cfg["seed"], "dataset": cfg["dataset"], "model_path": str(args.model),
+        {"seed": cfg["seed"], "dataset": _used(cfg)["dataset"], "model_path": str(args.model),
          "mode": args.mode},
         out,
     )
@@ -239,43 +247,28 @@ def cmd_sweep(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     else:
         seeds = list(range(cfg["seed"], cfg["seed"] + cfg["repetitions"]))
+    runs = [
+        (alpha, [_resolve(_deep_update(cfg, {"seed": s, "train": {"alpha": alpha}})) for s in seeds])
+        for alpha in alphas
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
+    flagged = (["seed", "repetitions"] if args.seeds else []) + (["train.alpha"] if args.alphas else [])
+    _echo_config(_used(cfg, flagged), out)
 
     metric_names = ("accuracy", "ce_loss", "ece", "mean_entropy", "mean_confidence")
     rows = []
-    for alpha in alphas:
-        per_mode: dict = {"raw": {m: [] for m in metric_names}, "rescaled": {m: [] for m in metric_names}}
-        for seed in seeds:
-            run_cfg = _deep_update(cfg, {"seed": seed, "train": {"alpha": alpha}})
-            ds_train, ds_test = _datasets_from_config(run_cfg, seed)
-            tc = _train_config(run_cfg, seed)
-            model, trace = train(ds_train, ds_test, tc)
-            modes = {"raw": None}
-            if trace.rescale is not None:
-                modes["rescaled"] = trace.rescale
-            for mode_name, rescale in modes.items():
-                row = metrics(model, ds_test, rescale)
-                for name in metric_names:
-                    per_mode[mode_name][name].append(getattr(row, name))
-        for mode_name, totals in per_mode.items():
-            if not totals["accuracy"]:
+    for alpha, alpha_runs in runs:
+        results = [run_method(*datasets, tc) for datasets, tc in alpha_runs]
+        modes = {"raw": [r.raw for r in results],
+                 "rescaled": [r.natural for r in results if r.trace.rescale is not None]}
+        for mode_name, scored in modes.items():
+            if not scored:
                 continue
             for name in metric_names:
-                mean, lo, hi = _t_interval(np.asarray(totals[name]))
-                rows.append(
-                    (
-                        cfg["train"]["method"],
-                        alpha,
-                        mode_name,
-                        name,
-                        mean,
-                        "n/a" if lo is None else repr(lo),
-                        "n/a" if hi is None else repr(hi),
-                        len(totals[name]),
-                    )
-                )
+                mean, *ci = _t_interval(np.asarray([getattr(row, name) for row in scored]))
+                ci = ["n/a" if v is None else repr(v) for v in ci]
+                rows.append((cfg["train"]["method"], alpha, mode_name, name, mean, *ci, len(scored)))
     with open(out / "sweep.csv", "w") as fh:
         fh.write("method,alpha,mode,metric,mean,ci_low,ci_high,repetitions\n")
         for r in rows:
@@ -322,7 +315,7 @@ def cmd_verify(args) -> int:
 
 def cmd_breakdown(args) -> int:
     model, extra, cfg = _load_model(args)
-    ds_train, _ = _datasets_from_config(cfg, cfg["seed"])
+    (ds_train, _), _ = _resolve(cfg)
     alpha = args.alpha
     if alpha is None:
         # artifacts from before alpha was stored for every method keep it
@@ -330,7 +323,7 @@ def cmd_breakdown(args) -> int:
         alpha = extra.get("alpha", extra.get("rescale", {}).get("alpha"))
     if alpha is None:
         raise SystemExit("model artifact stores no alpha; pass --alpha for the breakdown")
-    kind = _LOSS_BY_NAME[extra.get("loss", "ce")]
+    kind = LossKind(extra.get("loss", TrainConfig.loss.value))
     br = r_terms_general(ds_train, model, kind, mix_coefficients(alpha))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 from .data import Dataset, flip_labels, make_two_moons, train_test_split
 from .losses import LossKind
-from .metrics import metrics
+from .metrics import MetricsRow, metrics
 from .regularizers import r_terms_general
-from .training import TrainConfig, train
+from .training import TrainConfig, TrainTrace, train
 from .truncbeta import mix_coefficients
 
 __all__ = ["ExperimentSpec", "MethodResult", "make_instance", "run_method", "run_seed"]
@@ -26,19 +26,20 @@ DEFAULT_METHODS = ("erm", "erm_modified", "mixup", "mixup_approx")
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Defaults reproduce the noisy two-moons protocol at desk scale."""
+    """The noisy two-moons protocol at desk scale. The training fields take
+    their defaults from :class:`TrainConfig`, so the two cannot disagree."""
 
     n: int = 300
     noise: float = 0.01
     train_fraction: float = 0.5
     flip_fraction: float = 0.2
-    alpha: float = 1.0
-    rff_features: int = 1000
-    rff_scale: float = 10.0
-    batch_size: int = 50
-    step_size: float = 5.0
-    epochs: int = 200
-    loss: LossKind = LossKind.CROSS_ENTROPY
+    alpha: float = TrainConfig.alpha
+    rff_features: int = TrainConfig.rff_features
+    rff_scale: float = TrainConfig.rff_scale
+    batch_size: int = TrainConfig.batch_size
+    step_size: float = TrainConfig.step_size
+    epochs: int = TrainConfig.epochs
+    loss: LossKind = TrainConfig.loss
     repetitions: int = 10
 
     def train_config(self, method: str, seed: int) -> TrainConfig:
@@ -50,7 +51,6 @@ class ExperimentSpec:
             step_size=self.step_size,
             seed=seed,
             loss=self.loss,
-            model="rff",
             rff_features=self.rff_features,
             rff_scale=self.rff_scale,
         )
@@ -58,10 +58,16 @@ class ExperimentSpec:
 
 @dataclass
 class MethodResult:
-    method: str
+    """A trained model scored on the test set by the raw and by the natural
+    predictor (rescaled for the shrunk-data methods, else the raw row). The
+    four floats copy the two rows' accuracy and mean confidence under the
+    names the comparisons read."""
+
     model: object
-    trace: object
-    test_acc: float          # natural predictor (rescaled for shrunk-data methods)
+    trace: TrainTrace
+    raw: MetricsRow
+    natural: MetricsRow
+    test_acc: float
     test_acc_raw: float
     mean_conf_natural: float
     mean_conf_raw: float
@@ -76,22 +82,13 @@ def make_instance(spec: ExperimentSpec, seed: int):
     return ds_train, ds_test
 
 
-def run_method(
-    spec: ExperimentSpec, ds_train: Dataset, ds_test: Dataset, method: str, seed: int
-) -> MethodResult:
-    cfg = spec.train_config(method, seed)
+def run_method(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig) -> MethodResult:
+    """Train one config, then score it raw and with its natural predictor."""
     model, trace = train(ds_train, ds_test, cfg)
-    m_raw = metrics(model, ds_test)
-    natural = m_raw if trace.rescale is None else metrics(model, ds_test, trace.rescale)
-    return MethodResult(
-        method=method,
-        model=model,
-        trace=trace,
-        test_acc=natural.accuracy,
-        test_acc_raw=m_raw.accuracy,
-        mean_conf_natural=natural.mean_confidence,
-        mean_conf_raw=m_raw.mean_confidence,
-    )
+    raw = metrics(model, ds_test)
+    natural = raw if trace.rescale is None else metrics(model, ds_test, trace.rescale)
+    return MethodResult(model, trace, raw, natural, natural.accuracy, raw.accuracy,
+                        natural.mean_confidence, raw.mean_confidence)
 
 
 def run_seed(spec: ExperimentSpec, seed: int, methods=DEFAULT_METHODS) -> dict:
@@ -102,7 +99,7 @@ def run_seed(spec: ExperimentSpec, seed: int, methods=DEFAULT_METHODS) -> dict:
     mixing-trained models.
     """
     ds_train, ds_test = make_instance(spec, seed)
-    results = {m: run_method(spec, ds_train, ds_test, m, seed) for m in methods}
+    results = {m: run_method(ds_train, ds_test, spec.train_config(m, seed)) for m in methods}
     out = {"seed": seed, "results": results}
     if "erm" in results and "mixup" in results:
         coeffs = mix_coefficients(spec.alpha)

@@ -128,7 +128,9 @@ class _Moments:
 
     Squared deviations are summed about each block's own mean and merged
     across blocks with Chan et al.'s pairwise update, so a large common
-    offset in the draws does not cancel the variance.
+    offset in the draws does not cancel the variance. The squares are summed
+    by numpy, not by a BLAS dot product, so the bits do not depend on the
+    BLAS thread count.
     """
 
     def __init__(self) -> None:
@@ -140,7 +142,7 @@ class _Moments:
         k = vals.shape[0]
         block_total = vals.sum()
         dev = vals - block_total / k
-        self.m2 += float(dev @ dev)
+        self.m2 += float(np.square(dev, out=dev).sum())
         if self.n:
             shift = block_total / k - self.total / self.n
             self.m2 += shift * shift * self.n * k / (self.n + k)

@@ -55,6 +55,7 @@ __all__ = [
 ]
 
 METHODS = ("erm", "mixup", "erm_modified", "mixup_approx")
+MODELS = ("linear", "rff")
 
 
 class TrainingDiverged(RuntimeError):
@@ -63,9 +64,12 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One training run. The defaults of the fields that
+    :class:`experiment.ExperimentSpec` shares are the two-moons protocol's."""
+
     method: str = "erm"
     alpha: float = 1.0
-    epochs: int = 500
+    epochs: int = 200
     batch_size: int = 50
     step_size: float = 5.0
     seed: int = 0
@@ -82,8 +86,8 @@ class TrainConfig:
             raise ValueError("alpha must be positive for mixing-based methods")
         if self.epochs < 1 or self.batch_size < 1 or self.step_size <= 0:
             raise ValueError("epochs, batch_size must be >= 1 and step_size > 0")
-        if self.model not in ("linear", "rff"):
-            raise ValueError(f"model must be 'linear' or 'rff', got {self.model!r}")
+        if self.model not in MODELS:
+            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
 
 
 @dataclass

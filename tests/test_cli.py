@@ -72,6 +72,65 @@ def test_unknown_config_key_exits_2_and_names_it(tmp_path, capsys, section, key)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("dataset", "kind", "spiral"), ("model", "kind", "mlp"), ("train", "method", "nope"),
+     ("train", "loss", "xe")],
+)
+def test_invalid_config_value_exits_2_and_names_it(tmp_path, capsys, section, key, value):
+    cfg = json.loads(json.dumps(TINY_CONFIG))
+    cfg[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_value_train_config_rejects_exits_2_before_any_output(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(path), "--alphas", "1.0,0.0", "--seeds", "0",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_config_is_the_experiment_spec():
+    """With no config file, the command line trains the two-moons protocol
+    of ExperimentSpec, and TrainConfig's defaults are the spec's."""
+    import argparse
+    import dataclasses
+
+    from mixreg.cli import _load_config, _resolve
+    from mixreg.experiment import ExperimentSpec, make_instance
+    from mixreg.training import TrainConfig
+
+    spec = ExperimentSpec()
+    for seed in (None, 3):
+        args = argparse.Namespace(config=None, seed=seed, alpha=None, method=None)
+        (ds_train, ds_test), tc = _resolve(_load_config(args))
+        seed = 0 if seed is None else seed
+        assert tc == spec.train_config("mixup", seed)
+        want_train, want_test = make_instance(spec, seed)
+        assert np.array_equal(ds_train.inputs, want_train.inputs)
+        assert np.array_equal(ds_train.outputs, want_train.outputs)
+        assert np.array_equal(ds_test.inputs, want_test.inputs)
+    moons = DEFAULT_CONFIG["dataset"]
+    assert moons["kind"] == "two_moons"
+    assert {k: moons[k] for k in ("n", "noise", "train_fraction", "flip_fraction")} == {
+        k: getattr(spec, k) for k in ("n", "noise", "train_fraction", "flip_fraction")
+    }
+    assert DEFAULT_CONFIG["repetitions"] == spec.repetitions
+    shared = {f.name for f in dataclasses.fields(ExperimentSpec)} & {
+        f.name for f in dataclasses.fields(TrainConfig)
+    }
+    assert shared and all(getattr(TrainConfig(), k) == getattr(spec, k) for k in shared)
+
+
 def test_default_config_loads_as_a_config_file(tmp_path):
     import argparse
 
@@ -300,6 +359,40 @@ def test_sweep_aggregation(tmp_path):
         assert float(r["ci_low"]) <= float(r["mean"]) <= float(r["ci_high"])
 
 
+def test_sweep_means_are_run_method_means(tmp_path):
+    """Each sweep.csv mean is the mean over seeds of the matching
+    ``run_method`` metric: raw rows from the raw metrics, rescaled rows from
+    the natural ones, and none for a method that predicts raw."""
+    from mixreg.experiment import ExperimentSpec, make_instance, run_method
+    from mixreg.training import TrainConfig
+
+    cfg = _write_config(tmp_path)
+    ds, m, t = TINY_CONFIG["dataset"], TINY_CONFIG["model"], TINY_CONFIG["train"]
+    spec = ExperimentSpec(n=ds["n"], noise=ds["noise"], train_fraction=ds["train_fraction"],
+                          flip_fraction=ds["flip_fraction"])
+    seeds = (0, 1, 2)
+    for method, alphas in (("mixup", (0.5, 1.0)), ("erm", (0.5,))):
+        out = tmp_path / method
+        assert main(["sweep", "--config", str(cfg), "--method", method,
+                     "--alphas", ",".join(map(str, alphas)), "--seeds", "0,1,2",
+                     "--out", str(out)]) == 0
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["mode"] for r in rows} == ({"raw"} if method == "erm" else {"raw", "rescaled"})
+        for alpha in alphas:
+            results = [
+                run_method(*make_instance(spec, s), TrainConfig(
+                    method=method, alpha=alpha, epochs=t["epochs"], batch_size=t["batch_size"],
+                    step_size=t["step_size"], seed=s, loss=LossKind(t["loss"]),
+                    model=m["kind"], rff_features=m["features"], rff_scale=m["scale"]))
+                for s in seeds
+            ]
+            for r in (r for r in rows if float(r["alpha"]) == alpha):
+                scored = [res.raw if r["mode"] == "raw" else res.natural for res in results]
+                assert r["method"] == method and int(r["repetitions"]) == len(seeds)
+                assert float(r["mean"]) == float(np.mean([getattr(row, r["metric"]) for row in scored]))
+
+
 def test_sweep_single_seed_ci_na(tmp_path):
     cfg = _write_config(tmp_path)
     out = tmp_path / "sweep1"
@@ -330,6 +423,34 @@ def test_train_and_eval_from_csv_dataset(tmp_path):
     with open(eval_out / "metrics.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert rows and 0.0 <= float(rows[0]["accuracy"]) <= 1.0
+
+
+def test_echoed_config_holds_only_the_keys_the_run_read(tmp_path):
+    """A csv dataset and a linear model: the echo drops the two-moons and
+    cosine-feature keys the file carries, the sweep-only repetitions, and
+    drop_r2, which only mixup_approx reads."""
+    from mixreg.data import make_two_moons, save_csv, train_test_split
+
+    tr, te = train_test_split(make_two_moons(40, 0.05, seed=0), 0.5, seed=1)
+    save_csv(tr, tmp_path / "tr.csv")
+    save_csv(te, tmp_path / "te.csv")
+    csv_keys = {"kind": "csv", "train": str(tmp_path / "tr.csv"), "test": str(tmp_path / "te.csv")}
+    cfg = _write_config(tmp_path, dataset=csv_keys, model={"kind": "linear"})
+    assert json.loads(cfg.read_text())["dataset"]["n"] == 40
+    out = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed == {
+        "seed": 0,
+        "dataset": csv_keys,
+        "model": {"kind": "linear"},
+        "train": TINY_CONFIG["train"],
+    }
+    main(["train", "--config", str(cfg), "--method", "mixup_approx", "--out", str(out)])
+    assert json.loads((out / "config.json").read_text())["train"]["drop_r2"] is True
+    main(["eval", "--config", str(cfg), "--model", str(out / "model.json"),
+          "--out", str(tmp_path / "ev")])
+    assert json.loads((tmp_path / "ev" / "config.json").read_text())["dataset"] == csv_keys
 
 
 def test_t_interval_against_scipy_oracle():

@@ -330,6 +330,40 @@ def test_summands_and_estimates_do_not_depend_on_worker_count(case, draw_block, 
         assert estimates[0] == estimates[1] == estimates[2], n
 
 
+_BLAS_THREADS_SCRIPT = """
+import numpy as np
+from mixreg.data import Dataset
+from mixreg.losses import LossKind
+from mixreg.mixup import _Moments, mixup_risk_mc
+from mixreg.models import LinearModel
+acc = _Moments()
+acc.add(np.random.default_rng(0).normal(size=1_000_000))
+rng = np.random.default_rng(1)
+ds = Dataset(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
+lin = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
+est = mixup_risk_mc(ds, lin, LossKind.SQUARED_ERROR, 1.0, 1_000_000, np.random.default_rng(2))
+print(repr(acc.m2), repr(est.mean), repr(est.stderr))
+"""
+
+
+def test_standard_errors_do_not_depend_on_the_blas_thread_count():
+    """One million streamed values, and a linear squared-error estimate over
+    a million draws, give the same bits with one BLAS thread and with two."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    src = str(Path(mixup.__file__).resolve().parent.parent)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] == outs[1] != ""
+
+
 def test_many_small_blocks_on_more_workers_than_cores(monkeypatch):
     """Hundreds of 16-draw task blocks on more workers than cores, with the
     interpreter switching threads every microsecond, fill every slice of the

@@ -322,7 +322,7 @@ def test_objective_lower_at_mixing_trained_model():
     coeffs = mix_coefficients(spec.alpha)
     objs = {}
     for method in ("erm", "mixup"):
-        res = run_method(spec, ds_train, ds_test, method, 0)
+        res = run_method(ds_train, ds_test, spec.train_config(method, 0))
         objs[method] = approx_mixup_objective(
             ds_train, res.model, LossKind.CROSS_ENTROPY, coeffs, drop_r2=True
         )
