@@ -21,9 +21,10 @@ from mixreg import (
     perturbation_covariances,
     perturbed_erm_risk_mc,
     r_terms_general,
-    sample_perturbation,
+    sample_theta,
 )
 from mixreg.losses import loss_value
+from mixreg.mixup import perturbation
 from mixreg.verification import expected_quadratic_loss
 
 alpha = 1.0
@@ -41,16 +42,18 @@ rng = np.random.default_rng(2)
 worst = 0.0
 for _ in range(2000):
     i = int(rng.integers(ds.n))
-    draw = sample_perturbation(ds, coeffs, i, rng)
+    theta = sample_theta(alpha, rng)
+    j = int(rng.integers(ds.n))
+    delta, epsilon = perturbation(ds, coeffs.theta_bar, i, j, theta)
     lhs = loss_value(
         LossKind.CROSS_ENTROPY,
-        draw.theta * ds.outputs[i] + (1 - draw.theta) * ds.outputs[draw.j],
-        model.predict(draw.theta * ds.inputs[i] + (1 - draw.theta) * ds.inputs[draw.j]),
+        theta * ds.outputs[i] + (1 - theta) * ds.outputs[j],
+        model.predict(theta * ds.inputs[i] + (1 - theta) * ds.inputs[j]),
     )
     rhs = loss_value(
         LossKind.CROSS_ENTROPY,
-        mod.outputs[i] + draw.epsilon,
-        model.predict(mod.inputs[i] + draw.delta),
+        mod.outputs[i] + epsilon,
+        model.predict(mod.inputs[i] + delta),
     )
     worst = max(worst, abs(lhs - rhs))
 print(f"\nper-draw summand identity over 2000 draws: max |difference| = {worst:.2e}")
@@ -66,8 +69,6 @@ i = 7
 cov = perturbation_covariances(ds, coeffs)  # every row, stacked
 rng = np.random.default_rng(5)
 n_mc = 300_000
-from mixreg import sample_theta
-
 th = sample_theta(alpha, rng, size=n_mc)[:, None]
 J = rng.integers(ds.n, size=n_mc)
 tb = coeffs.theta_bar

@@ -6,11 +6,12 @@ Library layout:
 * :mod:`mixreg.data` -- dataset container, two-moons generator, mean shrinkage
 * :mod:`mixreg.losses` -- SE / CE / logistic losses with derivative blocks
 * :mod:`mixreg.models` -- linear and random-cosine-feature predictors
-* :mod:`mixreg.mixup` -- pairwise risk, perturbation sampler, batch mixing
+* :mod:`mixreg.mixup` -- pairwise risk and its perturbed rewrite, batch mixing
 * :mod:`mixreg.regularizers` -- perturbation covariances and the four-penalty
   decomposition of the approximate risk
 * :mod:`mixreg.training` -- minibatch SGD under the four objectives
-* :mod:`mixreg.metrics` -- rescaled prediction, accuracy / CE / ECE / entropy
+* :mod:`mixreg.metrics` -- raw or rescaled ``predict``, accuracy / CE / ECE /
+  entropy
 * :mod:`mixreg.verification` -- oracle checks certifying the identities
 * :mod:`mixreg.experiment` -- the noisy two-moons protocol
 * :mod:`mixreg.cli` -- the ``mixreg`` command-line entry point
@@ -27,14 +28,12 @@ from .data import (
     train_test_split,
 )
 from .losses import LossBundle, LossKind, bundle, entropy, sigmoid, softmax
-from .metrics import MetricsRow, Rescale, ece, metrics, predict, rescaled_predict
+from .metrics import MetricsRow, Rescale, ece, metrics, predict
 from .mixup import (
     McEstimate,
-    PerturbationDraw,
     mixup_minibatch,
     mixup_risk_mc,
     perturbed_erm_risk_mc,
-    sample_perturbation,
 )
 from .models import LinearModel, RffModel, init_rff, load_model_json, save_model_json
 from .regularizers import (

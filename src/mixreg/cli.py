@@ -31,8 +31,10 @@ are ExperimentSpec's two-moons protocol trained with mixup:
       "repetitions": 10
     }
 
-A key outside this layout, or a value its key does not allow, ends the
-command with exit code 2 and names the key before any output is written.
+A key outside this layout, a value its key does not allow, an unreadable csv
+dataset, invalid two-moons values, or data the train keys cannot train on ends
+the command with exit code 2 before any output. The config.json each command
+writes holds only the keys its run read (README, "Command line").
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from .losses import LossKind
 from .metrics import Rescale, metrics, write_histogram_csv
 from .models import load_model_json, save_model_json
 from .regularizers import r_terms_general
-from .training import METHODS, MODELS, TrainConfig, train
+from .training import METHODS, MODELS, TrainConfig, check_data, train
 from .truncbeta import mix_coefficients
 from .verification import format_report_table, reports_to_json, run_all
 
@@ -132,52 +134,53 @@ def _load_config(args) -> dict:
 
 
 def _resolve(cfg: dict):
-    """The (train, test) datasets and the TrainConfig of a merged config.
-
-    A value outside its key's choices, or one TrainConfig rejects, ends the
-    command with exit code 2 before any output is written.
+    """The (train, test) datasets, the TrainConfig and the record of a merged
+    config: its layout holding exactly the keys a run reads (seed, the keys of
+    its dataset and model kinds, the train keys, drop_r2 only for mixup_approx),
+    from which the TrainConfig and every config.json are made. Bad input ends
+    the command with exit code 2 before any output is written.
     """
     for (section, key), choices in _CHOICES.items():
         if cfg[section][key] not in choices:
             _fail(f"{section}.{key} must be one of {choices}, got {cfg[section][key]!r}")
-    fields = {f: cfg[s][k] for s, keys in _TRAIN_FIELDS.items() for k, f in keys.items()}
-    try:
-        tc = TrainConfig(seed=cfg["seed"], **dict(fields, loss=LossKind(fields["loss"])))
-    except ValueError as exc:
-        _fail(f"invalid config: {exc}")
-    ds = cfg["dataset"]
-    if ds["kind"] == "csv":
-        return (load_csv(ds["train"]), load_csv(ds["test"])), tc
-    moons = ExperimentSpec(**{k: ds[k] for k in _KIND_KEYS["dataset"]["two_moons"]})
-    return make_instance(moons, cfg["seed"]), tc
-
-
-def _used(cfg: dict, unused=()) -> dict:
-    """The config without the keys a run does not read: other kinds' keys,
-    ``drop_r2`` outside mixup_approx, and the dotted keys in ``unused``."""
-    drop = set(unused)
+    record = {"seed": cfg["seed"]}
     for s, kinds in _KIND_KEYS.items():
-        drop |= {f"{s}.{k}" for keys in kinds.values() for k in keys
-                 if k not in kinds[cfg[s]["kind"]]}
-    if cfg["train"]["method"] != "mixup_approx":
-        drop.add("train.drop_r2")
-    return {
-        k: {sk: sv for sk, sv in v.items() if f"{k}.{sk}" not in drop} if isinstance(v, dict) else v
-        for k, v in cfg.items() if k not in drop
-    }
+        keys = ("kind",) + kinds[cfg[s]["kind"]]
+        if not set(keys) <= set(cfg[s]):
+            _fail(f"a {cfg[s]['kind']} {s} needs {', '.join(f'{s}.{k}' for k in keys[1:])}")
+        record[s] = {k: cfg[s][k] for k in keys}
+    record["train"] = {k: v for k, v in cfg["train"].items()
+                       if k != "drop_r2" or cfg["train"]["method"] == "mixup_approx"}
+    fields = {f: record[s][k] for s, keys in _TRAIN_FIELDS.items() for k, f in keys.items()
+              if k in record[s]}
+    try:
+        tc = TrainConfig(seed=record["seed"], **dict(fields, loss=LossKind(fields["loss"])))
+    except (TypeError, ValueError) as exc:
+        _fail(f"invalid config: {exc}")
+    ds = record["dataset"]
+    try:
+        if ds["kind"] == "csv":
+            datasets = load_csv(ds["train"]), load_csv(ds["test"])
+        else:
+            moons = ExperimentSpec(**{k: ds[k] for k in _KIND_KEYS["dataset"]["two_moons"]})
+            datasets = make_instance(moons, record["seed"])
+        check_data(*datasets, tc)
+    except (OSError, TypeError, ValueError) as exc:
+        _fail(f"invalid dataset: {exc}")
+    return datasets, tc, record
 
 
-def _echo_config(cfg: dict, out: Path) -> None:
-    with open(out / "config.json", "w") as fh:
-        json.dump(cfg, fh, indent=2, sort_keys=True)
+def _output_dir(args, record: dict) -> Path:
+    """The --out directory, made, with the run's record as its config.json."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(record, indent=2, sort_keys=True))
+    return out
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    (ds_train, ds_test), tc = _resolve(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(_used(cfg, ["repetitions"]), out)
+    (ds_train, ds_test), tc, record = _resolve(_load_config(args))
+    out = _output_dir(args, record)
     model, trace = train(ds_train, ds_test, tc)
     extra = {"method": tc.method, "loss": tc.loss.value, "seed": tc.seed, "alpha": tc.alpha}
     if trace.rescale is not None:
@@ -194,18 +197,19 @@ def cmd_train(args) -> int:
 
 
 def _load_model(args):
-    """The saved model, its metadata, and the config at the seed it was trained
-    on unless ``--seed`` is given."""
+    """The saved model, its metadata, and the datasets and record (seed,
+    dataset, model path) at the trained seed unless ``--seed`` is given."""
     model, extra = load_model_json(args.model)
     cfg = _load_config(args)
     if args.seed is None and "seed" in extra:
         cfg = dict(cfg, seed=extra["seed"])
-    return model, extra, cfg
+    datasets, _, record = _resolve(cfg)
+    return model, extra, datasets, {"seed": record["seed"], "dataset": record["dataset"],
+                                    "model_path": str(args.model)}
 
 
 def cmd_eval(args) -> int:
-    model, extra, cfg = _load_model(args)
-    (_, ds_test), _ = _resolve(cfg)
+    model, extra, (_, ds_test), record = _load_model(args)
     rescale = None
     if args.mode == "rescaled":
         resc = extra.get("rescale")
@@ -213,18 +217,11 @@ def cmd_eval(args) -> int:
             raise SystemExit("model artifact carries no rescaling statistics; cannot eval rescaled")
         rescale = Rescale(np.asarray(resc["xbar"]), np.asarray(resc["ybar"]), resc["theta_bar"])
     row = metrics(model, ds_test, rescale)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    # only what this evaluation read; the artifact fixes method and alpha
-    _echo_config(
-        {"seed": cfg["seed"], "dataset": _used(cfg)["dataset"], "model_path": str(args.model),
-         "mode": args.mode},
-        out,
-    )
+    out = _output_dir(args, dict(record, mode=args.mode))
     with open(out / "metrics.csv", "w") as fh:
         fh.write("method,mode,seed," + row.csv_header() + "\n")
         fh.write(
-            f"{extra.get('method', 'unknown')},{args.mode},{cfg['seed']}," + row.csv_row() + "\n"
+            f"{extra.get('method', 'unknown')},{args.mode},{record['seed']}," + row.csv_row() + "\n"
         )
     write_histogram_csv(row.confidence_histogram, out / "confidence_histogram.csv")
     print(f"wrote {out / 'metrics.csv'} and {out / 'confidence_histogram.csv'}")
@@ -247,19 +244,21 @@ def cmd_sweep(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     else:
         seeds = list(range(cfg["seed"], cfg["seed"] + cfg["repetitions"]))
+    if not seeds:
+        _fail(f"a sweep needs a seed; repetitions must be positive, got {cfg['repetitions']!r}")
     runs = [
         (alpha, [_resolve(_deep_update(cfg, {"seed": s, "train": {"alpha": alpha}})) for s in seeds])
         for alpha in alphas
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    flagged = (["seed", "repetitions"] if args.seeds else []) + (["train.alpha"] if args.alphas else [])
-    _echo_config(_used(cfg, flagged), out)
+    # the first run's record, with the seeds and alphas swept in place of its own
+    record = runs[0][1][0][2]
+    del record["seed"], record["train"]["alpha"]
+    out = _output_dir(args, dict(record, seeds=seeds, alphas=alphas))
 
     metric_names = ("accuracy", "ce_loss", "ece", "mean_entropy", "mean_confidence")
     rows = []
     for alpha, alpha_runs in runs:
-        results = [run_method(*datasets, tc) for datasets, tc in alpha_runs]
+        results = [run_method(*datasets, tc) for datasets, tc, _ in alpha_runs]
         modes = {"raw": [r.raw for r in results],
                  "rescaled": [r.natural for r in results if r.trace.rescale is not None]}
         for mode_name, scored in modes.items():
@@ -314,8 +313,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    model, extra, cfg = _load_model(args)
-    (ds_train, _), _ = _resolve(cfg)
+    model, extra, (ds_train, _), record = _load_model(args)
     alpha = args.alpha
     if alpha is None:
         # artifacts from before alpha was stored for every method keep it
@@ -325,8 +323,7 @@ def cmd_breakdown(args) -> int:
         raise SystemExit("model artifact stores no alpha; pass --alpha for the breakdown")
     kind = LossKind(extra.get("loss", TrainConfig.loss.value))
     br = r_terms_general(ds_train, model, kind, mix_coefficients(alpha))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args, dict(record, alpha=alpha))
     with open(out / "breakdown.csv", "w") as fh:
         fh.write("erm_modified,r1,r2,r3,r4,total,clipped_inverses\n")
         fh.write(
@@ -362,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--model", required=True, help="model.json path")
     p_eval.set_defaults(func=cmd_eval)
 
-    p_sweep = sub.add_parser("sweep", help="alpha x seed sweep with 95% CIs")
+    p_sweep = sub.add_parser("sweep", help="alpha x seed sweep with 95%% CIs")
     common(p_sweep)
     p_sweep.add_argument("--alphas", default=None, help="comma-separated alpha grid")
     p_sweep.add_argument("--seeds", default=None, help="comma-separated seed list")

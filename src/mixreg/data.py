@@ -181,14 +181,15 @@ def save_csv(ds: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_csv`."""
+    """Read a dataset written by :func:`save_csv`; ValueError for a file
+    without that header, with a row of another length or with no rows."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         d = sum(1 for name in header if name.startswith("x"))
         c = len(header) - d
         if d < 1 or c < 1 or header != [f"x{j}" for j in range(d)] + [f"y{j}" for j in range(c)]:
             raise ValueError(f"unrecognized dataset header: {header}")
         rows = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(rows)
+    arr = np.asarray(rows).reshape(len(rows), len(header))
     return Dataset(arr[:, :d], arr[:, d:])

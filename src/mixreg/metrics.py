@@ -30,7 +30,6 @@ from .losses import LossKind, entropy, loss_values, softmax_rows
 __all__ = [
     "Rescale",
     "MetricsRow",
-    "rescaled_predict",
     "predict",
     "ece",
     "metrics",
@@ -93,11 +92,6 @@ class MetricsRow:
             self.mean_entropy,
             self.mean_confidence,
         )
-
-
-def rescaled_predict(model, x: np.ndarray, xbar, ybar, theta_bar: float) -> np.ndarray:
-    """Evaluate the model at the shrunk input and map the output back."""
-    return predict(model, x, Rescale(xbar, ybar, theta_bar))
 
 
 def predict(model, x: np.ndarray, rescale: Rescale | None = None) -> np.ndarray:

@@ -44,13 +44,11 @@ import numpy as np
 
 from .data import Dataset, modify
 from .losses import LossKind, loss_values
-from .truncbeta import MixCoefficients, mix_coefficients, sample_theta
+from .truncbeta import mix_coefficients, sample_theta
 
 __all__ = [
-    "PerturbationDraw",
     "McEstimate",
     "perturbation",
-    "sample_perturbation",
     "pair_loss_values",
     "perturbed_loss_values",
     "mixup_risk_mc",
@@ -182,17 +180,6 @@ def _checked_draws(ds: Dataset, I, J, weights):
     return I, J, weights
 
 
-@dataclass(frozen=True)
-class PerturbationDraw:
-    """One draw of the correlated input/output perturbation for row i."""
-
-    i: int
-    j: int
-    theta: float
-    delta: np.ndarray
-    epsilon: np.ndarray
-
-
 def perturbation(ds: Dataset, theta_bar: float, i, j, theta):
     """(delta, eps) of row(s) i with partner(s) j and folded weight(s) theta:
 
@@ -207,18 +194,6 @@ def perturbation(ds: Dataset, theta_bar: float, i, j, theta):
         (th - theta_bar) * z[i] + (1.0 - th) * z[j] - (1.0 - theta_bar) * z_mean
         for z, z_mean in ((ds.inputs, ds.x_mean), (ds.outputs, ds.y_mean))
     )
-
-
-def sample_perturbation(
-    ds: Dataset, coeffs: MixCoefficients, i: int, rng: np.random.Generator
-) -> PerturbationDraw:
-    """Draw (theta, j) and build the perturbation pair for row i."""
-    if not 0 <= i < ds.n:
-        raise IndexError(f"row index {i} out of range for n={ds.n}")
-    theta = sample_theta(coeffs.alpha, rng)
-    j = int(rng.integers(ds.n))
-    delta, epsilon = perturbation(ds, coeffs.theta_bar, i, j, theta)
-    return PerturbationDraw(i=i, j=j, theta=theta, delta=delta, epsilon=epsilon)
 
 
 def pair_loss_values(

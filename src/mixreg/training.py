@@ -305,26 +305,32 @@ def _step(model, grad, step_size: float) -> None:
         model.b = model.b - step_size * gb
 
 
-def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
-    """Run minibatch SGD per the config; returns (model, trace).
-
-    Deterministic given the seed. The trace's accuracy and test-loss columns
-    use each method's natural predictor: raw for plain fitting, rescaled
-    through ``trace.rescale`` for the methods that fit mean-shrunk rows.
-    Raises ValueError for a loss that does not match the targets or a batch
-    size that does not divide the training set, and
-    :class:`TrainingDiverged` when the objective stops being finite.
-    """
-    n, d, c = ds_train.n, ds_train.d, ds_train.c
-    if n % cfg.batch_size:
+def check_data(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig) -> None:
+    """Raise ValueError unless the config can train on the datasets: the
+    batch size divides the training rows, the logistic loss sees one target
+    column and cross-entropy sees targets on the probability simplex."""
+    if ds_train.n % cfg.batch_size:
         raise ValueError(
-            f"batch_size {cfg.batch_size} does not divide the training set size {n}"
+            f"batch_size {cfg.batch_size} does not divide the training set size {ds_train.n}"
         )
     for ds in (ds_train, ds_test):
         if cfg.loss is LossKind.LOGISTIC and ds.c != 1:
             raise ValueError(f"the logistic loss needs one target column, got {ds.c}")
         if cfg.loss is LossKind.CROSS_ENTROPY and not ds.is_classification():
             raise ValueError("cross-entropy needs targets on the probability simplex")
+
+
+def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):
+    """Run minibatch SGD per the config; returns (model, trace).
+
+    Deterministic given the seed. The trace's accuracy and test-loss columns
+    use each method's natural predictor: raw for plain fitting, rescaled
+    through ``trace.rescale`` for the methods that fit mean-shrunk rows.
+    Raises the ValueError of :func:`check_data`, and
+    :class:`TrainingDiverged` when the objective stops being finite.
+    """
+    check_data(ds_train, ds_test, cfg)
+    n, d, c = ds_train.n, ds_train.d, ds_train.c
     rng = np.random.default_rng(cfg.seed)
     if cfg.model == "linear":
         model = LinearModel(W=np.zeros((c, d)), b=np.zeros(c))

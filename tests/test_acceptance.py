@@ -13,7 +13,7 @@ from conftest import central_cross_hessian, central_grad, central_hessian, centr
 from mixreg.data import Dataset, make_two_moons
 from mixreg.experiment import ExperimentSpec, run_seed
 from mixreg.losses import LossKind, bundle, loss_value, loss_values
-from mixreg.metrics import rescaled_predict
+from mixreg.metrics import Rescale, predict
 from mixreg.mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc
 from mixreg.models import LinearModel, RffModel, init_rff
 from mixreg.regularizers import (
@@ -346,16 +346,16 @@ def test_criterion_10_rescaled_prediction():
     rff.w = rng.normal(size=rff.w.shape)
     X = rng.normal(size=(100, 2))
     xbar, ybar = rng.normal(size=2), rng.normal(size=2)
-    noop = float(np.abs(rescaled_predict(rff, X, xbar, ybar, 1.0) - rff.predict(X)).max())
+    noop = float(np.abs(predict(rff, X, Rescale(xbar, ybar, 1.0)) - rff.predict(X)).max())
 
     lin = LinearModel(W=rng.normal(size=(2, 2)), b=np.zeros(2))
     centered = float(
-        np.abs(rescaled_predict(lin, X, np.zeros(2), np.zeros(2), 0.75) - lin.predict(X)).max()
+        np.abs(predict(lin, X, Rescale(np.zeros(2), np.zeros(2), 0.75)) - lin.predict(X)).max()
     )
 
     tb = mix_coefficients(1.0).theta_bar
     balanced = np.array([0.5, 0.5])
-    resc = rescaled_predict(rff, X, xbar, balanced, tb)
+    resc = predict(rff, X, Rescale(xbar, balanced, tb))
     shrunk = rff.predict(tb * X + (1 - tb) * xbar)
     argmax_equal = bool(np.all(resc.argmax(axis=1) == shrunk.argmax(axis=1)))
     ok = noop == 0.0 and centered < 1e-12 and argmax_equal

@@ -99,6 +99,55 @@ def test_a_value_train_config_rejects_exits_2_before_any_output(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def _moons_csv(tmp_path):
+    """The tiny two-moons split saved as tr.csv and te.csv; its dataset keys."""
+    from mixreg.data import make_two_moons, save_csv, train_test_split
+
+    tr, te = train_test_split(make_two_moons(40, 0.05, seed=0), 0.5, seed=1)
+    save_csv(tr, tmp_path / "tr.csv")
+    save_csv(te, tmp_path / "te.csv")
+    return {"kind": "csv", "train": str(tmp_path / "tr.csv"), "test": str(tmp_path / "te.csv")}
+
+
+# config overrides per bad input; csv paths are relative to the run's directory
+_BAD_INPUTS = {
+    "csv without test": {"dataset": {"kind": "csv", "train": "tr.csv"}},
+    "missing csv file": {"dataset": {"kind": "csv", "train": "tr.csv", "test": "absent.csv"}},
+    "bad csv header": {"dataset": {"kind": "csv", "train": "tr.csv", "test": "bad.csv"}},
+    "odd two-moons n": {"dataset": {"n": 41}},
+    "two-moons n as a string": {"dataset": {"n": "40"}},
+    "epochs as a string": {"train": {"epochs": "4"}},
+    "train_fraction above 1": {"dataset": {"train_fraction": 1.5}},
+    "batch_size not dividing 20 rows": {"train": {"batch_size": 7}},
+    "logistic loss on two columns": {"train": {"loss": "lr"}},
+    "no repetitions": {"repetitions": 0},
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [("train", c) for c in _BAD_INPUTS if c != "no repetitions"]
+    + [("sweep", "batch_size not dividing 20 rows"), ("sweep", "no repetitions")],
+)
+def test_bad_input_exits_2_and_creates_no_output(tmp_path, capsys, monkeypatch, command, case):
+    monkeypatch.chdir(tmp_path)
+    _moons_csv(tmp_path)
+    (tmp_path / "bad.csv").write_text("a,b\n1.0,2.0\n")
+    path = _write_config(tmp_path, **_BAD_INPUTS[case])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--out", "out"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("mixreg: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_prints_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "95% CIs" in capsys.readouterr().out
+
+
 def test_default_config_is_the_experiment_spec():
     """With no config file, the command line trains the two-moons protocol
     of ExperimentSpec, and TrainConfig's defaults are the spec's."""
@@ -112,9 +161,12 @@ def test_default_config_is_the_experiment_spec():
     spec = ExperimentSpec()
     for seed in (None, 3):
         args = argparse.Namespace(config=None, seed=seed, alpha=None, method=None)
-        (ds_train, ds_test), tc = _resolve(_load_config(args))
+        (ds_train, ds_test), tc, record = _resolve(_load_config(args))
         seed = 0 if seed is None else seed
         assert tc == spec.train_config("mixup", seed)
+        train_keys = {k: v for k, v in DEFAULT_CONFIG["train"].items() if k != "drop_r2"}
+        assert record == {"seed": seed, "dataset": DEFAULT_CONFIG["dataset"],
+                          "model": DEFAULT_CONFIG["model"], "train": train_keys}
         want_train, want_test = make_instance(spec, seed)
         assert np.array_equal(ds_train.inputs, want_train.inputs)
         assert np.array_equal(ds_train.outputs, want_train.outputs)
@@ -404,17 +456,7 @@ def test_sweep_single_seed_ci_na(tmp_path):
 
 
 def test_train_and_eval_from_csv_dataset(tmp_path):
-    from mixreg.data import make_two_moons, save_csv, train_test_split
-
-    full = make_two_moons(40, 0.05, seed=0)
-    tr, te = train_test_split(full, 0.5, seed=1)
-    save_csv(tr, tmp_path / "tr.csv")
-    save_csv(te, tmp_path / "te.csv")
-    cfg = _write_config(
-        tmp_path,
-        dataset={"kind": "csv", "train": str(tmp_path / "tr.csv"),
-                 "test": str(tmp_path / "te.csv")},
-    )
+    cfg = _write_config(tmp_path, dataset=_moons_csv(tmp_path))
     out = tmp_path / "csvrun"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == 0
     eval_out = tmp_path / "csveval"
@@ -429,12 +471,7 @@ def test_echoed_config_holds_only_the_keys_the_run_read(tmp_path):
     """A csv dataset and a linear model: the echo drops the two-moons and
     cosine-feature keys the file carries, the sweep-only repetitions, and
     drop_r2, which only mixup_approx reads."""
-    from mixreg.data import make_two_moons, save_csv, train_test_split
-
-    tr, te = train_test_split(make_two_moons(40, 0.05, seed=0), 0.5, seed=1)
-    save_csv(tr, tmp_path / "tr.csv")
-    save_csv(te, tmp_path / "te.csv")
-    csv_keys = {"kind": "csv", "train": str(tmp_path / "tr.csv"), "test": str(tmp_path / "te.csv")}
+    csv_keys = _moons_csv(tmp_path)
     cfg = _write_config(tmp_path, dataset=csv_keys, model={"kind": "linear"})
     assert json.loads(cfg.read_text())["dataset"]["n"] == 40
     out = tmp_path / "run"
@@ -451,6 +488,54 @@ def test_echoed_config_holds_only_the_keys_the_run_read(tmp_path):
     main(["eval", "--config", str(cfg), "--model", str(out / "model.json"),
           "--out", str(tmp_path / "ev")])
     assert json.loads((tmp_path / "ev" / "config.json").read_text())["dataset"] == csv_keys
+
+
+@pytest.mark.parametrize("case", ["rff mixup on two-moons", "linear on csv",
+                                  "mixup_approx with the Hessian term"])
+def test_train_reruns_from_its_echoed_config(tmp_path, case):
+    """The echoed config.json, passed back as the only config, trains the
+    same model and trace byte for byte and echoes itself."""
+    overrides, flags = {
+        "rff mixup on two-moons": ({}, []),
+        "linear on csv": ({"model": {"kind": "linear"}, "dataset": _moons_csv(tmp_path)}, []),
+        "mixup_approx with the Hessian term": ({"train": {"drop_r2": False}},
+                                               ["--method", "mixup_approx"]),
+    }[case]
+    first, again = tmp_path / "first", tmp_path / "again"
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(cfg), *flags, "--out", str(first)]) == 0
+    assert main(["train", "--config", str(first / "config.json"), "--out", str(again)]) == 0
+    for name in ("model.json", "trace.csv", "config.json"):
+        assert (again / name).read_bytes() == (first / name).read_bytes()
+    if flags:
+        assert json.loads((first / "config.json").read_text())["train"]["drop_r2"] is False
+
+
+def test_breakdown_echoes_what_it_read(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "train"
+    main(["train", "--config", str(cfg), "--out", str(out), "--seed", "3"])
+    model_path = str(out / "model.json")
+    for flags, alpha in (([], 1.0), (["--alpha", "0.3"], 0.3)):
+        bd = tmp_path / f"bd{alpha}"
+        main(["breakdown", "--config", str(cfg), "--model", model_path, *flags, "--out", str(bd)])
+        assert json.loads((bd / "config.json").read_text()) == {
+            "seed": 3, "dataset": TINY_CONFIG["dataset"], "model_path": model_path, "alpha": alpha}
+
+
+def test_sweep_records_its_seeds_and_alphas(tmp_path):
+    """The sweep's config.json is the train record with the swept seeds and
+    alphas in place of seed, repetitions and train.alpha."""
+    cfg = _write_config(tmp_path)
+    main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")])
+    trained = json.loads((tmp_path / "train" / "config.json").read_text())
+    del trained["seed"], trained["train"]["alpha"]
+    for flags, seeds, alphas in ((["--seeds", "5", "--alphas", "1.0"], [5], [1.0]),
+                                 (["--seed", "3"], [3, 4], [1.0])):
+        out = tmp_path / f"sweep{seeds[0]}"
+        assert main(["sweep", "--config", str(cfg), *flags, "--out", str(out)]) == 0
+        echoed = json.loads((out / "config.json").read_text())
+        assert echoed == dict(trained, seeds=seeds, alphas=alphas)
 
 
 def test_t_interval_against_scipy_oracle():

@@ -168,6 +168,18 @@ def test_csv_round_trip(tmp_path):
     assert header == "x0,x1,y0,y1"
 
 
+@pytest.mark.parametrize(
+    "text", ["", "a,b\n1,2\n", "x0,y0\n", "x0,y0\n1,2\n3\n", "x0,y0\n1,2,3\n4,5,6\n"]
+)
+def test_load_csv_rejects_a_malformed_file(tmp_path, text):
+    """No header, a foreign header, no rows, a short row, or rows longer
+    than the header (which used to load as extra output columns)."""
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_csv(path)
+
+
 def test_dataset_arrays_read_only():
     ds = make_two_moons(10, 0.0, seed=0)
     with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from mixreg.metrics import (
     ece,
     metrics,
     predict,
-    rescaled_predict,
 )
 from mixreg.models import LinearModel, init_rff
 
@@ -32,7 +31,7 @@ def test_rescaled_identity_at_theta_one():
     model.w = rng.normal(size=model.w.shape)
     X = rng.normal(size=(20, 2))
     xbar, ybar = rng.normal(size=2), rng.normal(size=2)
-    out = rescaled_predict(model, X, xbar, ybar, 1.0)
+    out = predict(model, X, Rescale(xbar, ybar, 1.0))
     assert np.abs(out - model.predict(X)).max() < 1e-12
 
 
@@ -56,7 +55,7 @@ def test_rescaled_noop_for_centered_homogeneous_linear():
     rng = np.random.default_rng(1)
     model = LinearModel(W=rng.normal(size=(2, 3)), b=np.zeros(2))
     X = rng.normal(size=(15, 3))
-    out = rescaled_predict(model, X, np.zeros(3), np.zeros(2), 0.75)
+    out = predict(model, X, Rescale(np.zeros(3), np.zeros(2), 0.75))
     assert np.abs(out - model.predict(X)).max() < 1e-12
 
 
@@ -68,7 +67,7 @@ def test_rescaled_balanced_classes_argmax_matches_shrunk_point():
     xbar = rng.normal(size=2)
     ybar = np.array([0.5, 0.5])
     tb = 0.75
-    resc = rescaled_predict(model, X, xbar, ybar, tb)
+    resc = predict(model, X, Rescale(xbar, ybar, tb))
     shrunk_logits = model.predict(tb * X + (1 - tb) * xbar)
     assert np.array_equal(resc.argmax(axis=1), shrunk_logits.argmax(axis=1))
 
@@ -76,7 +75,7 @@ def test_rescaled_balanced_classes_argmax_matches_shrunk_point():
 def test_rescaled_theta_validation():
     model = LinearModel(W=np.eye(2), b=np.zeros(2))
     with pytest.raises(ValueError):
-        rescaled_predict(model, np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.3)
+        predict(model, np.zeros((2, 2)), Rescale(np.zeros(2), np.zeros(2), 0.3))
     with pytest.raises(ValueError):
         predict(model, np.zeros((2, 2)), Rescale(np.zeros(2), np.zeros(2), 1.4))
     with pytest.raises(TypeError):
@@ -151,5 +150,7 @@ def test_histogram_bins_and_modes():
     model = init_rff(2, 40, 3.0, 2, seed=7)
     model.w = np.random.default_rng(7).normal(size=model.w.shape)
     out = predict(model, ds.inputs, Rescale(ds.x_mean, ds.y_mean, 0.75))
-    expected = rescaled_predict(model, ds.inputs, ds.x_mean, ds.y_mean, 0.75)
+    # the rescaled map written out, in the order Rescale evaluates it
+    shrunk = 0.75 * ds.inputs + (1.0 - 0.75) * ds.x_mean
+    expected = ds.y_mean * (1.0 - 1.0 / 0.75) + model.predict(shrunk) / 0.75
     assert np.array_equal(out, expected)

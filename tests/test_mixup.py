@@ -14,12 +14,12 @@ from mixreg.mixup import (
     mixup_risk_mc,
     pair_loss_values,
     perturbed_erm_risk_mc,
+    perturbation,
     perturbed_loss_values,
-    sample_perturbation,
 )
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import exact_se_mixup_risk, per_example_covariances
-from mixreg.truncbeta import mix_coefficients
+from mixreg.truncbeta import mix_coefficients, sample_theta
 
 
 class _ConstantModel:
@@ -123,18 +123,20 @@ def test_mc_matches_closed_form_se_linear():
     assert abs(est.mean - exact) < 4 * est.stderr
 
 
-def test_sample_perturbation_identity_and_vanishing_case():
+def test_perturbation_identity_and_vanishing_case():
     ds = _small_regression(3)
     coeffs = mix_coefficients(0.8)
     mod = modify(ds, coeffs.theta_bar)
     rng = np.random.default_rng(7)
     for _ in range(200):
         i = int(rng.integers(ds.n))
-        draw = sample_perturbation(ds, coeffs, i, rng)
-        mixed_x = draw.theta * ds.inputs[i] + (1 - draw.theta) * ds.inputs[draw.j]
-        mixed_y = draw.theta * ds.outputs[i] + (1 - draw.theta) * ds.outputs[draw.j]
-        assert np.abs(mod.inputs[i] + draw.delta - mixed_x).max() < 1e-12
-        assert np.abs(mod.outputs[i] + draw.epsilon - mixed_y).max() < 1e-12
+        theta = sample_theta(coeffs.alpha, rng)
+        j = int(rng.integers(ds.n))
+        delta, epsilon = perturbation(ds, coeffs.theta_bar, i, j, theta)
+        mixed_x = theta * ds.inputs[i] + (1 - theta) * ds.inputs[j]
+        mixed_y = theta * ds.outputs[i] + (1 - theta) * ds.outputs[j]
+        assert np.abs(mod.inputs[i] + delta - mixed_x).max() < 1e-12
+        assert np.abs(mod.outputs[i] + epsilon - mixed_y).max() < 1e-12
 
     # a dataset containing its own mean: theta = theta_bar and x_j = xbar
     # make both terms of the perturbation vanish
@@ -143,8 +145,8 @@ def test_sample_perturbation_identity_and_vanishing_case():
     ds_mean = Dataset(X, Y)
     assert np.allclose(ds_mean.x_mean, 0.0)
     tb = coeffs.theta_bar
-    delta = (tb - tb) * X[0] + (1 - tb) * X[2] - (1 - tb) * ds_mean.x_mean
-    assert np.abs(delta).max() == 0.0
+    delta, epsilon = perturbation(ds_mean, tb, 0, 2, tb)
+    assert np.abs(delta).max() == 0.0 and np.abs(epsilon).max() == 0.0
 
 
 def test_perturbation_mean_zero():
@@ -153,11 +155,11 @@ def test_perturbation_mean_zero():
     rng = np.random.default_rng(13)
     n = 50_000
     i = 3
-    deltas = np.empty((n, ds.d))
-    for k in range(n):
-        deltas[k] = sample_perturbation(ds, coeffs, i, rng).delta
-    se = deltas.std(axis=0, ddof=1) / np.sqrt(n)
-    assert np.all(np.abs(deltas.mean(axis=0)) < 4 * se)
+    theta = sample_theta(coeffs.alpha, rng, size=n)
+    J = rng.integers(ds.n, size=n)
+    for draws in perturbation(ds, coeffs.theta_bar, i, J, theta):
+        se = draws.std(axis=0, ddof=1) / np.sqrt(n)
+        assert np.all(np.abs(draws.mean(axis=0)) < 4 * se)
 
 
 def test_perturbation_covariance_matches_closed_form():
@@ -167,8 +169,6 @@ def test_perturbation_covariance_matches_closed_form():
     n = 1_000_000
     i = 3
     tb = coeffs.theta_bar
-    from mixreg.truncbeta import sample_theta
-
     th = sample_theta(1.0, rng, size=n)[:, None]
     J = rng.integers(ds.n, size=n)
     deltas = (th - tb) * ds.inputs[i] + (1 - th) * ds.inputs[J] - (1 - tb) * ds.x_mean
@@ -505,7 +505,5 @@ def test_estimator_input_validation():
         mixup_risk_mc(ds, model, LossKind.SQUARED_ERROR, -1.0, 10, np.random.default_rng(0))
     with pytest.raises(ValueError):
         mixup_risk_mc(ds, model, LossKind.SQUARED_ERROR, 1.0, 0, np.random.default_rng(0))
-    with pytest.raises(IndexError):
-        sample_perturbation(ds, mix_coefficients(1.0), 99, np.random.default_rng(0))
     with pytest.raises(ValueError):
         mixup_minibatch(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, np.random.default_rng(0))
