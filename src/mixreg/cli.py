@@ -47,7 +47,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
 from . import mixup
 from .data import load_csv
@@ -199,7 +198,10 @@ def cmd_train(args) -> int:
 def _load_model(args):
     """The saved model, its metadata, and the datasets and record (seed,
     dataset, model path) at the trained seed unless ``--seed`` is given."""
-    model, extra = load_model_json(args.model)
+    try:
+        model, extra = load_model_json(args.model)
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        _fail(f"cannot load model {args.model}: {exc}")
     cfg = _load_config(args)
     if args.seed is None and "seed" in extra:
         cfg = dict(cfg, seed=extra["seed"])
@@ -229,6 +231,10 @@ def cmd_eval(args) -> int:
 
 
 def _t_interval(values: np.ndarray):
+    # only sweep needs a t quantile; importing scipy here keeps it off the
+    # start-up of every other command
+    from scipy.special import stdtrit
+
     n = len(values)
     mean = float(np.mean(values))
     if n < 2:
@@ -237,11 +243,19 @@ def _t_interval(values: np.ndarray):
     return mean, mean - half, mean + half
 
 
+def _flag_list(flag: str, text: str, cast) -> list:
+    """A comma-separated flag value as a list of ``cast`` values."""
+    try:
+        return [cast(v) for v in text.split(",")]
+    except ValueError:
+        _fail(f"--{flag} takes comma-separated {cast.__name__} values, got {text!r}")
+
+
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    alphas = [float(a) for a in args.alphas.split(",")] if args.alphas else [cfg["train"]["alpha"]]
+    alphas = _flag_list("alphas", args.alphas, float) if args.alphas else [cfg["train"]["alpha"]]
     if args.seeds:
-        seeds = [int(s) for s in args.seeds.split(",")]
+        seeds = _flag_list("seeds", args.seeds, int)
     else:
         seeds = list(range(cfg["seed"], cfg["seed"] + cfg["repetitions"]))
     if not seeds:

@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = [
     "LossKind",
@@ -66,12 +65,15 @@ def softmax_rows(U: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def sigmoid(u: float) -> float:
-    u = float(u)
-    if u >= 0:
-        return 1.0 / (1.0 + np.exp(-u))
-    e = np.exp(u)
-    return e / (1.0 + e)
+def sigmoid(u):
+    """Logistic function 1 / (1 + exp(-u)): a float for a scalar, elementwise
+    for an array. exp sees only -|u|, so nothing overflows, and far tails
+    underflow to the exact limits 0 and 1; NaN passes through."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(under="ignore"):
+        e = np.exp(-np.abs(u))
+    s = np.where(u >= 0.0, 1.0, e) / (1.0 + e)
+    return float(s) if s.ndim == 0 else s
 
 
 def entropy(p: np.ndarray) -> float:
@@ -134,7 +136,7 @@ def grad_u_rows(kind: LossKind, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     if kind is LossKind.CROSS_ENTROPY:
         return softmax_rows(U) - Y
     if kind is LossKind.LOGISTIC:
-        return expit(U) - Y
+        return sigmoid(U) - Y
     raise ValueError(f"unknown loss kind {kind!r}")
 
 

@@ -36,10 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, modify
-from .losses import LossKind, grad_u_rows, loss_values, softmax_rows
+from .losses import LossKind, grad_u_rows, loss_values, sigmoid, softmax_rows
 from .metrics import Rescale, predict
 from .models import LinearModel, RffModel, init_rff
 from .mixup import mixup_minibatch
@@ -202,7 +201,7 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
         vec = np.diagonal(Q, axis1=1, axis2=2) - 2.0 * (Q @ P[:, :, None])[:, :, 0]
         dLdu = gu + 0.5 * (H @ vec[:, :, None])[:, :, 0]
     elif kind is LossKind.LOGISTIC:
-        s = expit(U)
+        s = sigmoid(U)
         H = (s * (1.0 - s))[:, :, None]
         dLdu = gu + 0.5 * (H[:, :, 0] * (1.0 - 2.0 * s)) * Q[:, :, 0]
     elif kind is LossKind.SQUARED_ERROR:

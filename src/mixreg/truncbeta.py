@@ -5,12 +5,19 @@ Mixing weights are drawn from Beta(alpha, alpha). Folding a draw about 1/2,
 to [1/2, 1]; by symmetry the fold is exact, so no rejection step is needed.
 Every closed-form quantity downstream (data shrinkage, perturbation
 covariances, the test-time rescaling) is a function of the first two moments
-of theta, which reduce to regularized incomplete beta functions:
+of theta, which are ratios of gamma functions. Write theta = 1/2 + |lam - 1/2|
+and m = E|lam - 1/2|. Since d/dlam [lam (1 - lam)]^alpha
+= alpha [lam (1 - lam)]^(alpha - 1) (1 - 2 lam), the integral for m is exact,
+m = 4^-alpha / (alpha B(alpha, alpha)), which the duplication formula turns into
 
-    E[theta]   = 1 - I(1/2; alpha + 1, alpha)
-    E[theta^2] = (alpha + 1) / (2 alpha + 1) * (1 - I(1/2; alpha + 2, alpha))
+    m           = Gamma(alpha + 1/2) / (2 sqrt(pi) Gamma(alpha + 1))
+    E[theta]    = 1/2 + m
+    E[theta^2]  = 1/4 + m + Var(lam),   Var(lam) = 1 / (4 (2 alpha + 1))
+    Var(theta)  = Var(lam) - m^2
 
-where I(x; a, b) is the regularized incomplete beta function.
+The gamma ratio is taken through ``math.lgamma``, so the moments need only
+the standard library; the variance is formed from Var(lam) and m directly,
+not as a difference of raw moments.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 __all__ = [
     "MixCoefficients",
@@ -65,6 +71,16 @@ class MixCoefficients:
             raise ValueError("gamma_sq != sigma_sq + (1 - theta_bar)^2")
 
 
+def _half_deviation(alpha: float) -> float:
+    """m = E|lam - 1/2| for lam ~ Beta(alpha, alpha)."""
+    return math.exp(math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0)) / (2.0 * math.sqrt(math.pi))
+
+
+def _lam_variance(alpha: float) -> float:
+    """Var(lam) = E[(lam - 1/2)^2] for lam ~ Beta(alpha, alpha)."""
+    return 1.0 / (4.0 * (2.0 * alpha + 1.0))
+
+
 def trunc_beta_mean(alpha: float) -> float:
     """Mean of Beta(alpha, alpha) truncated to [1/2, 1].
 
@@ -72,7 +88,7 @@ def trunc_beta_mean(alpha: float) -> float:
     equals 3/4 at alpha = 1.
     """
     alpha = _validate_alpha(alpha)
-    return 1.0 - float(betainc(alpha + 1.0, alpha, 0.5))
+    return 0.5 + _half_deviation(alpha)
 
 
 def trunc_beta_raw_moment(alpha: float, k: int) -> float:
@@ -81,20 +97,18 @@ def trunc_beta_raw_moment(alpha: float, k: int) -> float:
     if k == 1:
         return trunc_beta_mean(alpha)
     if k == 2:
-        ratio = (alpha + 1.0) / (2.0 * alpha + 1.0)
-        return ratio * (1.0 - float(betainc(alpha + 2.0, alpha, 0.5)))
+        return 0.25 + _half_deviation(alpha) + _lam_variance(alpha)
     raise ValueError(f"raw moment only defined for k in {{1, 2}}, got {k}")
 
 
 def mix_coefficients(alpha: float) -> MixCoefficients:
     """Assemble (theta_bar, sigma_sq, gamma_sq) for a given alpha."""
-    theta_bar = trunc_beta_mean(alpha)
-    second = trunc_beta_raw_moment(alpha, 2)
-    sigma_sq = max(second - theta_bar * theta_bar, 0.0)
+    alpha = _validate_alpha(alpha)
+    m = _half_deviation(alpha)
+    theta_bar = 0.5 + m
+    sigma_sq = max(_lam_variance(alpha) - m * m, 0.0)
     gamma_sq = sigma_sq + (1.0 - theta_bar) ** 2
-    return MixCoefficients(
-        alpha=float(alpha), theta_bar=theta_bar, sigma_sq=sigma_sq, gamma_sq=gamma_sq
-    )
+    return MixCoefficients(alpha=alpha, theta_bar=theta_bar, sigma_sq=sigma_sq, gamma_sq=gamma_sq)
 
 
 def sample_theta(alpha: float, rng: np.random.Generator, size: int | None = None):

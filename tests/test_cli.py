@@ -141,6 +141,35 @@ def test_bad_input_exits_2_and_creates_no_output(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+# model.json contents per unloadable artifact; None leaves the file absent
+_BAD_MODELS = {"missing file": None, "not JSON": "not json\n", "unknown kind": '{"kind": "mlp"}'}
+
+
+@pytest.mark.parametrize("command", ["eval", "breakdown"])
+@pytest.mark.parametrize("case", _BAD_MODELS)
+def test_unloadable_model_exits_2_and_names_it(tmp_path, capsys, command, case):
+    model = tmp_path / "model.json"
+    if _BAD_MODELS[case] is not None:
+        model.write_text(_BAD_MODELS[case])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(_write_config(tmp_path)), "--model", str(model),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"mixreg: cannot load model {model}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--seeds", "a"), ("--alphas", "0.2,x")])
+def test_unparsable_sweep_list_exits_2_and_names_the_flag(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(_write_config(tmp_path)), flag, value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mixreg: {flag} ") and repr(value) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_help_prints_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -553,13 +582,37 @@ def test_t_interval_against_scipy_oracle():
 
 
 def test_command_line_import_loads_no_scipy_stats():
-    """Importing the package and its command line, as ``mixreg verify``
-    does, leaves ``scipy.stats`` (tens of MB) unloaded."""
+    """Importing the package and its command line, as every command does,
+    loads no scipy module, and neither do training, a logistic objective
+    gradient or the mixing coefficients: only ``sweep``'s t interval imports
+    ``scipy.special``, and only when it runs."""
     src = str(Path(mixreg.__file__).resolve().parent.parent)
-    code = "import sys, mixreg, mixreg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    code = (
+        "import sys, mixreg, mixreg.cli\n"
+        "import numpy as np\n"
+        "from mixreg.data import Dataset\n"
+        "from mixreg.experiment import ExperimentSpec, make_instance, run_seed\n"
+        "from mixreg.losses import LossKind\n"
+        "from mixreg.models import init_rff\n"
+        "from mixreg.training import approx_gradient\n"
+        "from mixreg.truncbeta import mix_coefficients\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "print(loaded())\n"
+        "spec = ExperimentSpec(n=40, rff_features=30, epochs=3, batch_size=10)\n"
+        "run_seed(spec, 0)\n"
+        "print(loaded())\n"
+        "tr, _ = make_instance(spec, 0)\n"
+        "tr = Dataset(tr.inputs, tr.outputs[:, 1:])\n"
+        "model = init_rff(2, 20, 2.0, 1, seed=0)\n"
+        "approx_gradient(tr, model, LossKind.LOGISTIC, mix_coefficients(0.8), drop_r2=False)\n"
+        "print(loaded())\n"
+        "mix_coefficients(0.3)\n"
+        "print(loaded())\n"
+    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:4] == ["[]"] * 4
 
 
 def test_command_line_import_and_training_start_no_thread():

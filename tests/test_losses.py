@@ -35,6 +35,21 @@ def test_sigmoid_range_and_symmetry():
     assert sigmoid(1.7) == pytest.approx(1.0 - sigmoid(-1.7), abs=1e-12)
 
 
+def test_array_sigmoid_is_the_scalar_one_and_matches_expit():
+    from scipy.special import expit
+
+    u = np.linspace(-700.0, 700.0, 20_001)
+    s = sigmoid(u)
+    assert s.shape == u.shape
+    assert np.array_equal(s, [sigmoid(float(v)) for v in u])
+    assert np.all(np.abs(s - expit(u)) <= 1e-15 * expit(u))
+    with np.errstate(all="raise"):
+        assert sigmoid(-800.0) == 0.0 and sigmoid(800.0) == 1.0
+        assert np.array_equal(sigmoid(np.array([-800.0, 800.0])), [0.0, 1.0])
+    assert np.isnan(sigmoid(float("nan")))
+    assert np.isnan(sigmoid(np.array([np.nan, 0.0]))).tolist() == [True, False]
+
+
 def test_ce_bundle_symmetric_point():
     b = bundle(LossKind.CROSS_ENTROPY, np.array([1.0, 0.0]), np.zeros(2))
     assert np.allclose(b.hess_uu, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)

@@ -70,6 +70,27 @@ def test_moments_match_quadrature_on_grid(alpha):
         assert abs(closed - oracle) / abs(oracle) < 1e-8
 
 
+def incomplete_beta_moments(alpha):
+    """Independent oracle for (E[theta], E[theta^2], Var(theta)) through the
+    regularized incomplete beta function I(x; a, b):
+
+        E[theta]   = 1 - I(1/2; alpha + 1, alpha)
+        E[theta^2] = (alpha + 1) / (2 alpha + 1) * (1 - I(1/2; alpha + 2, alpha))
+    """
+    mean = 1.0 - float(betainc(alpha + 1.0, alpha, 0.5))
+    second = (alpha + 1.0) / (2.0 * alpha + 1.0) * (1.0 - float(betainc(alpha + 2.0, alpha, 0.5)))
+    return mean, second, second - mean * mean
+
+
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+def test_gamma_ratio_moments_match_incomplete_beta(alpha):
+    mean, second, var = incomplete_beta_moments(alpha)
+    c = mix_coefficients(alpha)
+    assert abs(c.theta_bar - mean) <= 1e-14 * mean
+    assert abs(trunc_beta_raw_moment(alpha, 2) - second) <= 1e-14 * second
+    assert abs(c.sigma_sq - var) <= 1e-12 * var
+
+
 def test_mean_strictly_decreasing_on_grid():
     means = [trunc_beta_mean(a) for a in ALPHA_GRID]
     assert all(m1 > m2 for m1, m2 in zip(means, means[1:]))
