@@ -31,10 +31,11 @@ are ExperimentSpec's two-moons protocol trained with mixup:
       "repetitions": 10
     }
 
-A key outside this layout, a value its key does not allow, an unreadable csv
-dataset, invalid two-moons values, or data the train keys cannot train on ends
-the command with exit code 2 before any output. The config.json each command
-writes holds only the keys its run read (README, "Command line").
+A config file that is not a readable JSON object (or has a section that is
+not one), a key outside this layout, a value its key does not allow, an
+unreadable csv dataset, invalid two-moons values, or data the train keys
+cannot train on ends the command with exit code 2 before any output. The config.json each command writes holds only
+the keys its run read (README, "Command line").
 """
 
 from __future__ import annotations
@@ -119,8 +120,17 @@ def _deep_update(base: dict, override: dict) -> dict:
 def _load_config(args) -> dict:
     cfg = DEFAULT_CONFIG
     if getattr(args, "config", None):
-        with open(args.config) as fh:
-            from_file = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                from_file = json.load(fh)
+        except (OSError, ValueError) as exc:
+            _fail(f"cannot read config {args.config}: {exc}")
+        if not isinstance(from_file, dict):
+            _fail(f"config {args.config} must hold a JSON object, got {type(from_file).__name__}")
+        for s in ("dataset", "model", "train"):
+            if not isinstance(from_file.get(s, {}), dict):
+                _fail(f"config {args.config}: section {s} must be a JSON object, "
+                      f"got {type(from_file[s]).__name__}")
         unknown = _unknown_keys(from_file)
         if unknown:
             _fail(f"unknown config keys in {args.config}: {', '.join(unknown)}")
@@ -216,7 +226,7 @@ def cmd_eval(args) -> int:
     if args.mode == "rescaled":
         resc = extra.get("rescale")
         if resc is None:
-            raise SystemExit("model artifact carries no rescaling statistics; cannot eval rescaled")
+            _fail("model artifact carries no rescaling statistics; cannot eval rescaled")
         rescale = Rescale(np.asarray(resc["xbar"]), np.asarray(resc["ybar"]), resc["theta_bar"])
     row = metrics(model, ds_test, rescale)
     out = _output_dir(args, dict(record, mode=args.mode))
@@ -334,7 +344,7 @@ def cmd_breakdown(args) -> int:
         # only under the mixing methods' rescaling statistics
         alpha = extra.get("alpha", extra.get("rescale", {}).get("alpha"))
     if alpha is None:
-        raise SystemExit("model artifact stores no alpha; pass --alpha for the breakdown")
+        _fail("model artifact stores no alpha; pass --alpha for the breakdown")
     kind = LossKind(extra.get("loss", TrainConfig.loss.value))
     br = r_terms_general(ds_train, model, kind, mix_coefficients(alpha))
     out = _output_dir(args, dict(record, alpha=alpha))

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, asdict
+from functools import cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -98,9 +99,19 @@ def _report(name, discrepancy, tolerance, t0, details="", extra_ok=True) -> Chec
 # quadrature oracle
 
 
+@cache
+def _legendre_rule(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per node count;
+    read-only, since every caller shares them."""
+    rule = leggauss(nodes)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def _theta_rule(alpha: float, nodes: int):
     """Gauss-Legendre nodes/weights for the folded mixing density on [1/2, 1]."""
-    t, w = leggauss(nodes)
+    t, w = _legendre_rule(nodes)
     theta = 0.75 + 0.25 * t
     weights = w * theta ** (alpha - 1.0) * (1.0 - theta) ** (alpha - 1.0)
     return theta, weights / weights.sum()

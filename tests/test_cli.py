@@ -141,6 +141,24 @@ def test_bad_input_exits_2_and_creates_no_output(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+# --config contents per unreadable config file; None leaves the file absent
+_BAD_CONFIGS = {"missing file": None, "not JSON": "{bad", "not an object": "[1, 2]",
+                "section a number": '{"train": 5}', "section a list": '{"dataset": []}'}
+
+
+@pytest.mark.parametrize("case", _BAD_CONFIGS)
+def test_unreadable_config_exits_2_and_names_it(tmp_path, capsys, case):
+    path = tmp_path / "absent.json"
+    if _BAD_CONFIGS[case] is not None:
+        path.write_text(_BAD_CONFIGS[case])
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mixreg: ") and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
 # model.json contents per unloadable artifact; None leaves the file absent
 _BAD_MODELS = {"missing file": None, "not JSON": "not json\n", "unknown kind": '{"kind": "mlp"}'}
 
@@ -254,13 +272,17 @@ def test_eval_both_modes(tmp_path):
         assert sum(int(r["count"]) for r in hist) == 20  # test half of n=40
 
 
-def test_eval_rescaled_requires_stats(tmp_path):
+def test_eval_rescaled_requires_stats(tmp_path, capsys):
     cfg = _write_config(tmp_path, train={"method": "erm"})
     out = tmp_path / "erm_model"
     main(["train", "--config", str(cfg), "--out", str(out)])
-    with pytest.raises(SystemExit):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
         main(["eval", "--config", str(cfg), "--model", str(out / "model.json"),
               "--mode", "rescaled", "--out", str(tmp_path / "bad")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("mixreg: model artifact carries no rescaling")
+    assert not (tmp_path / "bad").exists()
 
 
 def test_eval_and_breakdown_default_to_the_model_seed(tmp_path):
@@ -395,7 +417,7 @@ def test_eval_refuses_flags_the_artifact_fixes(tmp_path, capsys):
     assert echoed["seed"] == 0 and echoed["mode"] == "rescaled"
 
 
-def test_breakdown_of_erm_uses_the_trained_alpha(tmp_path):
+def test_breakdown_of_erm_uses_the_trained_alpha(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = tmp_path / "erm"
     main(["train", "--config", str(cfg), "--out", str(out), "--method", "erm",
@@ -417,9 +439,14 @@ def test_breakdown_of_erm_uses_the_trained_alpha(tmp_path):
     del payload["extra"]["alpha"]
     old_path = tmp_path / "old_model.json"
     old_path.write_text(json.dumps(payload))
-    with pytest.raises(SystemExit, match="--alpha"):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
         main(["breakdown", "--config", str(cfg), "--model", str(old_path),
               "--out", str(tmp_path / "old")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("mixreg: ") and "--alpha" in err
+    assert not (tmp_path / "old").exists()
     main(["breakdown", "--config", str(cfg), "--model", str(old_path), "--alpha", "0.3",
           "--out", str(tmp_path / "old")])
     assert (tmp_path / "old" / "breakdown.csv").read_text() == flag

@@ -17,7 +17,7 @@ from mixreg.mixup import (
     perturbation,
     perturbed_loss_values,
 )
-from mixreg.models import LinearModel, init_rff
+from mixreg.models import _PHASE_ELEMS, LinearModel, init_rff
 from mixreg.regularizers import exact_se_mixup_risk, per_example_covariances
 from mixreg.truncbeta import mix_coefficients, sample_theta
 
@@ -149,6 +149,48 @@ def test_perturbation_identity_and_vanishing_case():
     assert np.abs(delta).max() == 0.0 and np.abs(epsilon).max() == 0.0
 
 
+def _broadcast_perturbation(ds, theta_bar, i, j, theta):
+    """``perturbation`` in its earlier form, (k, 1) weights broadcast against
+    (k, d) rows, kept as the reference for the column passes."""
+    th = np.asarray(theta, dtype=float)[..., None]
+    return tuple(
+        (th - theta_bar) * z[i] + (1.0 - th) * z[j] - (1.0 - theta_bar) * z_mean
+        for z, z_mean in ((ds.inputs, ds.x_mean), (ds.outputs, ds.y_mean))
+    )
+
+
+def _broadcast_mix(z, I, J, lam):
+    """The mixed rows of ``pair_loss_values`` in their earlier broadcast form."""
+    lb = lam[:, None]
+    mixed = lb * z[I]
+    mixed += (1.0 - lb) * z[J]
+    return mixed
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+@pytest.mark.parametrize("c", range(1, 6))
+def test_column_passes_equal_the_row_broadcast(d, c):
+    """Perturbations and mixed rows formed one coordinate at a time equal the
+    row-broadcast expressions bit for bit, for scalar and array rows,
+    partners and weights; the shape is their broadcast shape plus the width."""
+    rng = np.random.default_rng(10 * d + c)
+    ds = Dataset(rng.normal(scale=10.0, size=(9, d)), rng.normal(size=(9, c)))
+    tb = mix_coefficients(0.4).theta_bar
+    k = 1000
+    I, J = rng.integers(ds.n, size=k), rng.integers(ds.n, size=k)
+    theta = np.maximum(rng.random(k), 0.5)
+    cases = [(3, 5, 0.8), (3, J, theta), (I, 5, theta), (I, J, 0.6), (I, J, theta),
+             (I[:4], J[:4], theta[:3, None])]
+    for i, j, th in cases:
+        shape = np.broadcast_shapes(np.shape(i), np.shape(j), np.shape(th))
+        got = perturbation(ds, tb, i, j, th)
+        for new, old, width in zip(got, _broadcast_perturbation(ds, tb, i, j, th), (d, c)):
+            assert new.shape == shape + (width,)
+            assert np.array_equal(new, old)
+    for z in (ds.inputs, ds.outputs):
+        assert np.array_equal(mixup._combine_rows(z, I, J, theta, 1.0 - theta), _broadcast_mix(z, I, J, theta))
+
+
 def test_perturbation_mean_zero():
     ds = _small_regression(4)
     coeffs = mix_coefficients(1.0)
@@ -210,9 +252,25 @@ def test_stderr_survives_a_large_loss_offset(offset, chunk, monkeypatch):
     assert abs(est.stderr - two_pass) <= 1e-6 * two_pass
 
 
-def test_monte_carlo_memory_is_bounded_by_one_phase_block():
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_bound(draws: int, workers: int) -> float:
+    """Bytes allowed while scoring ``draws`` draws at once: their two indices,
+    weights and losses, per worker one phase block plus a quarter for a task
+    block's gathered rows and losses, and 1 MiB for the rest."""
+    return 4 * 8 * draws + workers * 1.25 * 8 * _PHASE_ELEMS + 2**20
+
+
+def test_monte_carlo_memory_is_bounded_by_one_phase_block(monkeypatch):
     """At 1000 features, 20 000 draws never hold a 20 000-row phase block
-    (160 MB); the traced peak stays under 16 MB."""
+    (160 MB), only one phase block per worker, at 1, 2 and 4 workers."""
     ds = make_two_moons(50, 0.05, seed=3)
     model = init_rff(2, 1000, 3.0, 2, seed=4)
     model.w = np.random.default_rng(4).normal(size=model.w.shape)
@@ -221,32 +279,30 @@ def test_monte_carlo_memory_is_bounded_by_one_phase_block():
     I, J = rng.integers(ds.n, size=n_draws), rng.integers(ds.n, size=n_draws)
     lam = rng.beta(1.0, 1.0, size=n_draws)
     kind = LossKind.CROSS_ENTROPY
-    tracemalloc.start()
-    try:
-        pair_loss_values(ds, model, kind, I, J, lam)
-        mixup_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(6))
-        perturbed_erm_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(7))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(mixup, "_WORKERS", workers)
+        peak = _traced_peak(lambda: (
+            pair_loss_values(ds, model, kind, I, J, lam),
+            mixup_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(6)),
+            perturbed_erm_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(7)),
+        ))
+        assert peak < _memory_bound(n_draws, workers), workers
 
 
-def test_monte_carlo_memory_is_bounded_by_one_draw_block():
-    """At 80 features the draws dominate: over one full chunk of draws each
-    estimator's traced peak stays under 16 MB (chunk-sized mixed and
-    perturbed rows took 21 and 24 MB)."""
+def test_monte_carlo_memory_is_bounded_by_one_draw_block(monkeypatch):
+    """At 80 features the draws dominate: over two full chunks of draws each
+    estimator holds one chunk of draws and one phase block per worker, at 1,
+    2 and 4 workers (chunk-sized mixed and perturbed rows took 21 and 24 MB)."""
     ds = make_two_moons(50, 0.05, seed=3)
     model = init_rff(2, 80, 3.0, 2, seed=4)
     model.w = np.random.default_rng(4).normal(size=model.w.shape)
-    for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
-        tracemalloc.start()
-        try:
-            estimator(ds, model, LossKind.CROSS_ENTROPY, 1.0, mixup._CHUNK, np.random.default_rng(6))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20, estimator.__name__
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(mixup, "_WORKERS", workers)
+        for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
+            peak = _traced_peak(lambda: estimator(
+                ds, model, LossKind.CROSS_ENTROPY, 1.0, 2 * mixup._CHUNK, np.random.default_rng(6)
+            ))
+            assert peak < _memory_bound(mixup._CHUNK, workers), (estimator.__name__, workers)
 
 
 @pytest.mark.parametrize("n_features, draw_block", [(80, None), (1000, 1000)])
@@ -328,6 +384,42 @@ def test_summands_and_estimates_do_not_depend_on_worker_count(case, draw_block, 
                 for estimator in (mixup_risk_mc, perturbed_erm_risk_mc)
             ))
         assert estimates[0] == estimates[1] == estimates[2], n
+
+
+def _serial_estimate(estimator, ds, model, kind, alpha, n_draws, rng):
+    """The estimators' reference: draw one chunk, score it, merge its moments,
+    then draw the next."""
+    moments = mixup._Moments()
+    tb = mix_coefficients(alpha).theta_bar
+    while moments.n < n_draws:
+        k = min(mixup._CHUNK, n_draws - moments.n)
+        if estimator is mixup_risk_mc:
+            I, J, lam = rng.integers(ds.n, size=k), rng.integers(ds.n, size=k), rng.beta(alpha, alpha, size=k)
+            vals = pair_loss_values(ds, model, kind, I, J, lam)
+        else:
+            I, theta = rng.integers(ds.n, size=k), sample_theta(alpha, rng, size=k)
+            vals = perturbed_loss_values(ds, model, kind, I, rng.integers(ds.n, size=k), theta, tb)
+        moments.add(vals)
+    return moments.estimate()
+
+
+@pytest.mark.parametrize("case", ["linear", "80"])
+def test_estimates_equal_serial_draw_then_score(case, monkeypatch):
+    """With 1, 2 or 3 workers, the estimators give the estimate and the final
+    generator state of drawing and scoring one chunk after the other: in one
+    chunk, in several whole chunks and with a remainder."""
+    ds, model, kind = _worker_case(case)
+    chunk = 3 * mixup._task_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop + 5
+    monkeypatch.setattr(mixup, "_CHUNK", chunk)
+    for n in (chunk - 1, 3 * chunk, 2 * chunk + 7):
+        for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
+            serial_rng = np.random.default_rng(n)
+            expected = _serial_estimate(estimator, ds, model, kind, 0.7, n, serial_rng)
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(mixup, "_WORKERS", workers)
+                rng = np.random.default_rng(n)
+                assert estimator(ds, model, kind, 0.7, n, rng) == expected, (n, workers)
+                assert rng.bit_generator.state == serial_rng.bit_generator.state, (n, workers)
 
 
 _BLAS_THREADS_SCRIPT = """

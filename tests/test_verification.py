@@ -106,6 +106,29 @@ def test_alpha_one_moment_arithmetic():
     assert 2 * lambda_second_moment(c) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.4, 1.0, 2.5])
+def test_theta_rule_builds_each_legendre_rule_once(alpha, monkeypatch):
+    """The folded rule equals the one built from a fresh ``leggauss`` bit for
+    bit, each node count is built once, and the shared rule is read-only."""
+    from numpy.polynomial.legendre import leggauss
+
+    built = []
+    monkeypatch.setattr(verification, "leggauss", lambda n: built.append(n) or leggauss(n))
+    verification._legendre_rule.cache_clear()
+    try:
+        for nodes in (200, 400, 200, 400):
+            theta, weights = verification._theta_rule(alpha, nodes)
+            t, w = leggauss(nodes)
+            ref_theta = 0.75 + 0.25 * t
+            ref = w * ref_theta ** (alpha - 1.0) * (1.0 - ref_theta) ** (alpha - 1.0)
+            assert np.array_equal(theta, ref_theta) and np.array_equal(weights, ref / ref.sum())
+        assert built == [200, 400]
+        with pytest.raises(ValueError):
+            verification._legendre_rule(200)[0][0] = 0.0
+    finally:
+        verification._legendre_rule.cache_clear()
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_label_smoothing_inequality_on_random_problems(seed):
     rep = check_label_smoothing(_overlapping(seed), 1.0)
