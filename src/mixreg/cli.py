@@ -34,8 +34,10 @@ are ExperimentSpec's two-moons protocol trained with mixup:
 A config file that is not a readable JSON object (or has a section that is
 not one), a key outside this layout, a value its key does not allow, an
 unreadable csv dataset, invalid two-moons values, or data the train keys
-cannot train on ends the command with exit code 2 before any output. The config.json each command writes holds only
-the keys its run read (README, "Command line").
+cannot train on ends the command with exit code 2 before any output, as
+does an --out that names, or lies under, something that exists and is not a
+directory. The config.json each command writes holds only the keys its run
+read (README, "Command line").
 """
 
 from __future__ import annotations
@@ -177,6 +179,18 @@ def _resolve(cfg: dict):
     except (OSError, TypeError, ValueError) as exc:
         _fail(f"invalid dataset: {exc}")
     return datasets, tc, record
+
+
+def _check_out(out: str) -> None:
+    """Exit with code 2, naming the path, when --out or a path above it
+    exists and is not a directory, so the output directory cannot be made;
+    checked before a command trains, evaluates or certifies anything."""
+    path = Path(out)
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                _fail(f"--out {out}: {p} exists and is not a directory")
+            return
 
 
 def _output_dir(args, record: dict) -> Path:
@@ -403,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out is not None:
+        _check_out(args.out)
     return args.func(args)
 
 

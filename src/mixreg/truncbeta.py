@@ -39,6 +39,9 @@ __all__ = [
 # most (1/2)^2 / 4; used as a sanity bound on sigma_sq.
 _MAX_SIGMA_SQ = 1.0 / 16.0
 _INVARIANT_TOL = 1e-12
+# draws folded per pass in ``sample_theta``: the fold's temporary is one block
+# of 1 - lam, whatever the draw count
+_FOLD_BLOCK = 1 << 16
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -116,10 +119,16 @@ def sample_theta(alpha: float, rng: np.random.Generator, size: int | None = None
 
     Draws lam ~ Beta(alpha, alpha) and returns max(lam, 1 - lam), which is
     exact by the symmetry of the base distribution about 1/2. Deterministic
-    given the generator state. Returns a scalar when ``size`` is None.
+    given the generator state. Returns a scalar when ``size`` is None. The
+    fold overwrites lam in place, ``_FOLD_BLOCK`` draws at a time, so beside
+    the returned array it holds one block of 1 - lam, never a full-size one.
     """
     alpha = _validate_alpha(alpha)
     lam = rng.beta(alpha, alpha, size=size)
     if size is None:
         return float(np.maximum(lam, 1.0 - lam))
-    return np.maximum(lam, 1.0 - lam, out=lam)
+    flat = lam.reshape(-1)  # a view: ``beta`` returns a fresh contiguous array
+    for start in range(0, flat.size, _FOLD_BLOCK):
+        block = flat[start:start + _FOLD_BLOCK]
+        np.maximum(block, 1.0 - block, out=block)
+    return lam

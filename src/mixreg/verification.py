@@ -183,6 +183,60 @@ def expected_quadratic_loss(
 
 
 # ---------------------------------------------------------------------------
+# Monte Carlo draws of the checks
+
+
+def _perdraw_gap(ds, model, kind, alpha, theta_bar, rng, n: int) -> float:
+    """Largest |pairwise - perturbed| summand over n draws (i, theta, j); the
+    draws and both loss vectors are freed when it returns."""
+    I = rng.integers(ds.n, size=n)
+    theta = sample_theta(alpha, rng, size=n)
+    J = rng.integers(ds.n, size=n)
+    gap = pair_loss_values(ds, model, kind, I, J, theta)
+    gap -= perturbed_loss_values(ds, model, kind, I, J, theta, theta_bar)
+    return float(np.max(np.abs(gap, out=gap)))
+
+
+def _over_perturbation_blocks(ds, theta_bar, i, theta, rng, consume) -> None:
+    """consume(delta, eps) for row i's perturbations over consecutive
+    ``_draw_blocks`` of the folded weights theta, each block's partners drawn
+    from rng just before the block is formed. Blocked ``integers`` draws
+    equal one draw of all len(theta) partners and leave the generator in the
+    same state, so the blocks are those of the partners drawn at once; one
+    block of partners and perturbations is alive at a time."""
+    for b in _draw_blocks(len(theta)):
+        th = theta[b]
+        consume(*perturbation(ds, theta_bar, i, rng.integers(ds.n, size=len(th)), th))
+
+
+def _mc_second_moments(ds, theta_bar, i, theta, rng):
+    """Sums over the draws of delta delta^T, eps eps^T and delta eps^T for
+    row i (``_over_perturbation_blocks``)."""
+    sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
+
+    def add(delta, eps):
+        np.add(sxx, delta.T @ delta, out=sxx)
+        np.add(syy, eps.T @ eps, out=syy)
+        np.add(sxy, delta.T @ eps, out=sxy)
+
+    _over_perturbation_blocks(ds, theta_bar, i, theta, rng, add)
+    return sxx, syy, sxy
+
+
+def _zero_mean_moments(ds, theta_bar, i, theta, rng) -> list[_Moments]:
+    """Streamed moments of each coordinate of row i's perturbations, the d
+    input coordinates then the c output ones (``_over_perturbation_blocks``)."""
+    moments = [_Moments() for _ in range(ds.d + ds.c)]
+
+    def add(delta, eps):
+        for acc, coord in zip(moments, (*delta.T, *eps.T)):
+            acc.add(coord)
+
+    _over_perturbation_blocks(ds, theta_bar, i, theta, rng, add)
+    return moments
+
+
+# ---------------------------------------------------------------------------
 # individual checks
 
 
@@ -197,29 +251,22 @@ def check_risk_rewrite(
     perdraw_tol: float = 1e-12,
 ) -> CheckReport:
     """Per-draw identity between the pairwise and perturbed risk forms, the
-    zero-mean property of the perturbations, and paired MC estimators."""
+    zero-mean property of the perturbations, and paired MC estimators.
+
+    The per-draw identity holds its n_perdraw draws and both loss vectors
+    until they are compared; each zero-mean row keeps its 200 000 folded
+    weights and one block of partners and perturbations; the estimators hold
+    one chunk of draws each."""
     t0 = time.perf_counter()
     tb = mix_coefficients(alpha).theta_bar
     rng = np.random.default_rng(seed)
-
-    I = rng.integers(ds.n, size=n_perdraw)
-    theta = sample_theta(alpha, rng, size=n_perdraw)
-    J = rng.integers(ds.n, size=n_perdraw)
-    vals_pair = pair_loss_values(ds, model, kind, I, J, theta)
-    vals_pert = perturbed_loss_values(ds, model, kind, I, J, theta, tb)
-    perdraw_err = float(np.max(np.abs(vals_pair - vals_pert)))
+    perdraw_err = _perdraw_gap(ds, model, kind, alpha, tb, rng, n_perdraw)
 
     # zero-mean perturbations, per coordinate, 4 standard errors
     mean_ok = True
     n_zero = 200_000
     for i in rng.choice(ds.n, size=min(5, ds.n), replace=False):
-        th_i = sample_theta(alpha, rng, size=n_zero)
-        J_i = rng.integers(ds.n, size=n_zero)
-        moments = [_Moments() for _ in range(ds.d + ds.c)]
-        for b in _draw_blocks(n_zero):
-            delta, eps = perturbation(ds, tb, i, J_i[b], th_i[b])
-            for acc, coord in zip(moments, np.hstack((delta, eps)).T):
-                acc.add(coord)
+        moments = _zero_mean_moments(ds, tb, i, sample_theta(alpha, rng, size=n_zero), rng)
         for est in (acc.estimate() for acc in moments):
             mean_ok &= abs(est.mean) <= 4.0 * max(est.stderr, 1e-300)
 
@@ -247,7 +294,11 @@ def check_covariance_formula(
     mc_rel_tol: float = 0.01,
     coeffs: MixCoefficients | None = None,
 ) -> CheckReport:
-    """Closed-form covariances vs the direct moment expansion and Monte Carlo."""
+    """Closed-form covariances vs the direct moment expansion and Monte Carlo.
+
+    The Monte Carlo part keeps its n_mc folded weights (8 B a draw), which
+    come before every partner in the random stream, and one block of
+    partners and perturbations (``_mc_second_moments``)."""
     t0 = time.perf_counter()
     coeffs = mix_coefficients(alpha) if coeffs is None else coeffs
     worst = 0.0
@@ -265,15 +316,7 @@ def check_covariance_formula(
     rng = np.random.default_rng(seed)
     i = int(rng.integers(ds.n))
     tb = coeffs.theta_bar
-    th = sample_theta(alpha, rng, size=n_mc)
-    J = rng.integers(ds.n, size=n_mc)
-    # second moments accumulated over blocks of draws, never all n_mc at once
-    sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
-    for b in _draw_blocks(n_mc):
-        delta, eps = perturbation(ds, tb, i, J[b], th[b])
-        sxx += delta.T @ delta
-        syy += eps.T @ eps
-        sxy += delta.T @ eps
+    sxx, syy, sxy = _mc_second_moments(ds, tb, i, sample_theta(alpha, rng, size=n_mc), rng)
     closed = per_example_covariances(ds, coeffs, i)
     mc_rel = 0.0
     for emp, ana in (

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mixreg.models import _PHASE_ELEMS
 from mixreg.verification import run_all
 
 
@@ -75,3 +78,20 @@ def rel_err(a, b, floor=1e-8):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return np.abs(a - b).max() / max(np.abs(b).max(), floor)
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc traces while run() runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def mc_memory_bound(draws: int, workers: int) -> float:
+    """Bytes allowed while scoring ``draws`` draws at once: their two indices,
+    weights and losses, per worker one phase block plus a quarter for a task
+    block's gathered rows and losses, and 1 MiB for the rest."""
+    return 4 * 8 * draws + workers * 1.25 * 8 * _PHASE_ELEMS + 2**20

@@ -188,6 +188,37 @@ def test_unparsable_sweep_list_exits_2_and_names_the_flag(tmp_path, capsys, flag
     assert not (tmp_path / "out").exists()
 
 
+# the arguments of each command besides --out
+_COMMAND_ARGS = {"train": [], "sweep": ["--seeds", "0"], "verify": [],
+                 "eval": ["--model", "model.json"], "breakdown": ["--model", "model.json"]}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["out a file", "out under a file"])
+@pytest.mark.parametrize("command", _COMMAND_ARGS)
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, command, under
+):
+    """An --out that is, or lies under, an existing file ends the command with
+    exit code 2 naming it, before anything is trained, scored or checked."""
+    import mixreg.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started work")
+
+    for name in ("train", "run_method", "run_all", "metrics", "r_terms_general", "load_model_json"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if under else taken
+    args = ["--config", str(_write_config(tmp_path))] if command != "verify" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, *_COMMAND_ARGS[command], "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"mixreg: --out {out}: {taken} ")
+    assert taken.read_text() == "keep"
+
+
 def test_help_prints_and_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

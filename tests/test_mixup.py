@@ -1,8 +1,8 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import mc_memory_bound, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +17,7 @@ from mixreg.mixup import (
     perturbation,
     perturbed_loss_values,
 )
-from mixreg.models import _PHASE_ELEMS, LinearModel, init_rff
+from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import exact_se_mixup_risk, per_example_covariances
 from mixreg.truncbeta import mix_coefficients, sample_theta
 
@@ -252,22 +252,6 @@ def test_stderr_survives_a_large_loss_offset(offset, chunk, monkeypatch):
     assert abs(est.stderr - two_pass) <= 1e-6 * two_pass
 
 
-def _traced_peak(run) -> int:
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def _memory_bound(draws: int, workers: int) -> float:
-    """Bytes allowed while scoring ``draws`` draws at once: their two indices,
-    weights and losses, per worker one phase block plus a quarter for a task
-    block's gathered rows and losses, and 1 MiB for the rest."""
-    return 4 * 8 * draws + workers * 1.25 * 8 * _PHASE_ELEMS + 2**20
-
-
 def test_monte_carlo_memory_is_bounded_by_one_phase_block(monkeypatch):
     """At 1000 features, 20 000 draws never hold a 20 000-row phase block
     (160 MB), only one phase block per worker, at 1, 2 and 4 workers."""
@@ -281,12 +265,12 @@ def test_monte_carlo_memory_is_bounded_by_one_phase_block(monkeypatch):
     kind = LossKind.CROSS_ENTROPY
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
-        peak = _traced_peak(lambda: (
+        peak = traced_peak(lambda: (
             pair_loss_values(ds, model, kind, I, J, lam),
             mixup_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(6)),
             perturbed_erm_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(7)),
         ))
-        assert peak < _memory_bound(n_draws, workers), workers
+        assert peak < mc_memory_bound(n_draws, workers), workers
 
 
 def test_monte_carlo_memory_is_bounded_by_one_draw_block(monkeypatch):
@@ -299,10 +283,10 @@ def test_monte_carlo_memory_is_bounded_by_one_draw_block(monkeypatch):
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
-            peak = _traced_peak(lambda: estimator(
+            peak = traced_peak(lambda: estimator(
                 ds, model, LossKind.CROSS_ENTROPY, 1.0, 2 * mixup._CHUNK, np.random.default_rng(6)
             ))
-            assert peak < _memory_bound(mixup._CHUNK, workers), (estimator.__name__, workers)
+            assert peak < mc_memory_bound(mixup._CHUNK, workers), (estimator.__name__, workers)
 
 
 @pytest.mark.parametrize("n_features, draw_block", [(80, None), (1000, 1000)])

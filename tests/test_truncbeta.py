@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from conftest import traced_peak
 from scipy import integrate
 from scipy.optimize import brentq
 from scipy.special import betainc
 from scipy.stats import ks_2samp
 
 from mixreg.truncbeta import (
+    _FOLD_BLOCK,
     MixCoefficients,
     mix_coefficients,
     sample_theta,
@@ -170,3 +172,39 @@ def test_folded_sampler_matches_inverse_cdf():
     inv = np.array([brentq(lambda t, ui=ui: cdf(t) - ui, 0.5, 1.0, xtol=1e-12) for ui in u])
     folded = sample_theta(alpha, rng, size=n)
     assert ks_2samp(folded, inv).pvalue > 0.01
+
+
+_B = _FOLD_BLOCK
+
+
+@pytest.mark.parametrize("size", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 7, (3, _B // 2 + 5)])
+def test_blocked_fold_equals_one_shot_fold(size):
+    """The in-place fold, one block at a time, equals max(lam, 1 - lam) over
+    all the draws at once bit for bit, and leaves the same generator state."""
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_theta(0.7, rng, size=size)
+    lam = ref_rng.beta(0.7, 0.7, size=size)
+    assert got.shape == lam.shape and np.array_equal(got, np.maximum(lam, 1.0 - lam))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_blocked_partner_draws_equal_one_draw():
+    """The numpy property the verification checks rely on: after the folded
+    weights, partner indices drawn in blocks of odd sizes equal one draw of
+    them all and leave the same generator state."""
+    n_draws, n = 3 * _B + 7, 13
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    assert np.array_equal(sample_theta(1.0, rng, n_draws), sample_theta(1.0, ref_rng, n_draws))
+    sizes = [_B + 1, 7, _B - 1, 1, _B - 1]
+    assert sum(sizes) == n_draws and all(k % 2 for k in sizes)
+    blocked = np.concatenate([rng.integers(n, size=k) for k in sizes])
+    assert np.array_equal(blocked, ref_rng.integers(n, size=n_draws))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_sample_theta_holds_no_full_size_temporary():
+    """A million draws trace under their own 8 MB plus 1 MiB; with a
+    full-size 1 - lam the peak was twice the draws."""
+    rng = np.random.default_rng(0)
+    n = 10**6
+    assert traced_peak(lambda: sample_theta(1.0, rng, size=n)) < 8 * n + 2**20

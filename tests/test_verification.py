@@ -1,15 +1,17 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import mc_memory_bound, traced_peak
 
 import mixreg.verification as verification
+from mixreg import mixup
 from mixreg.data import Dataset, make_two_moons
 from mixreg.losses import LossKind
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import per_example_covariances, r_terms_general
-from mixreg.truncbeta import MixCoefficients, mix_coefficients
+from mixreg.mixup import _draw_blocks, _Moments, perturbation
+from mixreg.truncbeta import MixCoefficients, mix_coefficients, sample_theta
 from mixreg.verification import (
     check_label_smoothing,
     check_covariance_formula,
@@ -45,26 +47,99 @@ def test_risk_rewrite_check_linear_se():
     assert rep.passed and rep.discrepancy < 1e-12
 
 
-def test_risk_rewrite_check_memory_at_suite_sizes():
+def _assert_risk_rewrite_memory(monkeypatch, ds, model, kind, n_perdraw, n_mc):
+    """One ``check_risk_rewrite`` passes at 1, 2 and 4 workers, each time
+    tracing under the bound of scoring one chunk at that worker count."""
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(mixup, "_WORKERS", workers)
+        reports = []
+        peak = traced_peak(lambda: reports.append(
+            check_risk_rewrite(ds, model, kind, 1.0, n_perdraw=n_perdraw, n_mc=n_mc)))
+        assert reports[0].passed, reports[0].details
+        assert peak < mc_memory_bound(mixup._CHUNK, workers), (workers, peak)
+
+
+def test_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
     """The suite's cosine-feature instance of the check (100 000 per-draw and
-    2 x 1 000 000 Monte Carlo draws at 80 features) traces under 32 MB; with
-    draw-sized temporaries it took 43.5 MB."""
+    2 x 1 000 000 Monte Carlo draws at 80 features) holds no more than the
+    estimators' one chunk of draws and a phase block per worker: 8.4 / 10.7 /
+    14.9 MiB at 1 / 2 / 4 workers. With the zero-mean partners drawn at once,
+    each block stacked and a full-size 1 - lam in ``sample_theta`` it took
+    15.4 / 17.7 / 22.0 MiB, and 43.5 MB with draw-sized temporaries in the
+    summands."""
     ds = make_two_moons(50, 0.05, seed=0)
     model = init_rff(2, 80, 3.0, 2, seed=1)
     model.w = 0.5 * np.random.default_rng(0).normal(size=model.w.shape)
-    tracemalloc.start()
-    try:
-        rep = check_risk_rewrite(ds, model, LossKind.CROSS_ENTROPY, 1.0, n_perdraw=100_000, n_mc=1_000_000)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert rep.passed, rep.details
-    assert peak < 32 * 2**20
+    _assert_risk_rewrite_memory(monkeypatch, ds, model, LossKind.CROSS_ENTROPY, 100_000, 1_000_000)
+
+
+def test_linear_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
+    """The suite's linear instance (20 000 per-draw and 2 x 200 000 Monte
+    Carlo draws) stays inside the same bound at 1, 2 and 4 workers: 6.5 /
+    6.8 / 7.4 MiB, against 13.3 MiB with the zero-mean partners drawn at
+    once, each block stacked and a full-size 1 - lam in ``sample_theta``."""
+    ds = _random_regression(2)
+    rng = np.random.default_rng(0)
+    model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
+    _assert_risk_rewrite_memory(monkeypatch, ds, model, LossKind.SQUARED_ERROR, 20_000, 200_000)
 
 
 def test_covariance_check_passes():
     rep = check_covariance_formula(make_two_moons(20, 0.05, seed=1), 1.0)
     assert rep.passed
+
+
+def _one_shot_moments(ds, theta_bar, i, theta, J):
+    """The Monte Carlo sums of the covariance and zero-mean checks in their
+    earlier form, every partner drawn before the first block and each block's
+    perturbations stacked with ``np.hstack``, kept as the reference for the
+    blocked partner draws."""
+    sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
+    moments = [_Moments() for _ in range(ds.d + ds.c)]
+    for b in _draw_blocks(len(theta)):
+        delta, eps = perturbation(ds, theta_bar, i, J[b], theta[b])
+        sxx += delta.T @ delta
+        syy += eps.T @ eps
+        sxy += delta.T @ eps
+        for acc, coord in zip(moments, np.hstack((delta, eps)).T):
+            acc.add(coord)
+    return (sxx, syy, sxy), moments
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_blocked_partners_equal_one_shot_moments(alpha):
+    """Drawing each block's partners just before the block gives the second
+    moments and every coordinate's zero-mean moments of drawing them all at
+    once, bit for bit, over a draw count that is not a whole number of
+    blocks, and leaves the generator in the same state."""
+    ds = make_two_moons(20, 0.05, seed=1) if alpha == 1.0 else _random_regression(4, n=12)
+    tb = mix_coefficients(alpha).theta_bar
+    n_mc, i = 2 * mixup._DRAW_BLOCK + 12_345, 4
+    ref = np.random.default_rng(3)
+    theta = sample_theta(alpha, ref, size=n_mc)
+    ref_sums, ref_moments = _one_shot_moments(ds, tb, i, theta, ref.integers(ds.n, size=n_mc))
+
+    rng = np.random.default_rng(3)
+    sums = verification._mc_second_moments(ds, tb, i, sample_theta(alpha, rng, size=n_mc), rng)
+    assert all(np.array_equal(a, b) for a, b in zip(sums, ref_sums))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+    rng = np.random.default_rng(3)
+    moments = verification._zero_mean_moments(ds, tb, i, sample_theta(alpha, rng, size=n_mc), rng)
+    assert [(m.n, m.total, m.m2) for m in moments] == [(m.n, m.total, m.m2) for m in ref_moments]
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("n_mc", [1_000_000, 4_000_000])
+def test_covariance_check_memory_is_its_weights_and_one_block(n_mc):
+    """The check keeps its n_mc folded weights (8 B a draw) and one block of
+    partners and perturbations: 12.1 / 35.0 MiB at 1 M / 4 M draws, against
+    21.3 / 67.1 MiB with every partner drawn at once."""
+    ds = make_two_moons(20, 0.05, seed=1)
+    reports = []
+    peak = traced_peak(lambda: reports.append(check_covariance_formula(ds, 1.0, n_mc=n_mc)))
+    assert reports[0].passed, reports[0].details
+    assert peak < 8 * n_mc + 6 * 2**20
 
 
 def test_decomposition_check_each_loss():
