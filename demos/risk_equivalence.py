@@ -17,14 +17,12 @@ from mixreg import (
     make_two_moons,
     mix_coefficients,
     mixup_risk_mc,
-    modify,
     perturbation_covariances,
     perturbed_erm_risk_mc,
     r_terms_general,
     sample_theta,
 )
-from mixreg.losses import loss_value
-from mixreg.mixup import perturbation
+from mixreg.mixup import pair_loss_values, perturbed_loss_values
 from mixreg.verification import expected_quadratic_loss
 
 alpha = 1.0
@@ -35,28 +33,17 @@ print(f"alpha = {alpha}: theta_bar = {coeffs.theta_bar}, "
 ds = make_two_moons(30, 0.05, seed=0)
 model = init_rff(2, 200, 5.0, 2, seed=1)
 model.w = 0.4 * np.random.default_rng(1).normal(size=model.w.shape)
-mod = modify(ds, coeffs.theta_bar)
 
 # --- per-draw identity -----------------------------------------------------
 rng = np.random.default_rng(2)
-worst = 0.0
-for _ in range(2000):
-    i = int(rng.integers(ds.n))
-    theta = sample_theta(alpha, rng)
-    j = int(rng.integers(ds.n))
-    delta, epsilon = perturbation(ds, coeffs.theta_bar, i, j, theta)
-    lhs = loss_value(
-        LossKind.CROSS_ENTROPY,
-        theta * ds.outputs[i] + (1 - theta) * ds.outputs[j],
-        model.predict(theta * ds.inputs[i] + (1 - theta) * ds.inputs[j]),
-    )
-    rhs = loss_value(
-        LossKind.CROSS_ENTROPY,
-        mod.outputs[i] + epsilon,
-        model.predict(mod.inputs[i] + delta),
-    )
-    worst = max(worst, abs(lhs - rhs))
-print(f"\nper-draw summand identity over 2000 draws: max |difference| = {worst:.2e}")
+n_draws = 2000
+I = rng.integers(ds.n, size=n_draws)
+theta = sample_theta(alpha, rng, size=n_draws)
+J = rng.integers(ds.n, size=n_draws)
+lhs = pair_loss_values(ds, model, LossKind.CROSS_ENTROPY, I, J, theta)
+rhs = perturbed_loss_values(ds, model, LossKind.CROSS_ENTROPY, I, J, theta, coeffs.theta_bar)
+worst = np.abs(lhs - rhs).max()
+print(f"\nper-draw summand identity over {n_draws} draws: max |difference| = {worst:.2e}")
 
 # --- paired estimators -----------------------------------------------------
 est_pair = mixup_risk_mc(ds, model, LossKind.CROSS_ENTROPY, alpha, 200_000, np.random.default_rng(3))

@@ -27,7 +27,7 @@ from .data import (
     shrink,
     train_test_split,
 )
-from .losses import LossBundle, LossKind, bundle, entropy, sigmoid, softmax
+from .losses import LossBundle, LossKind, bundle, entropy, sigmoid
 from .metrics import MetricsRow, Rescale, ece, metrics, predict
 from .mixup import (
     McEstimate,

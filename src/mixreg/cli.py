@@ -33,8 +33,9 @@ are ExperimentSpec's two-moons protocol trained with mixup:
 
 A config file that is not a readable JSON object (or has a section that is
 not one), a key outside this layout, a value its key does not allow, an
-unreadable csv dataset, invalid two-moons values, or data the train keys
-cannot train on ends the command with exit code 2 before any output, as
+unreadable csv dataset or one with a non-finite cell, invalid two-moons
+values, or data the train keys cannot train on ends the command with exit
+code 2 before any output, as
 does an --out that names, or lies under, something that exists and is not a
 directory. The config.json each command writes holds only the keys its run
 read (README, "Command line").

@@ -182,7 +182,8 @@ def save_csv(ds: Dataset, path) -> None:
 
 def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`; ValueError for a file
-    without that header, with a row of another length or with no rows."""
+    without that header, with a row of another length, with no rows, or with
+    a cell that is not a finite number (the first one is named)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -192,4 +193,8 @@ def load_csv(path) -> Dataset:
             raise ValueError(f"unrecognized dataset header: {header}")
         rows = [[float(v) for v in row] for row in reader]
     arr = np.asarray(rows).reshape(len(rows), len(header))
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        r, k = bad[0]
+        raise ValueError(f"{path}: row {r + 1}, column {header[k]} is {arr[r, k]}, not finite")
     return Dataset(arr[:, :d], arr[:, d:])

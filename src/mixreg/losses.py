@@ -1,8 +1,11 @@
-"""Squared-error, cross-entropy and logistic losses with full derivative blocks.
+"""Squared-error, cross-entropy and logistic losses as row layers.
 
-Conventions: targets y and predictions u are 1-D vectors of length c (c = 1
-for the logistic loss). Gradients are returned as length-c vectors and second
-derivatives as (c, c) matrices, with hess_yu[j, k] = d^2 l / dy_j du_k.
+Conventions: targets Y and predictions U are (n, c) arrays, one row per
+example (c = 1 for the logistic loss). :func:`loss_values` gives the n loss
+values, :func:`grad_u_rows` the (n, c) gradients in the prediction and
+:func:`hess_uu_rows` the (n, c, c) curvatures in the prediction, the one place
+a loss curvature is formed. :func:`bundle` is their one-row view with the
+target blocks added, hess_yu[j, k] = d^2 l / dy_j du_k.
 
     SE:  l(y, u) = ||y - u||^2 / 2
     CE:  l(y, u) = log(sum_i exp(u_i)) - y . u          (y on the simplex)
@@ -19,15 +22,13 @@ import numpy as np
 __all__ = [
     "LossKind",
     "LossBundle",
-    "softmax",
     "sigmoid",
     "entropy",
-    "softmax_hessian",
     "bundle",
-    "loss_value",
     "loss_values",
     "softmax_rows",
     "grad_u_rows",
+    "hess_uu_rows",
 ]
 
 _SIMPLEX_TOL = 1e-9
@@ -51,13 +52,6 @@ class LossBundle:
     hess_uu: np.ndarray
 
 
-def softmax(u: np.ndarray) -> np.ndarray:
-    """Softmax of a logit vector, overflow-safe via max subtraction."""
-    u = np.asarray(u, dtype=float)
-    e = np.exp(u - u.max())
-    return e / e.sum()
-
-
 def softmax_rows(U: np.ndarray) -> np.ndarray:
     """Row-wise softmax for a (n, c) logit matrix."""
     U = np.asarray(U, dtype=float)
@@ -76,41 +70,15 @@ def sigmoid(u):
     return float(s) if s.ndim == 0 else s
 
 
-def entropy(p: np.ndarray) -> float:
-    """Entropy (natural log) of a categorical distribution, with 0 log 0 = 0."""
+def entropy(p):
+    """Entropy (natural log) of categorical distributions along the last
+    axis, with 0 log 0 = 0: a float for one distribution, an array for rows."""
     p = np.asarray(p, dtype=float)
-    if np.any(p < -_SIMPLEX_TOL) or abs(p.sum() - 1.0) > _SIMPLEX_TOL:
+    if np.any(p < -_SIMPLEX_TOL) or np.any(np.abs(p.sum(axis=-1) - 1.0) > _SIMPLEX_TOL):
         raise ValueError("entropy argument must lie on the probability simplex")
     q = np.clip(p, 0.0, None)
-    mask = q > 0
-    return float(-(q[mask] * np.log(q[mask])).sum())
-
-
-def softmax_hessian(u: np.ndarray) -> np.ndarray:
-    """H(u) = diag(S(u)) - S(u) S(u)^T; symmetric PSD with null vector 1."""
-    p = softmax(u)
-    return np.diag(p) - np.outer(p, p)
-
-
-def _logsumexp(u: np.ndarray) -> float:
-    m = u.max()
-    return float(m + np.log(np.exp(u - m).sum()))
-
-
-def loss_value(kind: LossKind, y: np.ndarray, u: np.ndarray) -> float:
-    y = np.asarray(y, dtype=float).ravel()
-    u = np.asarray(u, dtype=float).ravel()
-    if y.shape != u.shape:
-        raise ValueError(f"target shape {y.shape} != prediction shape {u.shape}")
-    if kind is LossKind.SQUARED_ERROR:
-        return 0.5 * float(((y - u) ** 2).sum())
-    if kind is LossKind.CROSS_ENTROPY:
-        return _logsumexp(u) - float(y @ u)
-    if kind is LossKind.LOGISTIC:
-        if u.size != 1:
-            raise ValueError("logistic loss expects scalar predictions")
-        return float(np.logaddexp(0.0, u[0]) - y[0] * u[0])
-    raise ValueError(f"unknown loss kind {kind!r}")
+    h = -(q * np.log(q, out=np.zeros_like(q), where=q > 0)).sum(axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def loss_values(kind: LossKind, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -140,49 +108,46 @@ def grad_u_rows(kind: LossKind, Y: np.ndarray, U: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
-def bundle(kind: LossKind, y: np.ndarray, u: np.ndarray) -> LossBundle:
-    """All derivative blocks of the loss at (y, u).
+def hess_uu_rows(kind: LossKind, U: np.ndarray) -> np.ndarray:
+    """Per-row curvature of the loss in its prediction argument, shape
+    (n, c, c): diag(P) - P P^T with P the softmax (CE; symmetric PSD with null
+    vector 1), s(1 - s) with s the sigmoid (LR), the identity (SE; a
+    read-only broadcast)."""
+    U = np.asarray(U, dtype=float)
+    n, c = U.shape
+    if kind is LossKind.SQUARED_ERROR:
+        return np.broadcast_to(np.eye(c), (n, c, c))
+    if kind is LossKind.CROSS_ENTROPY:
+        P = softmax_rows(U)
+        return P[:, :, None] * (np.eye(c) - P[:, None, :])
+    if kind is LossKind.LOGISTIC:
+        s = sigmoid(U)
+        return (s * (1.0 - s))[:, :, None]
+    raise ValueError(f"unknown loss kind {kind!r}")
 
-    SE:  grad_u = u - y, hess_uu = hess_yy = I, hess_yu = -I.
-    CE:  grad_y = -u, grad_u = S(u) - y, hess_uu = H(u), hess_yu = -I,
-         hess_yy = 0.
-    LR:  scalar analogues with hess_uu = s(u)(1 - s(u)).
+
+def bundle(kind: LossKind, y: np.ndarray, u: np.ndarray) -> LossBundle:
+    """All derivative blocks of the loss at (y, u), the one-row view of
+    :func:`loss_values`, :func:`grad_u_rows` and :func:`hess_uu_rows`.
+
+    SE:  grad_y = y - u, hess_yy = I, hess_yu = -I.
+    CE:  grad_y = -u, hess_yy = 0, hess_yu = -I.
+    LR:  the scalar analogues of CE.
     """
     y = np.asarray(y, dtype=float).ravel()
     u = np.asarray(u, dtype=float).ravel()
     if y.shape != u.shape:
         raise ValueError(f"target shape {y.shape} != prediction shape {u.shape}")
     c = u.size
-    eye = np.eye(c)
-    if kind is LossKind.SQUARED_ERROR:
-        return LossBundle(
-            value=0.5 * float(((y - u) ** 2).sum()),
-            grad_y=y - u,
-            grad_u=u - y,
-            hess_yy=eye,
-            hess_yu=-eye,
-            hess_uu=eye,
-        )
-    if kind is LossKind.CROSS_ENTROPY:
-        p = softmax(u)
-        return LossBundle(
-            value=_logsumexp(u) - float(y @ u),
-            grad_y=-u,
-            grad_u=p - y,
-            hess_yy=np.zeros((c, c)),
-            hess_yu=-eye,
-            hess_uu=np.diag(p) - np.outer(p, p),
-        )
-    if kind is LossKind.LOGISTIC:
-        if c != 1:
-            raise ValueError("logistic loss expects scalar predictions")
-        s = sigmoid(u[0])
-        return LossBundle(
-            value=float(np.logaddexp(0.0, u[0]) - y[0] * u[0]),
-            grad_y=-u,
-            grad_u=np.array([s - y[0]]),
-            hess_yy=np.zeros((1, 1)),
-            hess_yu=-eye,
-            hess_uu=np.array([[s * (1.0 - s)]]),
-        )
-    raise ValueError(f"unknown loss kind {kind!r}")
+    if kind is LossKind.LOGISTIC and c != 1:
+        raise ValueError("logistic loss expects scalar predictions")
+    Y, U, eye = y[None], u[None], np.eye(c)
+    se = kind is LossKind.SQUARED_ERROR
+    return LossBundle(
+        value=float(loss_values(kind, Y, U)[0]),
+        grad_y=y - u if se else -u,
+        grad_u=grad_u_rows(kind, Y, U)[0],
+        hess_yy=eye if se else np.zeros((c, c)),
+        hess_yu=-eye,
+        hess_uu=hess_uu_rows(kind, U)[0],
+    )

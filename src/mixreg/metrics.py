@@ -151,7 +151,7 @@ def metrics(
         accuracy=float(correct.mean()),
         ce_loss=float(loss_values(LossKind.CROSS_ENTROPY, ds_test.outputs, logits).mean()),
         ece=ece(conf, correct, n_bins=n_ece_bins),
-        mean_entropy=float(np.mean([entropy(p) for p in probs])),
+        mean_entropy=float(entropy(probs).mean()),
         mean_confidence=float(conf.mean()),
         confidence_histogram=confidence_histogram(conf),
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, modify
-from .losses import LossKind, bundle, loss_value, sigmoid, softmax, softmax_hessian
+from .losses import LossKind, bundle, grad_u_rows, hess_uu_rows, loss_values
 from .models import LinearModel, hessian_contraction
 from .truncbeta import MixCoefficients, trunc_beta_raw_moment
 
@@ -277,22 +277,28 @@ def r_terms_general(
     return _assemble(erm_mod / n, r1 / n, r2 / n, r3 / n, r4 / n, clipped)
 
 
+def _fit_rows(ds: Dataset, model, kind: LossKind, coeffs: MixCoefficients):
+    """The shrunk rows, the mean loss on them, and each row's residual
+    (gradient in the prediction) and loss curvature."""
+    mod = modify(ds, coeffs.theta_bar)
+    U = model.predict(mod.inputs)
+    fit = loss_values(kind, mod.outputs, U).mean()
+    return mod, fit, grad_u_rows(kind, mod.outputs, U), hess_uu_rows(kind, U)
+
+
 def r_terms_ce(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakdown:
     """Cross-entropy specialization: metrics weighted by the softmax Hessian.
 
     The output-Hessian penalty vanishes identically and the target Jacobian
     is H(f)^{-1} Cov^{yx} Cov^{-1}.
     """
-    mod = modify(ds, coeffs.theta_bar)
+    mod, erm_mod, resid, curv = _fit_rows(ds, model, LossKind.CROSS_ENTROPY, coeffs)
     n = ds.n
-    erm_mod = r1 = r2 = r3 = 0.0
+    r1 = r2 = r3 = 0.0
     clipped = 0
     for i in range(n):
         cov = per_example_covariances(ds, coeffs, i)
-        xt, yt = mod.inputs[i], mod.outputs[i]
-        u = model.predict(xt)
-        erm_mod += loss_value(LossKind.CROSS_ENTROPY, yt, u)
-        H = softmax_hessian(u)
+        xt, H = mod.inputs[i], curv[i]
         G = model.input_jacobian(xt)
         A = cov.sxx
         syx = cov.sxy.T
@@ -301,28 +307,20 @@ def r_terms_ce(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         clipped += k1 + k2
         J = (h_pinv_root @ h_pinv_root) @ syx @ (a_pinv_root @ a_pinv_root)
         r1 += np.linalg.norm(psd_sqrt(H) @ (G - J) @ psd_sqrt(A)) ** 2 / 2.0
-        resid = softmax(u) - yt
-        r2 += 0.5 * float(
-            np.tensordot(A, hessian_contraction(model.input_hessian(xt), resid))
-        )
+        r2 += 0.5 * float(np.tensordot(A, hessian_contraction(model.input_hessian(xt), resid[i])))
         r3 -= np.linalg.norm(h_pinv_root @ syx @ a_pinv_root) ** 2 / 2.0
-    return _assemble(erm_mod / n, r1 / n, r2 / n, r3 / n, 0.0, clipped)
+    return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, 0.0, clipped)
 
 
 def r_terms_lr(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakdown:
     """Logistic specialization: scalar curvature v(u) = s(u)(1 - s(u))."""
-    mod = modify(ds, coeffs.theta_bar)
+    mod, erm_mod, resid, curv = _fit_rows(ds, model, LossKind.LOGISTIC, coeffs)
     n = ds.n
-    erm_mod = r1 = r2 = r3 = 0.0
+    r1 = r2 = r3 = 0.0
     clipped = 0
     for i in range(n):
         cov = per_example_covariances(ds, coeffs, i)
-        xt = mod.inputs[i]
-        yt = float(mod.outputs[i][0])
-        u = float(np.asarray(model.predict(xt)).ravel()[0])
-        erm_mod += loss_value(LossKind.LOGISTIC, np.array([yt]), np.array([u]))
-        s = sigmoid(u)
-        v = s * (1.0 - s)
+        xt, v = mod.inputs[i], curv[i, 0, 0]
         G = model.input_jacobian(xt).ravel()
         A = cov.sxx
         syx = cov.sxy.ravel()
@@ -337,8 +335,8 @@ def r_terms_lr(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
             clipped += 1
         diff = G - J
         r1 += 0.5 * v * float(diff @ A @ diff)
-        r2 += 0.5 * (s - yt) * float(np.tensordot(A, model.input_hessian(xt)[0]))
-    return _assemble(erm_mod / n, r1 / n, r2 / n, r3 / n, 0.0, clipped)
+        r2 += 0.5 * resid[i, 0] * float(np.tensordot(A, model.input_hessian(xt)[0]))
+    return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, 0.0, clipped)
 
 
 def r_terms_se(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakdown:
@@ -348,15 +346,13 @@ def r_terms_se(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
     Cov^{yx} Cov^{-1}; R4 reduces to the model-independent trace of the output
     covariances.
     """
-    mod = modify(ds, coeffs.theta_bar)
+    mod, erm_mod, resid, _ = _fit_rows(ds, model, LossKind.SQUARED_ERROR, coeffs)
     n = ds.n
-    erm_mod = r1 = r2 = r3 = r4 = 0.0
+    r1 = r2 = r3 = r4 = 0.0
     clipped = 0
     for i in range(n):
         cov = per_example_covariances(ds, coeffs, i)
-        xt, yt = mod.inputs[i], mod.outputs[i]
-        u = model.predict(xt)
-        erm_mod += loss_value(LossKind.SQUARED_ERROR, yt, u)
+        xt = mod.inputs[i]
         G = model.input_jacobian(xt)
         A = cov.sxx
         syx = cov.sxy.T
@@ -366,12 +362,10 @@ def r_terms_se(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         J = syx @ a_pinv
         diff = G - J
         r1 += 0.5 * float(np.trace(diff @ A @ diff.T))
-        r2 += 0.5 * float(
-            np.tensordot(A, hessian_contraction(model.input_hessian(xt), u - yt))
-        )
+        r2 += 0.5 * float(np.tensordot(A, hessian_contraction(model.input_hessian(xt), resid[i])))
         r3 -= np.linalg.norm(a_pinv_root @ cov.sxy) ** 2 / 2.0
         r4 += 0.5 * float(np.trace(cov.syy))
-    return _assemble(erm_mod / n, r1 / n, r2 / n, r3 / n, r4 / n, clipped)
+    return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, r4 / n, clipped)
 
 
 def approx_mixup_objective(

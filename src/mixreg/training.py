@@ -34,11 +34,12 @@ change every step and are featurized as they come.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .data import Dataset, modify
-from .losses import LossKind, grad_u_rows, loss_values, sigmoid, softmax_rows
+from .losses import LossKind, grad_u_rows, hess_uu_rows, loss_values, sigmoid, softmax_rows
 from .metrics import Rescale, predict
 from .models import LinearModel, RffModel, init_rff
 from .mixup import mixup_minibatch
@@ -64,7 +65,10 @@ class TrainingDiverged(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     """One training run. The defaults of the fields that
-    :class:`experiment.ExperimentSpec` shares are the two-moons protocol's."""
+    :class:`experiment.ExperimentSpec` shares are the two-moons protocol's.
+    ValueError unless epochs, batch_size and rff_features are integers >= 1,
+    seed an integer >= 0, alpha, step_size and rff_scale finite positive
+    numbers (bools are not numbers here), and drop_r2 a bool."""
 
     method: str = "erm"
     alpha: float = 1.0
@@ -81,12 +85,18 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method != "erm" and not self.alpha > 0:
-            raise ValueError("alpha must be positive for mixing-based methods")
-        if self.epochs < 1 or self.batch_size < 1 or self.step_size <= 0:
-            raise ValueError("epochs, batch_size must be >= 1 and step_size > 0")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("rff_features", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("alpha", "step_size", "rff_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < np.inf:
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
+        if not isinstance(self.drop_r2, bool):
+            raise ValueError(f"drop_r2 must be true or false, got {self.drop_r2!r}")
 
 
 @dataclass
@@ -169,9 +179,9 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
     """Objective value and parameter gradient of the batch-restricted terms,
     with the Hessian term when the context holds ``sas``.
 
-    ``H`` is the loss Hessian in u per row: diag(P) - P P^T (CE), s(1 - s)
-    (LR) or the identity (SE). The penalty's u-Hessian term is
-    1/2 <H, G A G^T>, and its gradient in G is H G A - Cov^{yx}.
+    ``H`` is the loss Hessian in u per row (:func:`losses.hess_uu_rows`). The
+    penalty's u-Hessian term is 1/2 <H, G A G^T>, and its gradient in G is
+    H G A - Cov^{yx}.
     """
     Yb = ctx.Yt[idx]
     A = ctx.A_all[idx]
@@ -194,22 +204,17 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
     gu = grad_u_rows(kind, Yb, U)
     GA = G @ A
     Q = GA @ G.transpose(0, 2, 1)
+    H = hess_uu_rows(kind, U)
     values = loss_values(kind, Yb, U) - (Syx * G).sum(axis=(1, 2))
     if kind is LossKind.CROSS_ENTROPY:
         P = softmax_rows(U)
-        H = P[:, :, None] * (np.eye(c) - P[:, None, :])
         vec = np.diagonal(Q, axis1=1, axis2=2) - 2.0 * (Q @ P[:, :, None])[:, :, 0]
         dLdu = gu + 0.5 * (H @ vec[:, :, None])[:, :, 0]
     elif kind is LossKind.LOGISTIC:
-        s = sigmoid(U)
-        H = (s * (1.0 - s))[:, :, None]
-        dLdu = gu + 0.5 * (H[:, :, 0] * (1.0 - 2.0 * s)) * Q[:, :, 0]
-    elif kind is LossKind.SQUARED_ERROR:
-        H = np.eye(c)
+        dLdu = gu + 0.5 * (H[:, :, 0] * (1.0 - 2.0 * sigmoid(U))) * Q[:, :, 0]
+    else:
         values = values + 0.5 * ctx.syy_trace[idx]
         dLdu = gu
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}")
     values = values + 0.5 * (H * Q).sum(axis=(1, 2))
     dLdG = H @ GA - Syx
 

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .data import Dataset, make_two_moons, modify, shrink
-from .losses import LossKind, bundle, entropy, loss_values, softmax_rows
+from .losses import LossKind, bundle, entropy, hess_uu_rows, loss_values, softmax_rows
 from .models import LinearModel, RffModel, hessian_contraction, init_rff
 from .mixup import (
     _draw_blocks,
@@ -187,14 +187,20 @@ def expected_quadratic_loss(
 
 
 def _perdraw_gap(ds, model, kind, alpha, theta_bar, rng, n: int) -> float:
-    """Largest |pairwise - perturbed| summand over n draws (i, theta, j); the
-    draws and both loss vectors are freed when it returns."""
+    """Largest |pairwise - perturbed| summand over n draws (i, theta, j). The
+    row indices and weights are kept whole; the partners, last in the random
+    stream, are drawn per ``_draw_blocks(n, model)`` block just before it is
+    scored, so one block of partners and loss vectors is alive at a time."""
     I = rng.integers(ds.n, size=n)
     theta = sample_theta(alpha, rng, size=n)
-    J = rng.integers(ds.n, size=n)
-    gap = pair_loss_values(ds, model, kind, I, J, theta)
-    gap -= perturbed_loss_values(ds, model, kind, I, J, theta, theta_bar)
-    return float(np.max(np.abs(gap, out=gap)))
+    worst = 0.0
+    for b in _draw_blocks(n, model):
+        i, th = I[b], theta[b]
+        j = rng.integers(ds.n, size=len(th))
+        gap = pair_loss_values(ds, model, kind, i, j, th)
+        gap -= perturbed_loss_values(ds, model, kind, i, j, th, theta_bar)
+        worst = np.maximum(worst, np.max(np.abs(gap, out=gap)))
+    return float(worst)
 
 
 def _over_perturbation_blocks(ds, theta_bar, i, theta, rng, consume) -> None:
@@ -253,10 +259,10 @@ def check_risk_rewrite(
     """Per-draw identity between the pairwise and perturbed risk forms, the
     zero-mean property of the perturbations, and paired MC estimators.
 
-    The per-draw identity holds its n_perdraw draws and both loss vectors
-    until they are compared; each zero-mean row keeps its 200 000 folded
-    weights and one block of partners and perturbations; the estimators hold
-    one chunk of draws each."""
+    The per-draw identity keeps its n_perdraw row indices and weights and one
+    block of partners and loss vectors; each zero-mean row keeps its 200 000
+    folded weights and one block of partners and perturbations; the
+    estimators hold one chunk of draws each."""
     t0 = time.perf_counter()
     tb = mix_coefficients(alpha).theta_bar
     rng = np.random.default_rng(seed)
@@ -477,11 +483,9 @@ def _newton_ce_fit(
         gnorm = float(np.linalg.norm(grad))
         if gnorm <= grad_tol:
             break
-        hess = np.zeros((c * d, c * d))
-        for i in range(n):
-            Hi = np.diag(P[i]) - np.outer(P[i], P[i])
-            hess += np.kron(Hi, np.outer(X[i], X[i]))
-        hess = hess / n + ridge * np.eye(c * d)
+        # sum_i kron(H_i, x_i x_i^T) / n, H_i the loss curvature of row i
+        hess = np.einsum("iab,ij,ik->ajbk", hess_uu_rows(LossKind.CROSS_ENTROPY, U), X, X)
+        hess = hess.reshape(c * d, c * d) / n + ridge * np.eye(c * d)
         step = np.linalg.lstsq(hess, -grad.ravel(), rcond=None)[0].reshape(c, d)
         f0 = value(W)
         descent = float((grad.ravel() @ step.ravel()))
@@ -527,8 +531,8 @@ def check_label_smoothing(
 
     p = softmax_rows(X @ W0.T)
     pt = softmax_rows(X @ W1.T)
-    avg_z = float(np.mean([entropy(row) for row in p]))
-    avg_zt = float(np.mean([entropy(row) for row in pt]))
+    avg_z = float(entropy(p).mean())
+    avg_zt = float(entropy(pt).mean())
     z_bar = entropy(ds.y_mean)
     lhs = float(shrink(avg_z, z_bar, tb))
     violation = max(lhs - avg_zt, 0.0)
@@ -563,13 +567,8 @@ def check_taylor(
     rng = np.random.default_rng(seed)
 
     def residual(i, delta, eps):
-        exact = float(
-            loss_values(
-                kind,
-                (mod.outputs[i] + eps)[None, :],
-                model.predict((mod.inputs[i] + delta)[None, :]),
-            )[0]
-        )
+        exact = loss_values(kind, (mod.outputs[i] + eps)[None],
+                            model.predict((mod.inputs[i] + delta)[None]))[0]
         return abs(exact - quadratic_loss(mod, model, kind, i, delta, eps))
 
     zero_res = max(

@@ -12,7 +12,7 @@ import numpy as np
 from conftest import central_cross_hessian, central_grad, central_hessian, central_jacobian
 from mixreg.data import Dataset, make_two_moons
 from mixreg.experiment import ExperimentSpec, run_seed
-from mixreg.losses import LossKind, bundle, loss_value, loss_values
+from mixreg.losses import LossKind, bundle, loss_values
 from mixreg.metrics import Rescale, predict
 from mixreg.mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc
 from mixreg.models import LinearModel, RffModel, init_rff
@@ -237,8 +237,8 @@ def test_criterion_06_label_smoothing_entropy():
         worst_grad = max(worst_grad, g0, g1)
         p = softmax_rows(X @ W0.T)
         pt = softmax_rows(X @ W1.T)
-        lhs = tb * np.mean([entropy(r) for r in p]) + (1 - tb) * entropy(ds.y_mean)
-        rhs = np.mean([entropy(r) for r in pt])
+        lhs = tb * entropy(p).mean() + (1 - tb) * entropy(ds.y_mean)
+        rhs = entropy(pt).mean()
         worst_violation = max(worst_violation, lhs - rhs)
     ok = worst_grad < 1e-8 and worst_violation <= 1e-9
     _declare(6, ok, f"max violation {worst_violation:.2e} (<=1e-9); "
@@ -263,7 +263,7 @@ def test_criterion_07_derivative_correctness():
             else:
                 y, u = np.array([rng.uniform()]), rng.normal(size=1)
             b = bundle(kind, y, u)
-            val = lambda yy, uu: loss_value(kind, yy, uu)
+            val = lambda yy, uu: loss_values(kind, yy[None], uu[None])[0]
             # h ~ (eps/|f''''|)^(1/4) balances truncation against cancellation
             h2 = 4e-4
             worst = max(worst, rel_gap(b.grad_u, central_grad(lambda uu: val(y, uu), u)))
@@ -302,8 +302,8 @@ def test_criterion_08_taylor_residual_decay():
         d_dir, e_dir = rng.normal(size=2), rng.normal(size=2)
 
         def resid(s):
-            exact = loss_value(LossKind.CROSS_ENTROPY, mod.outputs[i] + s * e_dir,
-                               model.predict(mod.inputs[i] + s * d_dir))
+            exact = loss_values(LossKind.CROSS_ENTROPY, (mod.outputs[i] + s * e_dir)[None],
+                                model.predict(mod.inputs[i] + s * d_dir)[None])[0]
             return abs(exact - quadratic_loss(mod, model, LossKind.CROSS_ENTROPY, i,
                                               s * d_dir, s * e_dir))
 

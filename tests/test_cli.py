@@ -117,6 +117,14 @@ _BAD_INPUTS = {
     "odd two-moons n": {"dataset": {"n": 41}},
     "two-moons n as a string": {"dataset": {"n": "40"}},
     "epochs as a string": {"train": {"epochs": "4"}},
+    "epochs not a whole number": {"train": {"epochs": 1.5}},
+    "batch_size as a float": {"train": {"batch_size": 50.0}},
+    "no features": {"model": {"features": 0}},
+    "features not a whole number": {"model": {"features": 2.5}},
+    "negative feature scale": {"model": {"scale": -1.0}},
+    "negative seed": {"seed": -1},
+    "drop_r2 as a string": {"train": {"method": "mixup_approx", "drop_r2": "false"}},
+    "non-finite csv cell": {"dataset": {"kind": "csv", "train": "tr.csv", "test": "nan.csv"}},
     "train_fraction above 1": {"dataset": {"train_fraction": 1.5}},
     "batch_size not dividing 20 rows": {"train": {"batch_size": 7}},
     "logistic loss on two columns": {"train": {"loss": "lr"}},
@@ -133,6 +141,7 @@ def test_bad_input_exits_2_and_creates_no_output(tmp_path, capsys, monkeypatch, 
     monkeypatch.chdir(tmp_path)
     _moons_csv(tmp_path)
     (tmp_path / "bad.csv").write_text("a,b\n1.0,2.0\n")
+    (tmp_path / "nan.csv").write_text("x0,x1,y0,y1\n0.5,nan,1.0,0.0\n")
     path = _write_config(tmp_path, **_BAD_INPUTS[case])
     with pytest.raises(SystemExit) as exc:
         main([command, "--config", str(path), "--out", "out"])

@@ -180,6 +180,17 @@ def test_load_csv_rejects_a_malformed_file(tmp_path, text):
         load_csv(path)
 
 
+@pytest.mark.parametrize(
+    "cells, row, column", [(("nan", "1.0"), 2, "x0"), (("1.0", "-inf"), 2, "y0"),
+                           (("1.0", "2.0"), 3, "y0")]
+)
+def test_load_csv_names_the_first_non_finite_cell(tmp_path, cells, row, column):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text("x0,y0\n0.5,1.0\n" + ",".join(cells) + "\n2.0,nan\n")
+    with pytest.raises(ValueError, match=f"nonfinite.csv: row {row}, column {column} is "):
+        load_csv(path)
+
+
 def test_dataset_arrays_read_only():
     ds = make_two_moons(10, 0.0, seed=0)
     with pytest.raises(ValueError):

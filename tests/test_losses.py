@@ -1,25 +1,29 @@
 import numpy as np
 import pytest
 
-from conftest import central_cross_hessian, central_grad, central_hessian
+from conftest import central_cross_hessian, central_grad, central_hessian, central_jacobian
 from mixreg.losses import (
     LossKind,
     bundle,
     entropy,
     grad_u_rows,
-    loss_value,
+    hess_uu_rows,
     loss_values,
     sigmoid,
-    softmax,
-    softmax_hessian,
     softmax_rows,
 )
 
 
+def _value(kind, y, u):
+    """The loss at one (y, u) pair, read off ``loss_values`` on one row."""
+    return loss_values(kind, np.asarray(y, dtype=float)[None], np.asarray(u, dtype=float)[None])[0]
+
+
 def test_softmax_symmetry_and_shift_invariance():
-    assert np.allclose(softmax(np.zeros(2)), [0.5, 0.5], atol=1e-15)
-    u = np.array([0.3, -1.2, 2.0])
-    assert np.abs(softmax(u + 3.7) - softmax(u)).max() < 1e-12
+    assert np.allclose(softmax_rows(np.zeros((1, 2))), [[0.5, 0.5]], atol=1e-15)
+    U = np.array([[0.3, -1.2, 2.0], [5.0, 0.0, -3.0]])
+    assert np.abs(softmax_rows(U + 3.7) - softmax_rows(U)).max() < 1e-12
+    assert np.abs(softmax_rows(U + np.array([[3.7], [-40.0]])) - softmax_rows(U)).max() < 1e-12
 
 
 def test_entropy_uniform_maximal():
@@ -27,6 +31,17 @@ def test_entropy_uniform_maximal():
     assert entropy(np.array([1.0, 0.0])) == 0.0
     with pytest.raises(ValueError):
         entropy(np.array([0.7, 0.6]))
+
+
+def test_entropy_of_rows_is_each_row_entropy():
+    P = np.array([[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]])
+    h = entropy(P)
+    assert isinstance(h, np.ndarray) and h.shape == (3,)
+    assert np.array_equal(h, [entropy(p) for p in P])
+    assert h[0] == pytest.approx(np.log(2.0), abs=1e-15) and h[1] == 0.0
+    assert isinstance(entropy(P[2]), float)
+    with pytest.raises(ValueError):
+        entropy(np.array([[0.5, 0.5], [0.7, 0.6]]))
 
 
 def test_sigmoid_range_and_symmetry():
@@ -93,9 +108,10 @@ def test_bundle_matches_finite_differences(kind):
     for _ in range(100):
         y, u = _random_pair(kind, rng)
         b = bundle(kind, y, u)
+        assert b.value == _value(kind, y, u)
 
         def val(yy, uu):
-            return loss_value(kind, yy, uu)
+            return _value(kind, yy, uu)
 
         # second differences carry ~1e-8 cancellation noise, hence the atol
         assert np.allclose(b.grad_u, central_grad(lambda uu: val(y, uu), u), rtol=1e-5, atol=1e-8)
@@ -120,13 +136,28 @@ def test_schwarz_symmetry_of_cross_block():
         assert np.allclose(b.hess_yu, b.hess_yu.T)
 
 
-def test_softmax_hessian_nullspace_and_psd():
+def test_ce_curvature_nullspace_and_psd():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        u = rng.normal(size=4) * 3
-        H = softmax_hessian(u)
-        assert np.abs(H @ np.ones(4)).max() < 1e-12
-        assert np.linalg.eigvalsh(H).min() > -1e-12
+    H = hess_uu_rows(LossKind.CROSS_ENTROPY, rng.normal(size=(20, 4)) * 3)
+    assert np.abs(H @ np.ones(4)).max() < 1e-12
+    assert np.abs(H - H.transpose(0, 2, 1)).max() == 0.0
+    assert np.linalg.eigvalsh(H).min() > -1e-12
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_curvature_rows_are_central_differences_of_gradient_rows(kind):
+    """Each row of hess_uu_rows is the Jacobian in u of that row of
+    grad_u_rows, by central differences, at points where the curvature is
+    far from zero."""
+    rng = np.random.default_rng(4)
+    pairs = [_random_pair(kind, rng) for _ in range(30)]
+    Y, U = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+    H = hess_uu_rows(kind, U)
+    assert H.shape == (len(U), U.shape[1], U.shape[1])
+    for y, u, h in zip(Y, U, H):
+        fd = central_jacobian(lambda uu: grad_u_rows(kind, y[None], uu[None])[0], u)
+        assert np.allclose(h, fd, rtol=1e-7, atol=1e-9)
+    assert np.abs(H).max() > 0.05
 
 
 def test_ce_binary_equals_logistic_reparametrization():
@@ -136,27 +167,35 @@ def test_ce_binary_equals_logistic_reparametrization():
         u = rng.normal(size=2) * 2
         for label in (0, 1):
             y2 = np.eye(2)[label]
-            ce = loss_value(LossKind.CROSS_ENTROPY, y2, u)
+            ce = _value(LossKind.CROSS_ENTROPY, y2, u)
             # class encoded by the second logit; the scalar label is y2[1]
-            lr = loss_value(LossKind.LOGISTIC, np.array([y2[1]]), np.array([u[1] - u[0]]))
+            lr = _value(LossKind.LOGISTIC, [y2[1]], [u[1] - u[0]])
             assert abs(ce - lr) < 1e-12
 
 
-def test_batch_helpers_match_scalar_paths():
+def test_loss_values_match_independent_oracles():
+    """Cross-entropy against scipy's logsumexp and the logistic loss against
+    numpy's logaddexp, row by row, including logits far in both tails."""
+    from scipy.special import logsumexp
+
     rng = np.random.default_rng(3)
-    Y = rng.dirichlet(np.ones(3), size=6)
-    U = rng.normal(size=(6, 3))
+    Y = rng.dirichlet(np.ones(3), size=8)
+    U = rng.normal(size=(8, 3)) * np.array([[1.0], [1.0], [1.0], [1.0], [30.0], [300.0], [1.0], [1.0]])
+    U[6] += 800.0
     vals = loss_values(LossKind.CROSS_ENTROPY, Y, U)
-    for i in range(6):
-        assert vals[i] == pytest.approx(loss_value(LossKind.CROSS_ENTROPY, Y[i], U[i]), abs=1e-12)
-    P = softmax_rows(U)
-    for i in range(6):
-        assert np.allclose(P[i], softmax(U[i]), atol=1e-15)
+    oracle = [logsumexp(u) - y @ u for y, u in zip(Y, U)]
+    assert np.allclose(vals, oracle, rtol=1e-14, atol=1e-12)
+
+    y = rng.uniform(size=(8, 1))
+    u = rng.normal(size=(8, 1)) * np.array([[1.0], [1.0], [1.0], [1.0], [30.0], [300.0], [-300.0], [1.0]])
+    vals = loss_values(LossKind.LOGISTIC, y, u)
+    oracle = [np.logaddexp(0.0, uu[0]) - yy[0] * uu[0] for yy, uu in zip(y, u)]
+    assert np.allclose(vals, oracle, rtol=1e-14, atol=1e-12)
 
 
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
-        loss_value(LossKind.SQUARED_ERROR, np.zeros(2), np.zeros(3))
+        loss_values(LossKind.SQUARED_ERROR, np.zeros((1, 2)), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         bundle(LossKind.LOGISTIC, np.zeros(2), np.zeros(2))
 

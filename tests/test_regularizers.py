@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixreg.data import Dataset, make_two_moons, modify
-from mixreg.losses import LossKind, loss_value
+from mixreg.losses import LossKind, loss_values
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import (
     approx_mixup_objective,
@@ -132,7 +132,9 @@ def test_quadratic_loss_zeroth_order():
     mod = modify(ds, coeffs.theta_bar)
     model = _random_rff(1)
     for i in range(5):
-        exact = loss_value(LossKind.CROSS_ENTROPY, mod.outputs[i], model.predict(mod.inputs[i]))
+        exact = loss_values(
+            LossKind.CROSS_ENTROPY, mod.outputs[i][None], model.predict(mod.inputs[i])[None]
+        )[0]
         approx = quadratic_loss(mod, model, LossKind.CROSS_ENTROPY, i, np.zeros(2), np.zeros(2))
         assert abs(exact - approx) < 1e-13
 
@@ -146,9 +148,11 @@ def test_quadratic_loss_exact_for_se_linear():
         delta = rng.normal(size=3) * 2
         eps = rng.normal(size=2) * 2
         i = int(rng.integers(ds.n))
-        exact = loss_value(
-            LossKind.SQUARED_ERROR, mod.outputs[i] + eps, model.predict(mod.inputs[i] + delta)
-        )
+        exact = loss_values(
+            LossKind.SQUARED_ERROR,
+            (mod.outputs[i] + eps)[None],
+            model.predict(mod.inputs[i] + delta)[None],
+        )[0]
         approx = quadratic_loss(mod, model, LossKind.SQUARED_ERROR, i, delta, eps)
         assert abs(exact - approx) < 1e-10
 
@@ -165,11 +169,11 @@ def test_quadratic_loss_cubic_remainder_decay():
         d_dir, e_dir = rng.normal(size=2), rng.normal(size=2)
 
         def resid(s):
-            exact = loss_value(
+            exact = loss_values(
                 LossKind.CROSS_ENTROPY,
-                mod.outputs[i] + s * e_dir,
-                model.predict(mod.inputs[i] + s * d_dir),
-            )
+                (mod.outputs[i] + s * e_dir)[None],
+                model.predict(mod.inputs[i] + s * d_dir)[None],
+            )[0]
             return abs(exact - quadratic_loss(mod, model, LossKind.CROSS_ENTROPY, i, s * d_dir, s * e_dir))
 
         big += resid(1e-2)
@@ -288,7 +292,9 @@ def test_approx_objective_flag_and_limit():
     tiny = mix_coefficients(1e-9)
     erm = np.mean(
         [
-            loss_value(LossKind.CROSS_ENTROPY, ds.outputs[i], model.predict(ds.inputs[i]))
+            loss_values(
+                LossKind.CROSS_ENTROPY, ds.outputs[i][None], model.predict(ds.inputs[i])[None]
+            )[0]
             for i in range(ds.n)
         ]
     )

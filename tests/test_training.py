@@ -502,6 +502,13 @@ def test_config_validation():
         TrainConfig(method="erm", epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(method="erm", model="mlp")
+    for bad in ({"epochs": 1.5}, {"batch_size": 50.0}, {"rff_features": 0},
+                {"rff_features": True}, {"seed": -1}, {"seed": 0.0}, {"rff_scale": -1.0},
+                {"rff_scale": float("nan")}, {"step_size": float("inf")}, {"alpha": 0.0},
+                {"alpha": "1.0"}, {"drop_r2": "false"}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(method="erm", **bad)
+    TrainConfig(method="erm", epochs=np.int64(3), seed=np.int64(0), step_size=1, alpha=np.float64(0.5))
     tr, te = _moons_split(17, n=20)
     with pytest.raises(ValueError):
         train(tr, te, TrainConfig(method="erm", batch_size=999))
