@@ -12,7 +12,8 @@ Library layout:
 * :mod:`mixreg.training` -- minibatch SGD under the four objectives
 * :mod:`mixreg.metrics` -- raw or rescaled ``predict``, accuracy / CE / ECE /
   entropy
-* :mod:`mixreg.verification` -- oracle checks certifying the identities
+* :mod:`mixreg.verification` -- the independent oracles (exact perturbation
+  moments, quadratic Taylor loss) and the checks certifying the identities
 * :mod:`mixreg.experiment` -- the noisy two-moons protocol
 * :mod:`mixreg.cli` -- the ``mixreg`` command-line entry point
 """
@@ -40,11 +41,9 @@ from .regularizers import (
     PerExampleCovariances,
     RegularizerBreakdown,
     approx_mixup_objective,
-    exact_second_moments,
     mols_fit,
     per_example_covariances,
     perturbation_covariances,
-    quadratic_loss,
     r_terms_ce,
     r_terms_general,
     r_terms_lr,
@@ -58,6 +57,6 @@ from .truncbeta import (
     trunc_beta_mean,
     trunc_beta_raw_moment,
 )
-from .verification import CheckReport, run_all
+from .verification import CheckReport, exact_second_moments, quadratic_loss, run_all
 
 __version__ = "0.1.0"

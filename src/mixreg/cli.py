@@ -33,9 +33,10 @@ are ExperimentSpec's two-moons protocol trained with mixup:
 
 A config file that is not a readable JSON object (or has a section that is
 not one), a key outside this layout, a value its key does not allow, an
-unreadable csv dataset or one with a non-finite cell, invalid two-moons
-values, or data the train keys cannot train on ends the command with exit
-code 2 before any output, as
+unreadable csv dataset or one with a cell that is not a finite number,
+invalid two-moons values, data the train keys cannot train on, or, for eval
+and sweep, test targets off the probability simplex ends the command with
+exit code 2 before any output, as
 does an --out that names, or lies under, something that exists and is not a
 directory. The config.json each command writes holds only the keys its run
 read (README, "Command line").
@@ -182,6 +183,13 @@ def _resolve(cfg: dict):
     return datasets, tc, record
 
 
+def _check_scorable(command: str, *test_sets) -> None:
+    """Exit with code 2 unless ``metrics`` can score every test set: eval and
+    sweep score classifiers, so the test targets must lie on the simplex."""
+    if not all(ds.is_classification() for ds in test_sets):
+        _fail(f"{command} scores classifiers; the test targets must lie on the probability simplex")
+
+
 def _check_out(out: str) -> None:
     """Exit with code 2, naming the path, when --out or a path above it
     exists and is not a directory, so the output directory cannot be made;
@@ -237,6 +245,7 @@ def _load_model(args):
 
 def cmd_eval(args) -> int:
     model, extra, (_, ds_test), record = _load_model(args)
+    _check_scorable("eval", ds_test)
     rescale = None
     if args.mode == "rescaled":
         resc = extra.get("rescale")
@@ -289,6 +298,7 @@ def cmd_sweep(args) -> int:
         (alpha, [_resolve(_deep_update(cfg, {"seed": s, "train": {"alpha": alpha}})) for s in seeds])
         for alpha in alphas
     ]
+    _check_scorable("sweep", *(ds_test for _, alpha_runs in runs for (_, ds_test), _, _ in alpha_runs))
     # the first run's record, with the seeds and alphas swept in place of its own
     record = runs[0][1][0][2]
     del record["seed"], record["train"]["alpha"]

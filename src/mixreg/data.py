@@ -7,6 +7,7 @@ rows a method fits and :class:`metrics.Rescale` to test inputs, bit for bit.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,6 +181,18 @@ def save_csv(ds: Dataset, path) -> None:
             writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
 
 
+def _finite_cell(path, row: int, column: str, text: str) -> float:
+    """One csv cell as a finite float; ValueError naming the file, the data
+    row and the column otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}: row {row}, column {column} is {text!r}, not a finite number")
+    return value
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset written by :func:`save_csv`; ValueError for a file
     without that header, with a row of another length, with no rows, or with
@@ -191,10 +204,10 @@ def load_csv(path) -> Dataset:
         c = len(header) - d
         if d < 1 or c < 1 or header != [f"x{j}" for j in range(d)] + [f"y{j}" for j in range(c)]:
             raise ValueError(f"unrecognized dataset header: {header}")
-        rows = [[float(v) for v in row] for row in reader]
-    arr = np.asarray(rows).reshape(len(rows), len(header))
-    bad = np.argwhere(~np.isfinite(arr))
-    if len(bad):
-        r, k = bad[0]
-        raise ValueError(f"{path}: row {r + 1}, column {header[k]} is {arr[r, k]}, not finite")
+        rows = []
+        for r, row in enumerate(reader, 1):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {r} has {len(row)} cells, the header {len(header)}")
+            rows.append([_finite_cell(path, r, name, text) for name, text in zip(header, row)])
+    arr = np.asarray(rows, dtype=float).reshape(len(rows), len(header))
     return Dataset(arr[:, :d], arr[:, d:])

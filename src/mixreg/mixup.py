@@ -348,7 +348,5 @@ def mixup_minibatch(
         lam = rng.beta(alpha, alpha, size=m)
     else:
         lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,))
-    lam_col = lam[:, None]
-    mixed_x = lam_col * batch_x + (1.0 - lam_col) * batch_x[partner]
-    mixed_y = lam_col * batch_y + (1.0 - lam_col) * batch_y[partner]
-    return mixed_x, mixed_y
+    rows = np.arange(m)
+    return tuple(_combine_rows(z, rows, partner, lam, 1.0 - lam) for z in (batch_x, batch_y))

@@ -8,7 +8,8 @@ g2 = gamma_sq and tb = theta_bar,
 (and analogously for outputs and the input/output cross block), which equals
 [ s2 (x~_i - xbar)(x~_i - xbar)^T + g2 Cov(x~) ] / tb^2 on the shrunk rows.
 :func:`perturbation_covariances` is the one implementation, stacked over
-rows; :func:`exact_second_moments` is an independent oracle for it.
+rows; its independent oracle, :func:`mixreg.verification.exact_second_moments`,
+lives apart from it.
 
 Averaging the quadratic Taylor expansion of the loss over these perturbations
 splits the risk into the plain fit on shrunk data plus four penalties:
@@ -34,15 +35,13 @@ import numpy as np
 from .data import Dataset, modify
 from .losses import LossKind, bundle, grad_u_rows, hess_uu_rows, loss_values
 from .models import LinearModel, hessian_contraction
-from .truncbeta import MixCoefficients, trunc_beta_raw_moment
+from .truncbeta import MixCoefficients
 
 __all__ = [
     "PerExampleCovariances",
     "RegularizerBreakdown",
     "perturbation_covariances",
     "per_example_covariances",
-    "exact_second_moments",
-    "quadratic_loss",
     "r_terms_general",
     "r_terms_ce",
     "r_terms_lr",
@@ -85,10 +84,6 @@ class RegularizerBreakdown:
     r4: float
     total: float
     clipped_inverses: int = 0
-
-    @property
-    def regularizer_sum(self) -> float:
-        return self.r1 + self.r2 + self.r3 + self.r4
 
     @property
     def regularizer_sum_no_r2(self) -> float:
@@ -150,80 +145,6 @@ def per_example_covariances(ds: Dataset, coeffs: MixCoefficients, i: int) -> Per
         raise IndexError(f"row index {i} out of range for n={ds.n}")
     cov = perturbation_covariances(ds, coeffs, [i])
     return PerExampleCovariances(sxx=cov.sxx[0], syy=cov.syy[0], sxy=cov.sxy[0])
-
-
-def exact_second_moments(
-    ds: Dataset, coeffs: MixCoefficients, i: int
-) -> PerExampleCovariances:
-    """Independent oracle: expand E[delta delta^T] (and companions) directly.
-
-    The expectation over the partner index is a finite sum and the expectation
-    over theta uses only its first two raw moments; the closed-form covariance
-    expression is never invoked.
-    """
-    if not 0 <= i < ds.n:
-        raise IndexError(f"row index {i} out of range for n={ds.n}")
-    tb = coeffs.theta_bar
-    m2 = trunc_beta_raw_moment(coeffs.alpha, 2)
-    a = m2 - tb * tb            # E[(theta - tb)^2]
-    b = 1.0 - 2.0 * tb + m2     # E[(1 - theta)^2]
-    c_ab = tb * tb - m2         # E[(theta - tb)(1 - theta)]
-    r = 1.0 - tb                # E[1 - theta]
-    X, Y = ds.inputs, ds.outputs
-    xbar, ybar = ds.x_mean, ds.y_mean
-    mxx = X.T @ X / ds.n
-    myy = Y.T @ Y / ds.n
-    mxy = X.T @ Y / ds.n
-
-    def second_moment(zi, zbar, mzz):
-        return (
-            a * np.outer(zi, zi)
-            + b * mzz
-            - r * r * np.outer(zbar, zbar)
-            + c_ab * (np.outer(zi, zbar) + np.outer(zbar, zi))
-        )
-
-    sxx = second_moment(X[i], xbar, mxx)
-    syy = second_moment(Y[i], ybar, myy)
-    sxy = (
-        a * np.outer(X[i], Y[i])
-        + b * mxy
-        - r * r * np.outer(xbar, ybar)
-        + c_ab * (np.outer(X[i], ybar) + np.outer(xbar, Y[i]))
-    )
-    return PerExampleCovariances(sxx=sxx, syy=syy, sxy=sxy)
-
-
-def quadratic_loss(
-    ds_mod: Dataset,
-    model,
-    kind: LossKind,
-    i: int,
-    delta: np.ndarray,
-    epsilon: np.ndarray,
-) -> float:
-    """Second-order Taylor expansion of the loss about row i of the shrunk data.
-
-    Exact for the squared error with a linear model; otherwise carries a
-    cubic remainder in the perturbation scale.
-    """
-    yt = ds_mod.outputs[i]
-    xt = ds_mod.inputs[i]
-    u = model.predict(xt)
-    bnd = bundle(kind, yt, u)
-    G = model.input_jacobian(xt)
-    Hf = model.input_hessian(xt)
-    delta = np.asarray(delta, dtype=float).ravel()
-    epsilon = np.asarray(epsilon, dtype=float).ravel()
-    quad_in = G.T @ bnd.hess_uu @ G + hessian_contraction(Hf, bnd.grad_u)
-    return float(
-        bnd.value
-        + bnd.grad_y @ epsilon
-        + bnd.grad_u @ (G @ delta)
-        + 0.5 * delta @ quad_in @ delta
-        + 0.5 * epsilon @ bnd.hess_yy @ epsilon
-        + epsilon @ (bnd.hess_yu @ G) @ delta
-    )
 
 
 def _assemble(erm_mod, r1, r2, r3, r4, clipped) -> RegularizerBreakdown:

@@ -18,12 +18,10 @@ from mixreg.mixup import mixup_risk_mc, pair_loss_values, perturbed_erm_risk_mc
 from mixreg.models import LinearModel, RffModel, init_rff
 from mixreg.regularizers import (
     exact_se_mixup_gradient,
-    exact_second_moments,
     lambda_second_moment,
     mols_fit,
     modify,
     per_example_covariances,
-    quadratic_loss,
     r_terms_ce,
     r_terms_general,
     r_terms_lr,
@@ -33,7 +31,9 @@ from mixreg.truncbeta import mix_coefficients, sample_theta
 from mixreg.verification import (
     _exact_se_risk_quadrature,
     _newton_ce_fit,
+    exact_second_moments,
     expected_quadratic_loss,
+    quadratic_loss,
 )
 
 
@@ -95,10 +95,11 @@ def test_criterion_02_perturbation_covariances():
         n, d, c = int(rng.integers(3, 12)), int(rng.integers(1, 4)), int(rng.integers(1, 3))
         ds = Dataset(rng.normal(size=(n, d)), rng.normal(size=(n, c)))
         coeffs = mix_coefficients(float(rng.uniform(0.2, 4.0)))
+        oracle = exact_second_moments(ds, coeffs)
         for i in range(n):
             closed = per_example_covariances(ds, coeffs, i)
-            oracle = exact_second_moments(ds, coeffs, i)
-            for a, b in ((closed.sxx, oracle.sxx), (closed.syy, oracle.syy), (closed.sxy, oracle.sxy)):
+            for a, b in ((closed.sxx, oracle.sxx[i]), (closed.syy, oracle.syy[i]),
+                         (closed.sxy, oracle.sxy[i])):
                 worst = max(worst, float(np.abs(a - b).max() / max(np.abs(b).max(), 1e-30)))
 
     ds = make_two_moons(20, 0.05, seed=0)

@@ -125,29 +125,58 @@ _BAD_INPUTS = {
     "negative seed": {"seed": -1},
     "drop_r2 as a string": {"train": {"method": "mixup_approx", "drop_r2": "false"}},
     "non-finite csv cell": {"dataset": {"kind": "csv", "train": "tr.csv", "test": "nan.csv"}},
+    "non-number csv cell": {"dataset": {"kind": "csv", "train": "tr.csv", "test": "abc.csv"}},
     "train_fraction above 1": {"dataset": {"train_fraction": 1.5}},
     "batch_size not dividing 20 rows": {"train": {"batch_size": 7}},
     "logistic loss on two columns": {"train": {"loss": "lr"}},
     "no repetitions": {"repetitions": 0},
+    # trains, but eval and sweep score classifiers
+    "regression csv": {"dataset": {"kind": "csv", "train": "reg.csv", "test": "reg.csv"},
+                       "model": {"kind": "linear"}, "train": {"loss": "se"}},
 }
+
+
+def _regression_csv(tmp_path):
+    """20 rows of two inputs and one real-valued target, as reg.csv."""
+    from mixreg.data import Dataset, save_csv
+
+    X = np.random.default_rng(0).normal(size=(20, 2))
+    save_csv(Dataset(X, X @ np.array([[1.0], [-2.0]])), tmp_path / "reg.csv")
 
 
 @pytest.mark.parametrize(
     "command, case",
-    [("train", c) for c in _BAD_INPUTS if c != "no repetitions"]
-    + [("sweep", "batch_size not dividing 20 rows"), ("sweep", "no repetitions")],
+    [("train", c) for c in _BAD_INPUTS if c not in ("no repetitions", "regression csv")]
+    + [("sweep", "batch_size not dividing 20 rows"), ("sweep", "no repetitions"),
+       ("sweep", "regression csv"), ("eval", "regression csv")],
 )
 def test_bad_input_exits_2_and_creates_no_output(tmp_path, capsys, monkeypatch, command, case):
+    from mixreg.models import LinearModel, save_model_json
+
     monkeypatch.chdir(tmp_path)
     _moons_csv(tmp_path)
+    _regression_csv(tmp_path)
     (tmp_path / "bad.csv").write_text("a,b\n1.0,2.0\n")
     (tmp_path / "nan.csv").write_text("x0,x1,y0,y1\n0.5,nan,1.0,0.0\n")
+    (tmp_path / "abc.csv").write_text("x0,x1,y0,y1\n0.5,abc,1.0,0.0\n")
+    save_model_json(LinearModel(W=np.zeros((1, 2)), b=np.zeros(1)), tmp_path / "model.json")
     path = _write_config(tmp_path, **_BAD_INPUTS[case])
+    model = ["--model", "model.json"] if command == "eval" else []
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(path), "--out", "out"])
+        main([command, "--config", str(path), *model, "--out", "out"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("mixreg: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_train_and_breakdown_accept_regression_data(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _regression_csv(tmp_path)
+    path = _write_config(tmp_path, **_BAD_INPUTS["regression csv"])
+    assert main(["train", "--config", str(path), "--out", "train"]) == 0
+    assert main(["breakdown", "--config", str(path), "--model", "train/model.json",
+                 "--out", "breakdown"]) == 0
+    assert (tmp_path / "breakdown" / "breakdown.csv").exists()
 
 
 # --config contents per unreadable config file; None leaves the file absent

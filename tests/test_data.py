@@ -182,7 +182,8 @@ def test_load_csv_rejects_a_malformed_file(tmp_path, text):
 
 @pytest.mark.parametrize(
     "cells, row, column", [(("nan", "1.0"), 2, "x0"), (("1.0", "-inf"), 2, "y0"),
-                           (("1.0", "2.0"), 3, "y0")]
+                           (("1.0", "2.0"), 3, "y0"), (("abc", "1.0"), 2, "x0"),
+                           (("1.0", ""), 2, "y0")]
 )
 def test_load_csv_names_the_first_non_finite_cell(tmp_path, cells, row, column):
     path = tmp_path / "nonfinite.csv"

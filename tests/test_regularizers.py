@@ -10,21 +10,19 @@ from mixreg.regularizers import (
     approx_mixup_objective,
     exact_se_mixup_gradient,
     exact_se_mixup_risk,
-    exact_second_moments,
     lambda_second_moment,
     mols_fit,
     per_example_covariances,
     perturbation_covariances,
     psd_pinv,
     psd_sqrt,
-    quadratic_loss,
     r_terms_ce,
     r_terms_general,
     r_terms_lr,
     r_terms_se,
 )
 from mixreg.truncbeta import mix_coefficients
-from mixreg.verification import expected_quadratic_loss
+from mixreg.verification import exact_second_moments, expected_quadratic_loss, quadratic_loss
 
 
 def _random_dataset(seed, n=8, d=3, c=2, classification=False):
@@ -47,8 +45,8 @@ def test_two_point_hand_value():
     ds = Dataset(np.array([[-1.0], [1.0]]), np.array([[0.0], [0.0]]))
     cov = per_example_covariances(ds, mix_coefficients(1.0), 1)
     assert cov.sxx[0, 0] == pytest.approx(5.0 / 48.0, abs=1e-12)
-    oracle = exact_second_moments(ds, mix_coefficients(1.0), 1)
-    assert oracle.sxx[0, 0] == pytest.approx(5.0 / 48.0, abs=1e-12)
+    oracle = exact_second_moments(ds, mix_coefficients(1.0))
+    assert oracle.sxx[1, 0, 0] == pytest.approx(5.0 / 48.0, abs=1e-12)
 
 
 def test_covariances_vanish_as_alpha_to_zero():
@@ -83,8 +81,8 @@ def test_covariance_formula_matches_exact_oracle(seed):
     coeffs = mix_coefficients(alpha)
     i = int(rng.integers(n))
     closed = per_example_covariances(ds, coeffs, i)
-    oracle = exact_second_moments(ds, coeffs, i)
-    for a, b in ((closed.sxx, oracle.sxx), (closed.syy, oracle.syy), (closed.sxy, oracle.sxy)):
+    oracle = exact_second_moments(ds, coeffs)
+    for a, b in ((closed.sxx, oracle.sxx[i]), (closed.syy, oracle.syy[i]), (closed.sxy, oracle.sxy[i])):
         assert np.abs(a - b).max() / max(np.abs(b).max(), 1e-12) < 1e-10
 
 
@@ -100,16 +98,16 @@ def test_stacked_covariances_match_exact_oracle_property(n, d, c, log_alpha, see
     ds = _random_dataset(seed, n=n, d=d, c=c)
     coeffs = mix_coefficients(float(np.exp(log_alpha)))
     stacked = perturbation_covariances(ds, coeffs)
+    oracle = exact_second_moments(ds, coeffs)
     for i in range(n):
-        oracle = exact_second_moments(ds, coeffs, i)
-        for a, b in ((stacked.sxx[i], oracle.sxx), (stacked.syy[i], oracle.syy),
-                     (stacked.sxy[i], oracle.sxy)):
+        for a, b in ((stacked.sxx[i], oracle.sxx[i]), (stacked.syy[i], oracle.syy[i]),
+                     (stacked.sxy[i], oracle.sxy[i])):
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
 def test_exact_moments_single_point_dataset():
     ds = Dataset(np.array([[2.0, -1.0]]), np.array([[3.0]]))
-    cov = exact_second_moments(ds, mix_coefficients(1.0), 0)
+    cov = exact_second_moments(ds, mix_coefficients(1.0))
     assert np.abs(cov.sxx).max() < 1e-12
     assert np.abs(cov.syy).max() < 1e-12
     assert np.abs(cov.sxy).max() < 1e-12

@@ -1,4 +1,6 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from conftest import mc_memory_bound, traced_peak
 
 import mixreg.verification as verification
 from mixreg import mixup
-from mixreg.data import Dataset, make_two_moons
+from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import per_example_covariances, r_terms_general
@@ -21,6 +23,7 @@ from mixreg.verification import (
     check_penalty_decomposition,
     expected_quadratic_loss,
     format_report_table,
+    quadratic_loss,
     reports_to_json,
 )
 
@@ -125,6 +128,56 @@ def test_blocked_perdraw_gap_equals_one_shot_gap(model):
     rng = np.random.default_rng(3)
     assert verification._perdraw_gap(ds, model, kind, 0.7, tb, rng, n) == want
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _imports(path: Path):
+    """Every module name a source file imports, dotted with what it imports."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from (f"{node.module or ''}.{a.name}" for a in node.names)
+
+
+def _top_level_functions(path: Path) -> list:
+    return [n.name for n in ast.parse(path.read_text()).body if isinstance(n, ast.FunctionDef)]
+
+
+def test_oracles_live_apart_from_the_code_they_certify():
+    """Only the command line and the package root import ``verification``;
+    ``regularizers`` defines neither oracle and ``verification`` each once."""
+    src = Path(verification.__file__).parent
+    importers = {
+        path.stem for path in src.glob("*.py")
+        if any("verification" in name.split(".") for name in _imports(path))
+    }
+    assert importers <= {"cli", "__init__"}
+    oracles = ("exact_second_moments", "quadratic_loss")
+    assert not set(oracles) & set(_top_level_functions(src / "regularizers.py"))
+    defined = _top_level_functions(src / "verification.py")
+    assert all(defined.count(name) == 1 for name in oracles)
+
+
+@pytest.mark.parametrize("kind", list(LossKind))
+def test_quadratic_loss_on_a_stack_equals_its_row_calls(kind):
+    """(k, d) and (k, c) stacks give the k values of the one-row calls."""
+    rng = np.random.default_rng(11)
+    if kind is LossKind.SQUARED_ERROR:
+        ds = _random_regression(11)
+        model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
+    else:
+        ds = make_two_moons(10, 0.05, seed=11)
+        if kind is LossKind.LOGISTIC:
+            ds = Dataset(ds.inputs.copy(), ds.outputs[:, 1:2].copy())
+        model = init_rff(2, 40, 3.0, ds.c, seed=11)
+        model.w = 0.5 * rng.normal(size=model.w.shape)
+    mod = modify(ds, mix_coefficients(1.0).theta_bar)
+    delta, eps = 0.3 * rng.normal(size=(7, ds.d)), 0.3 * rng.normal(size=(7, ds.c))
+    for i in (0, ds.n - 1):
+        stacked = quadratic_loss(mod, model, kind, i, delta, eps)
+        rows = np.array([quadratic_loss(mod, model, kind, i, dl, ep) for dl, ep in zip(delta, eps)])
+        assert stacked.shape == (7,)
+        assert np.all(np.abs(stacked - rows) <= 1e-15 * np.abs(rows))
 
 
 def test_covariance_check_passes():
@@ -339,18 +392,18 @@ def test_sentinel_dropped_terms_break_covariance_check(monkeypatch, dropped):
     """Dropping either variance term of the covariance formula must fail."""
     from mixreg.regularizers import PerExampleCovariances
 
-    def mutated(ds, coeffs, i):
-        dx = ds.inputs[i] - ds.x_mean
-        dy = ds.outputs[i] - ds.y_mean
+    def mutated(ds, coeffs):
+        Xc = ds.inputs - ds.x_mean
+        Yc = ds.outputs - ds.y_mean
         s2 = 0.0 if dropped == "sigma_sq" else coeffs.sigma_sq
         g2 = 0.0 if dropped == "gamma_sq" else coeffs.gamma_sq
         return PerExampleCovariances(
-            sxx=s2 * np.outer(dx, dx) + g2 * ds.sxx,
-            syy=s2 * np.outer(dy, dy) + g2 * ds.syy,
-            sxy=s2 * np.outer(dx, dy) + g2 * ds.sxy,
+            sxx=s2 * np.einsum("bi,bj->bij", Xc, Xc) + g2 * ds.sxx,
+            syy=s2 * np.einsum("bi,bj->bij", Yc, Yc) + g2 * ds.syy,
+            sxy=s2 * np.einsum("bi,bj->bij", Xc, Yc) + g2 * ds.sxy,
         )
 
-    monkeypatch.setattr(verification, "per_example_covariances", mutated)
+    monkeypatch.setattr(verification, "perturbation_covariances", mutated)
     rep = check_covariance_formula(make_two_moons(20, 0.05, seed=9), 1.0)
     assert not rep.passed
 
