@@ -36,10 +36,10 @@ not one), a key outside this layout, a value its key does not allow, an
 unreadable csv dataset or one with a cell that is not a finite number,
 invalid two-moons values, data the train keys cannot train on, or, for eval
 and sweep, test targets off the probability simplex ends the command with
-exit code 2 before any output, as
-does an --out that names, or lies under, something that exists and is not a
-directory. The config.json each command writes holds only the keys its run
-read (README, "Command line").
+exit code 2 before any output, as does an --out that names, or lies under,
+something that exists and is not a directory, a negative verify --seed, or
+model.json metadata that eval or breakdown cannot use. The config.json each
+command writes holds only the keys its run read (README, "Command line").
 """
 
 from __future__ import annotations
@@ -146,12 +146,13 @@ def _load_config(args) -> dict:
     return _deep_update(cfg, override)
 
 
-def _resolve(cfg: dict):
+def _resolve(cfg: dict, loaded: dict | None = None):
     """The (train, test) datasets, the TrainConfig and the record of a merged
     config: its layout holding exactly the keys a run reads (seed, the keys of
     its dataset and model kinds, the train keys, drop_r2 only for mixup_approx),
     from which the TrainConfig and every config.json are made. Bad input ends
-    the command with exit code 2 before any output is written.
+    the command with exit code 2 before any output is written. Runs that share
+    ``loaded`` read a csv pair once and make two-moons data once per seed.
     """
     for (section, key), choices in _CHOICES.items():
         if cfg[section][key] not in choices:
@@ -171,12 +172,16 @@ def _resolve(cfg: dict):
     except (TypeError, ValueError) as exc:
         _fail(f"invalid config: {exc}")
     ds = record["dataset"]
+    loaded = {} if loaded is None else loaded
+    key = "csv" if ds["kind"] == "csv" else record["seed"]
     try:
-        if ds["kind"] == "csv":
-            datasets = load_csv(ds["train"]), load_csv(ds["test"])
-        else:
-            moons = ExperimentSpec(**{k: ds[k] for k in _KIND_KEYS["dataset"]["two_moons"]})
-            datasets = make_instance(moons, record["seed"])
+        if key not in loaded:
+            if ds["kind"] == "csv":
+                loaded[key] = load_csv(ds["train"]), load_csv(ds["test"])
+            else:
+                moons = ExperimentSpec(**{k: ds[k] for k in _KIND_KEYS["dataset"]["two_moons"]})
+                loaded[key] = make_instance(moons, record["seed"])
+        datasets = loaded[key]
         check_data(*datasets, tc)
     except (OSError, TypeError, ValueError) as exc:
         _fail(f"invalid dataset: {exc}")
@@ -235,6 +240,8 @@ def _load_model(args):
         model, extra = load_model_json(args.model)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         _fail(f"cannot load model {args.model}: {exc}")
+    if not isinstance(extra, dict) or not isinstance(extra.get("rescale", {}), dict):
+        _fail(f"cannot load model {args.model}: extra and extra.rescale must be JSON objects")
     cfg = _load_config(args)
     if args.seed is None and "seed" in extra:
         cfg = dict(cfg, seed=extra["seed"])
@@ -251,7 +258,14 @@ def cmd_eval(args) -> int:
         resc = extra.get("rescale")
         if resc is None:
             _fail("model artifact carries no rescaling statistics; cannot eval rescaled")
-        rescale = Rescale(np.asarray(resc["xbar"]), np.asarray(resc["ybar"]), resc["theta_bar"])
+        try:
+            xbar, ybar, tb = (np.asarray(resc[k], dtype=float) for k in ("xbar", "ybar", "theta_bar"))
+        except (KeyError, TypeError, ValueError) as exc:
+            _fail(f"model {args.model}: unreadable rescaling statistics ({type(exc).__name__}: {exc})")
+        if (xbar.shape, ybar.shape, tb.shape) != ((ds_test.d,), (ds_test.c,), ()) or not 0.5 <= tb <= 1:
+            _fail(f"model {args.model}: the rescaling statistics must be xbar of {ds_test.d} values, "
+                  f"ybar of {ds_test.c} and theta_bar in [1/2, 1], got theta_bar {resc['theta_bar']!r}")
+        rescale = Rescale(xbar, ybar, float(tb))
     row = metrics(model, ds_test, rescale)
     out = _output_dir(args, dict(record, mode=args.mode))
     with open(out / "metrics.csv", "w") as fh:
@@ -294,8 +308,10 @@ def cmd_sweep(args) -> int:
         seeds = list(range(cfg["seed"], cfg["seed"] + cfg["repetitions"]))
     if not seeds:
         _fail(f"a sweep needs a seed; repetitions must be positive, got {cfg['repetitions']!r}")
+    loaded = {}
     runs = [
-        (alpha, [_resolve(_deep_update(cfg, {"seed": s, "train": {"alpha": alpha}})) for s in seeds])
+        (alpha, [_resolve(_deep_update(cfg, {"seed": s, "train": {"alpha": alpha}}), loaded)
+                 for s in seeds])
         for alpha in alphas
     ]
     _check_scorable("sweep", *(ds_test for _, alpha_runs in runs for (_, ds_test), _, _ in alpha_runs))
@@ -339,8 +355,10 @@ def _cpu_s() -> float:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        _fail(f"--seed must be a non-negative integer, got {args.seed}")
     t0, cpu0 = time.perf_counter(), _cpu_s()
-    reports = run_all(seed=args.seed if args.seed is not None else 0)
+    reports = run_all(seed=args.seed)
     total_s, cpu_s = time.perf_counter() - t0, _cpu_s() - cpu0
     print(format_report_table(reports))
     if args.out:
@@ -370,7 +388,12 @@ def cmd_breakdown(args) -> int:
         alpha = extra.get("alpha", extra.get("rescale", {}).get("alpha"))
     if alpha is None:
         _fail("model artifact stores no alpha; pass --alpha for the breakdown")
-    kind = LossKind(extra.get("loss", TrainConfig.loss.value))
+    if type(alpha) not in (int, float) or not 0 < alpha < np.inf:  # --alpha is checked already
+        _fail(f"model {args.model}: alpha must be a finite positive number, got {alpha!r}")
+    try:
+        kind = LossKind(extra.get("loss", TrainConfig.loss.value))
+    except ValueError as exc:
+        _fail(f"model {args.model}: {exc}")
     br = r_terms_general(ds_train, model, kind, mix_coefficients(alpha))
     out = _output_dir(args, dict(record, alpha=alpha))
     with open(out / "breakdown.csv", "w") as fh:

@@ -46,7 +46,6 @@ from .mixup import (
     perturbation,
     perturbed_erm_risk_mc,
     perturbed_loss_values,
-    sample_theta,
 )
 from .regularizers import (
     PerExampleCovariances,
@@ -61,7 +60,7 @@ from .regularizers import (
     r_terms_lr,
     r_terms_se,
 )
-from .truncbeta import MixCoefficients, mix_coefficients, trunc_beta_raw_moment
+from .truncbeta import MixCoefficients, mix_coefficients, sample_theta, trunc_beta_raw_moment
 
 __all__ = [
     "CheckReport",
@@ -223,59 +222,47 @@ def expected_quadratic_loss(ds: Dataset, model, kind: LossKind, coeffs: MixCoeff
 # Monte Carlo draws of the checks
 
 
-def _perdraw_gap(ds, model, kind, alpha, theta_bar, rng, n: int) -> float:
-    """Largest |pairwise - perturbed| summand over n draws (i, theta, j). The
-    row indices and weights are kept whole; the partners, last in the random
-    stream, are drawn per ``_draw_blocks(n, model)`` block just before it is
-    scored, so one block of partners and loss vectors is alive at a time."""
-    I = rng.integers(ds.n, size=n)
-    theta = sample_theta(alpha, rng, size=n)
-    worst = 0.0
+def _block_draws(ds, alpha, rng, n: int, model=None, row=None):
+    """(i, j, theta) for each ``_draw_blocks(n, model)`` block: the rows
+    (``row`` for every draw when given), folded weights and partners, drawn
+    from rng in that order when the block is reached, so no array sized by
+    n is made."""
     for b in _draw_blocks(n, model):
-        i, th = I[b], theta[b]
-        j = rng.integers(ds.n, size=len(th))
+        k = min(b.stop, n) - b.start
+        i = rng.integers(ds.n, size=k) if row is None else row
+        theta = sample_theta(alpha, rng, size=k)
+        yield i, rng.integers(ds.n, size=k), theta
+
+
+def _perdraw_gap(ds, model, kind, alpha, theta_bar, rng, n: int) -> float:
+    """Largest |pairwise - perturbed| summand over n draws (i, theta, j)."""
+    worst = 0.0
+    for i, j, th in _block_draws(ds, alpha, rng, n, model):
         gap = pair_loss_values(ds, model, kind, i, j, th)
         gap -= perturbed_loss_values(ds, model, kind, i, j, th, theta_bar)
         worst = np.maximum(worst, np.max(np.abs(gap, out=gap)))
     return float(worst)
 
 
-def _over_perturbation_blocks(ds, theta_bar, i, theta, rng, consume) -> None:
-    """consume(delta, eps) for row i's perturbations over consecutive
-    ``_draw_blocks`` of the folded weights theta, each block's partners drawn
-    from rng just before the block is formed. Blocked ``integers`` draws
-    equal one draw of all len(theta) partners and leave the generator in the
-    same state, so the blocks are those of the partners drawn at once; one
-    block of partners and perturbations is alive at a time."""
-    for b in _draw_blocks(len(theta)):
-        th = theta[b]
-        consume(*perturbation(ds, theta_bar, i, rng.integers(ds.n, size=len(th)), th))
-
-
-def _mc_second_moments(ds, theta_bar, i, theta, rng):
-    """Sums over the draws of delta delta^T, eps eps^T and delta eps^T for
-    row i (``_over_perturbation_blocks``)."""
+def _mc_second_moments(ds, alpha, theta_bar, i, rng, n: int):
+    """Sums over n draws of delta delta^T, eps eps^T and delta eps^T for row i."""
     sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
-
-    def add(delta, eps):
-        np.add(sxx, delta.T @ delta, out=sxx)
-        np.add(syy, eps.T @ eps, out=syy)
-        np.add(sxy, delta.T @ eps, out=sxy)
-
-    _over_perturbation_blocks(ds, theta_bar, i, theta, rng, add)
+    for _, j, th in _block_draws(ds, alpha, rng, n, row=i):
+        delta, eps = perturbation(ds, theta_bar, i, j, th)
+        sxx += delta.T @ delta
+        syy += eps.T @ eps
+        sxy += delta.T @ eps
     return sxx, syy, sxy
 
 
-def _zero_mean_moments(ds, theta_bar, i, theta, rng) -> list[_Moments]:
-    """Streamed moments of each coordinate of row i's perturbations, the d
-    input coordinates then the c output ones (``_over_perturbation_blocks``)."""
+def _zero_mean_moments(ds, alpha, theta_bar, i, rng, n: int) -> list[_Moments]:
+    """Streamed moments over n draws of each coordinate of row i's
+    perturbations, the d input coordinates then the c output ones."""
     moments = [_Moments() for _ in range(ds.d + ds.c)]
-
-    def add(delta, eps):
+    for _, j, th in _block_draws(ds, alpha, rng, n, row=i):
+        delta, eps = perturbation(ds, theta_bar, i, j, th)
         for acc, coord in zip(moments, (*delta.T, *eps.T)):
             acc.add(coord)
-
-    _over_perturbation_blocks(ds, theta_bar, i, theta, rng, add)
     return moments
 
 
@@ -295,22 +282,18 @@ def check_risk_rewrite(
     """Per-draw identity between the pairwise and perturbed risk forms, the
     zero-mean property of the perturbations, and paired MC estimators.
 
-    The per-draw identity keeps its n_perdraw row indices and weights and one
-    block of partners and loss vectors; each zero-mean row keeps its 200 000
-    folded weights and one block of partners and perturbations; the
-    estimators hold one chunk of draws each."""
+    The per-draw identity and each zero-mean row hold one block of draws and
+    their loss vectors or perturbations (``_block_draws``); the estimators
+    hold one chunk of draws each."""
     t0 = time.perf_counter()
     tb = mix_coefficients(alpha).theta_bar
     rng = np.random.default_rng(seed)
     perdraw_err = _perdraw_gap(ds, model, kind, alpha, tb, rng, n_perdraw)
 
     # zero-mean perturbations, per coordinate, 4 standard errors
-    mean_ok = True
-    n_zero = 200_000
-    for i in rng.choice(ds.n, size=min(5, ds.n), replace=False):
-        moments = _zero_mean_moments(ds, tb, i, sample_theta(alpha, rng, size=n_zero), rng)
-        for est in (acc.estimate() for acc in moments):
-            mean_ok &= abs(est.mean) <= 4.0 * max(est.stderr, 1e-300)
+    zero_mean = [acc.estimate() for i in rng.choice(ds.n, size=min(5, ds.n), replace=False)
+                 for acc in _zero_mean_moments(ds, alpha, tb, i, rng, 200_000)]
+    mean_ok = all(abs(est.mean) <= 4.0 * max(est.stderr, 1e-300) for est in zero_mean)
 
     est_pair = mixup_risk_mc(ds, model, kind, alpha, n_mc, np.random.default_rng(seed + 1))
     est_pert = perturbed_erm_risk_mc(ds, model, kind, alpha, n_mc, np.random.default_rng(seed + 2))
@@ -337,9 +320,8 @@ def check_covariance_formula(
     """Closed-form covariances vs the direct moment expansion and Monte Carlo.
 
     Both stacks are compared whole, each row relative to its largest oracle
-    entry. The Monte Carlo part keeps its n_mc folded weights (8 B a draw),
-    which come before every partner in the random stream, and one block of
-    partners and perturbations (``_mc_second_moments``)."""
+    entry. The Monte Carlo part holds one block of draws and perturbations
+    (``_block_draws``), whatever n_mc."""
     t0 = time.perf_counter()
     coeffs = mix_coefficients(alpha) if coeffs is None else coeffs
     closed = perturbation_covariances(ds, coeffs)
@@ -353,7 +335,7 @@ def check_covariance_formula(
 
     rng = np.random.default_rng(seed)
     i = int(rng.integers(ds.n))
-    sums = _mc_second_moments(ds, coeffs.theta_bar, i, sample_theta(alpha, rng, size=n_mc), rng)
+    sums = _mc_second_moments(ds, alpha, coeffs.theta_bar, i, rng, n_mc)
     mc_rel = max(
         float(np.linalg.norm(s / n_mc - a[i]) / max(np.linalg.norm(a[i]), 1e-30))
         for s, (a, _) in zip(sums, blocks)
@@ -385,13 +367,7 @@ def check_penalty_decomposition(
 
 
 def _breakdown_gap(a: RegularizerBreakdown, b: RegularizerBreakdown) -> float:
-    return max(
-        abs(a.erm_modified - b.erm_modified),
-        abs(a.r1 - b.r1),
-        abs(a.r2 - b.r2),
-        abs(a.r3 - b.r3),
-        abs(a.r4 - b.r4),
-    )
+    return max(abs(getattr(a, k) - getattr(b, k)) for k in ("erm_modified", "r1", "r2", "r3", "r4"))
 
 
 def check_loss_specializations(

@@ -12,6 +12,7 @@ from scipy import stats as sps
 import mixreg
 from mixreg import mixup
 from mixreg.cli import DEFAULT_CONFIG, _t_interval, main
+from mixreg.data import load_csv
 from mixreg.losses import LossKind
 
 TINY_CONFIG = {
@@ -420,6 +421,21 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
 
 
+def test_verify_negative_seed_exits_2_before_any_output(tmp_path, capsys, monkeypatch):
+    import mixreg.cli as cli
+
+    def no_work(seed):
+        raise AssertionError("the suite started")
+
+    monkeypatch.setattr(cli, "run_all", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "-1", "--out", str(tmp_path / "v")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("mixreg: --seed ")
+    assert not (tmp_path / "v").exists()
+
+
 @pytest.mark.parametrize("platform, maxrss", [("linux", 3 * 2**10), ("darwin", 3 * 2**20)])
 def test_peak_rss_reads_ru_maxrss_in_the_platform_unit(platform, maxrss, monkeypatch):
     import resource
@@ -484,6 +500,51 @@ def test_eval_refuses_flags_the_artifact_fixes(tmp_path, capsys):
     echoed = json.loads((tmp_path / "ev" / "config.json").read_text())
     assert "train" not in echoed and "alpha" not in json.dumps(echoed)
     assert echoed["seed"] == 0 and echoed["mode"] == "rescaled"
+
+
+# per artifact whose stored metadata the command cannot use: the command,
+# its arguments besides the config, model and --out, a change to the parsed
+# model.json, and the start of the message after "mixreg: "
+_BAD_METADATA = {
+    "extra not an object": ("eval", [], lambda p: p.update(extra=[1]),
+                            "cannot load model {model}: extra and extra.rescale must be"),
+    "rescale not an object": ("breakdown", [], lambda p: p["extra"].update(rescale=[1]),
+                              "cannot load model {model}: extra and extra.rescale must be"),
+    "rescale without xbar": ("eval", ["--mode", "rescaled"], lambda p: p["extra"]["rescale"].pop("xbar"),
+                             "model {model}: unreadable rescaling statistics (KeyError: 'xbar')"),
+    "xbar of the wrong length": ("eval", ["--mode", "rescaled"],
+                                 lambda p: p["extra"]["rescale"].update(xbar=[0.0] * 3),
+                                 "model {model}: the rescaling statistics must be"),
+    "theta_bar below 1/2": ("eval", ["--mode", "rescaled"],
+                            lambda p: p["extra"]["rescale"].update(theta_bar=0.3),
+                            "model {model}: the rescaling statistics must be"),
+    "alpha not positive": ("breakdown", [], lambda p: p["extra"].update(alpha=-1.0),
+                           "model {model}: alpha must be a finite positive number"),
+    "alpha not a number": ("breakdown", [], lambda p: p["extra"].update(alpha="1.0"),
+                           "model {model}: alpha must be a finite positive number"),
+    "loss not a loss kind": ("breakdown", [], lambda p: p["extra"].update(loss="hinge"),
+                             "model {model}: 'hinge' is not a valid LossKind"),
+    "--alpha not positive": ("breakdown", ["--alpha", "-1"], lambda p: None,
+                             "invalid config: alpha must be a finite positive number"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_METADATA)
+def test_unusable_artifact_metadata_exits_2_and_names_it(tmp_path, capsys, case):
+    command, flags, change, message = _BAD_METADATA[case]
+    cfg = _write_config(tmp_path)
+    main(["train", "--config", str(cfg), "--out", str(tmp_path / "train")])
+    payload = json.loads((tmp_path / "train" / "model.json").read_text())
+    change(payload)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--model", str(model), *flags,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("mixreg: " + message.format(model=model))
+    assert not (tmp_path / "out").exists()
 
 
 def test_breakdown_of_erm_uses_the_trained_alpha(tmp_path, capsys):
@@ -568,6 +629,21 @@ def test_sweep_means_are_run_method_means(tmp_path):
                 scored = [res.raw if r["mode"] == "raw" else res.natural for res in results]
                 assert r["method"] == method and int(r["repetitions"]) == len(seeds)
                 assert float(r["mean"]) == float(np.mean([getattr(row, r["metric"]) for row in scored]))
+
+
+def test_csv_sweep_reads_its_datasets_once(tmp_path, monkeypatch):
+    """Every (alpha, seed) run of a csv sweep shares one read of the pair."""
+    import mixreg.cli as cli
+
+    reads = []
+    monkeypatch.setattr(cli, "load_csv", lambda path: reads.append(path) or load_csv(path))
+    cfg = _write_config(tmp_path, dataset=_moons_csv(tmp_path))
+    assert main(["sweep", "--config", str(cfg), "--alphas", "0.5,1.0", "--seeds", "0,1,2",
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert reads == [str(tmp_path / "tr.csv"), str(tmp_path / "te.csv")]
+    with open(tmp_path / "sweep" / "sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 20 and all(int(r["repetitions"]) == 3 for r in rows)
 
 
 def test_sweep_single_seed_ci_na(tmp_path):

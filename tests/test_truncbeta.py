@@ -188,20 +188,6 @@ def test_blocked_fold_equals_one_shot_fold(size):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-def test_blocked_partner_draws_equal_one_draw():
-    """The numpy property the verification checks rely on: after the folded
-    weights, partner indices drawn in blocks of odd sizes equal one draw of
-    them all and leave the same generator state."""
-    n_draws, n = 3 * _B + 7, 13
-    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-    assert np.array_equal(sample_theta(1.0, rng, n_draws), sample_theta(1.0, ref_rng, n_draws))
-    sizes = [_B + 1, 7, _B - 1, 1, _B - 1]
-    assert sum(sizes) == n_draws and all(k % 2 for k in sizes)
-    blocked = np.concatenate([rng.integers(n, size=k) for k in sizes])
-    assert np.array_equal(blocked, ref_rng.integers(n, size=n_draws))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
 def test_sample_theta_holds_no_full_size_temporary():
     """A million draws trace under their own 8 MB plus 1 MiB; with a
     full-size 1 - lam the peak was twice the draws."""

@@ -12,7 +12,7 @@ from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import per_example_covariances, r_terms_general
-from mixreg.mixup import _draw_blocks, _Moments, perturbation
+from mixreg.mixup import _draw_blocks
 from mixreg.truncbeta import MixCoefficients, mix_coefficients, sample_theta
 from mixreg.verification import (
     check_label_smoothing,
@@ -89,45 +89,64 @@ def test_linear_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_perdraw_identity_memory_is_its_indices_weights_and_one_block(monkeypatch, workers):
-    """At 1 000 000 draws the per-draw identity keeps its row indices and
-    weights (16 B a draw) and one block of partners and loss vectors: 17.1 /
-    17.6 / 18.3 MiB at 1 / 2 / 4 workers, against 38.5 / 39.0 / 39.6 MiB with
-    every partner and both loss vectors held at once."""
+    """The per-draw identity holds one block of row indices, weights,
+    partners and loss vectors, whatever the draw count: with a linear model
+    3.5 / 3.6 / 3.9 MiB at 1 / 2 / 4 workers at 1 000 000 draws and the same
+    at 4 000 000, under the bound of scoring one draw block at once. With
+    every row index and weight drawn up front it took 17.1 / 17.6 / 18.3 MiB
+    at 1 000 000 draws, 16 B a draw more."""
     monkeypatch.setattr(mixup, "_WORKERS", workers)
     ds = _random_regression(2)
     rng = np.random.default_rng(0)
     model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
-    n, gaps = 1_000_000, []
-    peak = traced_peak(lambda: gaps.append(verification._perdraw_gap(
-        ds, model, LossKind.SQUARED_ERROR, 1.0, 0.75, rng, n)))
-    assert gaps[0] < 1e-12
-    assert peak < 16 * n + 5 * 2**20
+    for n in (1_000_000, 4_000_000):
+        gaps = []
+        peak = traced_peak(lambda: gaps.append(verification._perdraw_gap(
+            ds, model, LossKind.SQUARED_ERROR, 1.0, 0.75, rng, n)))
+        assert gaps[0] < 1e-12
+        assert peak < mc_memory_bound(mixup._DRAW_BLOCK, workers), (n, peak)
 
 
-@pytest.mark.parametrize("model", ["rff", "linear"])
-def test_blocked_perdraw_gap_equals_one_shot_gap(model):
-    """Drawing each block's partners just before it is scored gives the
-    largest gap of drawing them all at once, bit for bit, over a draw count
-    that is not a whole number of blocks, and leaves the generator in the
-    same state."""
-    if model == "rff":
-        ds, kind = make_two_moons(20, 0.05, seed=1), LossKind.CROSS_ENTROPY
-        model = init_rff(2, 20, 3.0, 2, seed=1)
-        model.w = np.random.default_rng(0).normal(size=model.w.shape)
-    else:
-        ds, kind = _random_regression(4, n=12), LossKind.SQUARED_ERROR
-        model = LinearModel(W=np.ones((2, 3)), b=np.zeros(2))
+def test_block_draws_are_rows_weights_then_partners_per_block():
+    """Each block's rows (none when one row is fixed), folded weights and
+    partners come from the generator in that order, just before the block;
+    the last block is the remainder of the draw count."""
+    ds, n = _random_regression(4, n=12), 2 * mixup._DRAW_BLOCK + 7
+    for row in (None, 5):
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        sizes = []
+        for i, j, theta in verification._block_draws(ds, 0.7, rng, n, row=row):
+            k = len(theta)
+            sizes.append(k)
+            assert np.array_equal(i, ref.integers(ds.n, size=k) if row is None else row)
+            assert np.array_equal(theta, sample_theta(0.7, ref, size=k))
+            assert np.array_equal(j, ref.integers(ds.n, size=k))
+        assert sizes == [mixup._DRAW_BLOCK, mixup._DRAW_BLOCK, 7]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypatch):
+    """The per-draw gap, the zero-mean moments and the covariance sums are
+    the same for the same seed, at one worker and at two, over a draw count
+    that is not a whole number of blocks."""
+    ds, kind = make_two_moons(20, 0.05, seed=1), LossKind.CROSS_ENTROPY
+    model = init_rff(2, 80, 3.0, 2, seed=1)
+    model.w = 0.5 * np.random.default_rng(0).normal(size=model.w.shape)
+    tb = mix_coefficients(1.0).theta_bar
     n = 2 * _draw_blocks(10**9, model)[0].stop + 12_345
-    tb = mix_coefficients(0.7).theta_bar
-    ref = np.random.default_rng(3)
-    I, theta = ref.integers(ds.n, size=n), sample_theta(0.7, ref, size=n)
-    J = ref.integers(ds.n, size=n)
-    want = np.abs(mixup.pair_loss_values(ds, model, kind, I, J, theta)
-                  - mixup.perturbed_loss_values(ds, model, kind, I, J, theta, tb)).max()
 
-    rng = np.random.default_rng(3)
-    assert verification._perdraw_gap(ds, model, kind, 0.7, tb, rng, n) == want
-    assert rng.bit_generator.state == ref.bit_generator.state
+    def draws():
+        gap = verification._perdraw_gap(ds, model, kind, 1.0, tb, np.random.default_rng(3), n)
+        moments = verification._zero_mean_moments(ds, 1.0, tb, 4, np.random.default_rng(3), n)
+        sums = verification._mc_second_moments(ds, 1.0, tb, 4, np.random.default_rng(3), n)
+        return gap, [(m.n, m.total, m.m2) for m in moments], [s.tolist() for s in sums]
+
+    results = []
+    for workers in (1, 2, 1):
+        monkeypatch.setattr(mixup, "_WORKERS", workers)
+        results.append(draws())
+    assert results[0] == results[1] == results[2]
+    assert results[0][0] < 1e-12 and all(m[0] == n for m in results[0][1])
 
 
 def _imports(path: Path):
@@ -185,57 +204,18 @@ def test_covariance_check_passes():
     assert rep.passed
 
 
-def _one_shot_moments(ds, theta_bar, i, theta, J):
-    """The Monte Carlo sums of the covariance and zero-mean checks in their
-    earlier form, every partner drawn before the first block and each block's
-    perturbations stacked with ``np.hstack``, kept as the reference for the
-    blocked partner draws."""
-    sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
-    moments = [_Moments() for _ in range(ds.d + ds.c)]
-    for b in _draw_blocks(len(theta)):
-        delta, eps = perturbation(ds, theta_bar, i, J[b], theta[b])
-        sxx += delta.T @ delta
-        syy += eps.T @ eps
-        sxy += delta.T @ eps
-        for acc, coord in zip(moments, np.hstack((delta, eps)).T):
-            acc.add(coord)
-    return (sxx, syy, sxy), moments
-
-
-@pytest.mark.parametrize("alpha", [1.0, 0.7])
-def test_blocked_partners_equal_one_shot_moments(alpha):
-    """Drawing each block's partners just before the block gives the second
-    moments and every coordinate's zero-mean moments of drawing them all at
-    once, bit for bit, over a draw count that is not a whole number of
-    blocks, and leaves the generator in the same state."""
-    ds = make_two_moons(20, 0.05, seed=1) if alpha == 1.0 else _random_regression(4, n=12)
-    tb = mix_coefficients(alpha).theta_bar
-    n_mc, i = 2 * mixup._DRAW_BLOCK + 12_345, 4
-    ref = np.random.default_rng(3)
-    theta = sample_theta(alpha, ref, size=n_mc)
-    ref_sums, ref_moments = _one_shot_moments(ds, tb, i, theta, ref.integers(ds.n, size=n_mc))
-
-    rng = np.random.default_rng(3)
-    sums = verification._mc_second_moments(ds, tb, i, sample_theta(alpha, rng, size=n_mc), rng)
-    assert all(np.array_equal(a, b) for a, b in zip(sums, ref_sums))
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-    rng = np.random.default_rng(3)
-    moments = verification._zero_mean_moments(ds, tb, i, sample_theta(alpha, rng, size=n_mc), rng)
-    assert [(m.n, m.total, m.m2) for m in moments] == [(m.n, m.total, m.m2) for m in ref_moments]
-    assert rng.bit_generator.state == ref.bit_generator.state
-
-
 @pytest.mark.parametrize("n_mc", [1_000_000, 4_000_000])
 def test_covariance_check_memory_is_its_weights_and_one_block(n_mc):
-    """The check keeps its n_mc folded weights (8 B a draw) and one block of
-    partners and perturbations: 12.1 / 35.0 MiB at 1 M / 4 M draws, against
-    21.3 / 67.1 MiB with every partner drawn at once."""
+    """The check holds one block of folded weights, partners and
+    perturbations, whatever n_mc: 7.0 MiB at 1 M and at 4 M draws, under 16
+    float64 arrays of one draw block (8 MiB). With all n_mc weights drawn
+    before the first partner it took 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB
+    with every partner drawn at once too."""
     ds = make_two_moons(20, 0.05, seed=1)
     reports = []
     peak = traced_peak(lambda: reports.append(check_covariance_formula(ds, 1.0, n_mc=n_mc)))
     assert reports[0].passed, reports[0].details
-    assert peak < 8 * n_mc + 6 * 2**20
+    assert peak < 16 * 8 * mixup._DRAW_BLOCK
 
 
 def test_decomposition_check_each_loss():
