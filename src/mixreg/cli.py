@@ -7,7 +7,8 @@ Subcommands:
   verify      run the numerical certification suite (exit 0 iff all pass);
               --out writes verify.json (one report per check) and
               verify_summary.json (total seconds, CPU seconds over the same
-              span, Monte Carlo worker threads, peak RSS, seconds per check)
+              span, Monte Carlo worker threads, peak RSS, wall and CPU
+              seconds per check)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
 eval and breakdown rebuild the dataset at the seed stored in model.json
@@ -371,7 +372,7 @@ def cmd_verify(args) -> int:
             "cpu_s": cpu_s,
             "mc_workers": mixup._WORKERS,
             "peak_rss_mb": _peak_rss_mb(),
-            "checks": [{"name": r.name, "runtime_s": r.runtime_s} for r in reports],
+            "checks": [{"name": r.name, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports],
         }
         with open(out / "verify_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)

@@ -14,22 +14,28 @@ identity x~_i + delta_i = theta x_i + (1 - theta) x_j holds per draw, so the
 two risk forms agree summand by summand (``pair_loss_values`` and
 ``perturbed_loss_values``).
 
-The Monte Carlo estimators draw in chunks of ``_CHUNK`` draws. The chunk
-counts draws, so it fixes the order in which the random stream is consumed
-and therefore every draw; chunks are drawn, and their moments merged, one
-after another on the calling thread. The summands split a chunk into task
-blocks of at most ``_DRAW_BLOCK // _TASKS_PER_BLOCK`` draws, each a whole
-number of the model's prediction row blocks, and ``_WORKERS`` threads (the
-calling thread and one helper thread per further usable CPU) evaluate them
-concurrently, each task writing its losses into its own slice of one output.
-So a chunk holds its index and weight draws (three arrays of ``_CHUNK``
-values) and, per worker, the gathered, mixed or perturbed rows and losses of
-one task block plus one row block of the model's prediction
+Monte Carlo work runs one block at a time. A block is at most ``_BLOCK``
+draws, rounded down to a whole number of the model's prediction row blocks
+(at least one), so it contracts the same row blocks as one ``predict`` over
+all draws. Each block has its own generator (``_block_rng``), derived from
+the block's index and one key that the caller's generator yields (the only
+number taken from it). The block draws its rows, weights and partners from
+that generator, in that order, scores them and returns a small result: its
+``_Moments`` for the risk estimators, its sums or largest gap for
+``verification``. ``_WORKERS`` threads (the calling thread and one helper
+thread per further usable CPU) take the blocks in index order and the
+results are merged in block order, so every estimate is the same bit for
+bit whatever the number of cores. No array sized by the draw count is made:
+each worker holds one block of draws, of gathered, mixed or perturbed rows
+and of losses, plus one row block of the model's prediction
 (``models._PHASE_ELEMS`` phase elements for a cosine-feature head), whatever
-the feature count. A task's losses depend only on its own draws, and its row
-blocks coincide with those of one ``predict`` over the whole chunk, so every
-summand and every estimate is the same bit for bit whatever the number of
-cores.
+the feature count.
+
+``pair_loss_values`` and ``perturbed_loss_values`` score given draws
+through the same per-block functions, each block writing its losses into
+its own slice of one output. A block scores on the thread that took it and
+never starts tasks of its own, which on a one-thread pool would wait
+forever.
 
 Mixed and perturbed rows are formed one coordinate at a time, each column in
 full-length 1-D passes over the draws (``_combine_rows``): the same IEEE
@@ -40,7 +46,7 @@ rows, so the same bits, without numpy's slow pass over narrow rows.
 from __future__ import annotations
 
 import os
-from collections import deque
+import threading
 from concurrent.futures import wait
 from dataclasses import dataclass
 from functools import cache
@@ -49,7 +55,7 @@ import numpy as np
 
 from .data import Dataset, modify
 from .losses import LossKind, loss_values
-from .truncbeta import mix_coefficients, sample_theta
+from .truncbeta import _validate_alpha, mix_coefficients, sample_theta
 
 __all__ = [
     "McEstimate",
@@ -61,16 +67,10 @@ __all__ = [
     "mixup_minibatch",
 ]
 
-_CHUNK = 200_000
-# draws per block over which ``verification`` accumulates its Monte Carlo
-# perturbation moments
-_DRAW_BLOCK = 1 << 16
-# summand task blocks per ``_DRAW_BLOCK``: up to this many workers hold no
-# more draw temporaries together than one draw block. At 80 features a task
-# is one prediction row block; each helper thread keeps a malloc arena about
-# the size of its task's temporaries, which a larger task makes visible in
-# the peak RSS
-_TASKS_PER_BLOCK = 16
+# draws per Monte Carlo block, before rounding to whole prediction row
+# blocks. Each helper thread keeps a malloc arena about the size of its
+# block's temporaries, which a larger block makes visible in the peak RSS
+_BLOCK = 1 << 12
 
 
 def _usable_cpus() -> int:
@@ -80,7 +80,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# threads that evaluate the summands' task blocks, the calling one included
+# threads that draw and score the blocks, the calling one included
 _WORKERS = _usable_cpus()
 
 
@@ -93,22 +93,40 @@ def _pool(threads: int):
     return ThreadPoolExecutor(threads, thread_name_prefix="mixreg-mc")
 
 
-def _run_tasks(task, blocks: list[slice]) -> None:
-    """task(b) for every block, on the calling thread and up to
-    ``_WORKERS - 1`` helper threads, each taking the next block not yet
-    taken; once all have ended, a block's exception is raised here. The
-    caller works rather than waits, which saves one thread's malloc arena."""
-    todo = deque(blocks)  # popleft is thread-safe
+def _run_tasks(task, n_tasks: int, merge=None) -> None:
+    """task(b) for b = 0, ..., n_tasks - 1 on the calling thread and up to
+    ``_WORKERS - 1`` helper threads, each taking the lowest index not yet
+    taken. With ``merge``, merge(task(b)) runs for b = 0, 1, ... in that
+    order, under a lock, on whichever thread finishes the next task due, so
+    only results finished ahead of their turn wait. Once a task fails no
+    further task starts, and after all threads end its exception is raised
+    here. The caller works rather than waits, which saves one thread's
+    malloc arena. A task must not call ``_run_tasks``: a helper thread would
+    wait for tasks queued behind itself."""
+    lock = threading.Lock()
+    taken, merged, failed = 0, 0, False
+    finished = {}
 
     def drain() -> None:
+        nonlocal taken, merged, failed
         while True:
+            with lock:
+                b, taken = taken, taken + 1
+                if b >= n_tasks or failed:
+                    return
             try:
-                b = todo.popleft()
-            except IndexError:
-                return
-            task(b)
+                result = task(b)
+            except BaseException:
+                failed = True
+                raise
+            if merge is not None:
+                with lock:
+                    finished[b] = result
+                    while merged in finished:
+                        merge(finished.pop(merged))
+                        merged += 1
 
-    helpers = [_pool(_WORKERS - 1).submit(drain) for _ in range(min(_WORKERS, len(blocks)) - 1)]
+    helpers = [_pool(_WORKERS - 1).submit(drain) for _ in range(min(_WORKERS, n_tasks) - 1)]
     try:
         drain()
     finally:
@@ -127,50 +145,72 @@ class McEstimate:
 
 
 class _Moments:
-    """Running count, sum and sum of squared deviations of streamed draws.
+    """Count, sum and sum of squared deviations of a stream of draws.
 
-    Squared deviations are summed about each block's own mean and merged
-    across blocks with Chan et al.'s pairwise update, so a large common
-    offset in the draws does not cancel the variance. The squares are summed
-    by numpy, not by a BLAS dot product, so the bits do not depend on the
-    BLAS thread count.
+    ``of`` sums one block's squared deviations about the block's own mean,
+    and ``merge`` combines blocks with Chan et al.'s pairwise update, so a
+    large common offset in the draws does not cancel the variance. The
+    squares are summed by numpy, not by a BLAS dot product, so the bits do
+    not depend on the BLAS thread count.
     """
 
-    def __init__(self) -> None:
-        self.n = 0
-        self.total = 0.0
-        self.m2 = 0.0
+    def __init__(self, n: int = 0, total: float = 0.0, m2: float = 0.0) -> None:
+        self.n = n
+        self.total = total
+        self.m2 = m2
 
-    def add(self, vals: np.ndarray) -> None:
+    @classmethod
+    def of(cls, vals: np.ndarray) -> _Moments:
         k = vals.shape[0]
-        block_total = vals.sum()
-        dev = vals - block_total / k
-        self.m2 += float(np.square(dev, out=dev).sum())
+        total = vals.sum()
+        dev = vals - total / k
+        return cls(k, total, float(np.square(dev, out=dev).sum()))
+
+    def merge(self, other: _Moments) -> None:
+        self.m2 += other.m2
         if self.n:
-            shift = block_total / k - self.total / self.n
-            self.m2 += shift * shift * self.n * k / (self.n + k)
-        self.total += block_total
-        self.n += k
+            shift = other.total / other.n - self.total / self.n
+            self.m2 += shift * shift * self.n * other.n / (self.n + other.n)
+        self.total += other.total
+        self.n += other.n
 
     def estimate(self) -> McEstimate:
         stderr = float(np.sqrt(self.m2 / (self.n - 1) / self.n)) if self.n > 1 else float("nan")
         return McEstimate(mean=float(self.total / self.n), stderr=stderr, n_draws=self.n)
 
 
-def _draw_blocks(n: int, model=None, size: int | None = None) -> list[slice]:
-    """Consecutive slices of n draws, at most ``size`` (``_DRAW_BLOCK``) each.
-
-    A model with prediction row blocks (``RffModel.block_rows``) gets a
-    whole number of them per slice, at least one, so it contracts the same
-    row blocks as one ``predict`` over all n draws and returns the same bits.
-    """
+def _block_size(model=None) -> int:
+    """Draws per block: at most ``_BLOCK``, and for a model with prediction
+    row blocks (``RffModel.block_rows``) a whole number of them, at least
+    one, so a block contracts the same row blocks as one ``predict`` over
+    all draws and returns the same bits."""
     rows = getattr(model, "block_rows", 1)
-    step = max(rows, (_DRAW_BLOCK if size is None else size) // rows * rows)
-    return [slice(start, start + step) for start in range(0, n, step)]
+    return max(rows, _BLOCK // rows * rows)
 
 
-def _task_blocks(n: int, model) -> list[slice]:
-    return _draw_blocks(n, model, _DRAW_BLOCK // _TASKS_PER_BLOCK)
+def _block_rng(key: int, b: int) -> np.random.Generator:
+    """Block b's generator: child b of ``SeedSequence(key)``, the stream
+    ``SeedSequence(key).spawn`` gives its b-th child, made without the
+    b - 1 before it."""
+    return np.random.default_rng(np.random.SeedSequence(key, spawn_key=(b,)))
+
+
+def _monte_carlo(rng: np.random.Generator, n: int, model, block, merge) -> None:
+    """merge(block(g, k)) for the blocks of n draws, merged in block order;
+    k is the block's draw count and g its own generator. The blocks'
+    generators share one key, the one number drawn from rng."""
+    key = int(rng.integers(2**64, dtype=np.uint64))
+    step = _block_size(model)
+    _run_tasks(lambda b: block(_block_rng(key, b), min(step, n - b * step)), -(-n // step), merge)
+
+
+def _block_draws(ds: Dataset, g: np.random.Generator, k: int, alpha: float, fold: bool, row=None):
+    """(i, j, w) of one block, drawn from its generator g in this order: k
+    rows i (none when ``row`` is every draw's row), k weights w ~ Beta(alpha,
+    alpha), folded to max(w, 1 - w) when ``fold``, and k partners j."""
+    i = g.integers(ds.n, size=k) if row is None else row
+    w = sample_theta(alpha, g, size=k) if fold else g.beta(alpha, alpha, size=k)
+    return i, g.integers(ds.n, size=k), w
 
 
 def _checked_draws(ds: Dataset, I, J, weights):
@@ -183,6 +223,12 @@ def _checked_draws(ds: Dataset, I, J, weights):
         if idx.size and (not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= ds.n):
             raise ValueError(f"row indices must be integers in [0, {ds.n})")
     return I, J, weights
+
+
+def _checked_count(n_draws) -> int:
+    if isinstance(n_draws, (bool, np.bool_)) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
+        raise ValueError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+    return int(n_draws)
 
 
 def _combine_rows(z: np.ndarray, i, j, w_i, w_j, shift=None) -> np.ndarray:
@@ -210,10 +256,41 @@ def perturbation(ds: Dataset, theta_bar: float, i, j, theta):
     """
     th = np.asarray(theta, dtype=float)
     w_i, w_j = th - theta_bar, 1.0 - th
-    return tuple(
-        _combine_rows(z, i, j, w_i, w_j, (1.0 - theta_bar) * z_mean)
-        for z, z_mean in ((ds.inputs, ds.x_mean), (ds.outputs, ds.y_mean))
+    # a tuple display, not tuple() of a generator: that one is resized past
+    # the tuple free list, which then grows by one entry per call
+    return (
+        _combine_rows(ds.inputs, i, j, w_i, w_j, (1.0 - theta_bar) * ds.x_mean),
+        _combine_rows(ds.outputs, i, j, w_i, w_j, (1.0 - theta_bar) * ds.y_mean),
     )
+
+
+def _pair_losses(ds: Dataset, model, kind: LossKind, i, j, lam) -> np.ndarray:
+    """The pairwise summands of one block of draws."""
+    Xm = _combine_rows(ds.inputs, i, j, lam, 1.0 - lam)
+    Ym = _combine_rows(ds.outputs, i, j, lam, 1.0 - lam)
+    return loss_values(kind, Ym, model.predict(Xm))
+
+
+def _perturbed_losses(ds: Dataset, mod: Dataset, model, kind: LossKind, i, j, theta, theta_bar) -> np.ndarray:
+    """The perturbed-form summands of one block of draws; mod is ds shrunk
+    by theta_bar."""
+    delta, eps = perturbation(ds, theta_bar, i, j, theta)
+    delta += mod.inputs[i]
+    eps += mod.outputs[i]
+    return loss_values(kind, eps, model.predict(delta))
+
+
+def _blockwise(n: int, model, losses) -> np.ndarray:
+    """losses(b) for the block slices b of n given draws, in one output."""
+    out = np.empty(n)
+    step = _block_size(model)
+
+    def task(t: int) -> None:
+        b = slice(t * step, (t + 1) * step)
+        out[b] = losses(b)
+
+    _run_tasks(task, -(-n // step))
+    return out
 
 
 def pair_loss_values(
@@ -221,16 +298,7 @@ def pair_loss_values(
 ) -> np.ndarray:
     """Loss of the mixed pair for each (i, j, lam) triple; the pure summand."""
     I, J, lam = _checked_draws(ds, I, J, lam)
-    out = np.empty(len(lam))
-
-    def task(b: slice) -> None:
-        lb, i, j = lam[b], I[b], J[b]
-        Xm = _combine_rows(ds.inputs, i, j, lb, 1.0 - lb)
-        Ym = _combine_rows(ds.outputs, i, j, lb, 1.0 - lb)
-        out[b] = loss_values(kind, Ym, model.predict(Xm))
-
-    _run_tasks(task, _task_blocks(len(out), model))
-    return out
+    return _blockwise(len(lam), model, lambda b: _pair_losses(ds, model, kind, I[b], J[b], lam[b]))
 
 
 def perturbed_loss_values(
@@ -251,23 +319,15 @@ def perturbed_loss_values(
     """
     I, J, theta = _checked_draws(ds, I, J, theta)
     mod = modify(ds, theta_bar)
-    out = np.empty(len(theta))
-
-    def task(b: slice) -> None:
-        delta, eps = perturbation(ds, theta_bar, I[b], J[b], theta[b])
-        delta += mod.inputs[I[b]]
-        eps += mod.outputs[I[b]]
-        out[b] = loss_values(kind, eps, model.predict(delta))
-
-    _run_tasks(task, _task_blocks(len(out), model))
-    return out
+    return _blockwise(
+        len(theta), model, lambda b: _perturbed_losses(ds, mod, model, kind, I[b], J[b], theta[b], theta_bar)
+    )
 
 
-def _streamed_estimate(draw_chunk, n_draws: int) -> McEstimate:
-    """Mean and standard error over chunks of draws."""
+def _estimate(rng: np.random.Generator, n_draws: int, model, summands) -> McEstimate:
+    """Mean and standard error of summands(g, k) over the blocks of n_draws."""
     moments = _Moments()
-    while moments.n < n_draws:
-        moments.add(draw_chunk(min(_CHUNK, n_draws - moments.n)))
+    _monte_carlo(rng, n_draws, model, lambda g, k: _Moments.of(summands(g, k)), moments.merge)
     return moments.estimate()
 
 
@@ -282,20 +342,16 @@ def mixup_risk_mc(
     """Unbiased estimate of the pairwise mixing risk.
 
     Pairs (i, j) are uniform over all n^2 ordered pairs and lam ~
-    Beta(alpha, alpha), one draw per summand.
+    Beta(alpha, alpha), one draw per summand. alpha must be finite and
+    positive and n_draws an integer of at least one.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
+    alpha, n_draws = _validate_alpha(alpha), _checked_count(n_draws)
 
-    def chunk(k: int) -> np.ndarray:
-        I = rng.integers(ds.n, size=k)
-        J = rng.integers(ds.n, size=k)
-        lam = rng.beta(alpha, alpha, size=k)
-        return pair_loss_values(ds, model, kind, I, J, lam)
+    def summands(g, k: int) -> np.ndarray:
+        i, j, lam = _block_draws(ds, g, k, alpha, fold=False)
+        return _pair_losses(ds, model, kind, i, j, lam)
 
-    return _streamed_estimate(chunk, int(n_draws))
+    return _estimate(rng, n_draws, model, summands)
 
 
 def perturbed_erm_risk_mc(
@@ -310,20 +366,17 @@ def perturbed_erm_risk_mc(
 
     Row i is uniform, then (theta, j) drive the perturbation; each summand is
     l(y~_i + eps_i, f(x~_i + delta_i)) with theta_bar the mean of theta.
+    alpha must be finite and positive and n_draws an integer of at least one.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if n_draws < 1:
-        raise ValueError("need at least one draw")
+    alpha, n_draws = _validate_alpha(alpha), _checked_count(n_draws)
     tb = mix_coefficients(alpha).theta_bar
+    mod = modify(ds, tb)
 
-    def chunk(k: int) -> np.ndarray:
-        I = rng.integers(ds.n, size=k)
-        theta = sample_theta(alpha, rng, size=k)
-        J = rng.integers(ds.n, size=k)
-        return perturbed_loss_values(ds, model, kind, I, J, theta, tb)
+    def summands(g, k: int) -> np.ndarray:
+        i, j, theta = _block_draws(ds, g, k, alpha, fold=True)
+        return _perturbed_losses(ds, mod, model, kind, i, j, theta, tb)
 
-    return _streamed_estimate(chunk, int(n_draws))
+    return _estimate(rng, n_draws, model, summands)
 
 
 def mixup_minibatch(

@@ -22,7 +22,17 @@ directly, for ``regularizers.perturbation_covariances``; and
 :func:`expected_quadratic_loss` integrates by quadrature for the
 decomposition. Tolerances, node counts and iteration caps are fixed in each
 check. Reports carry the measured discrepancy and its tolerance, so they are
-self-describing.
+self-describing, and the check's wall and CPU seconds.
+
+The Monte Carlo parts (the per-draw identity and zero-mean moments of
+:func:`check_risk_rewrite`, the Monte Carlo row of
+:func:`check_covariance_formula`) run on ``mixup``'s blocks, like the risk
+estimators: one block, one generator. Each block draws its rows (unless the
+check fixes one), folded weights and partners from its own generator,
+reduces them on the worker that took it to a largest gap, per-coordinate
+moments or covariance sums, and the check merges the block results in
+block order. So a check holds one block of draws per worker whatever its
+draw count, and its numbers do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -39,13 +49,14 @@ from .data import Dataset, make_two_moons, modify, shrink
 from .losses import LossKind, bundle, entropy, hess_uu_rows, loss_values, softmax_rows
 from .models import LinearModel, RffModel, hessian_contraction, init_rff
 from .mixup import (
-    _draw_blocks,
+    _block_draws,
+    _monte_carlo,
     _Moments,
+    _pair_losses,
+    _perturbed_losses,
     mixup_risk_mc,
-    pair_loss_values,
     perturbation,
     perturbed_erm_risk_mc,
-    perturbed_loss_values,
 )
 from .regularizers import (
     PerExampleCovariances,
@@ -60,7 +71,7 @@ from .regularizers import (
     r_terms_lr,
     r_terms_se,
 )
-from .truncbeta import MixCoefficients, mix_coefficients, sample_theta, trunc_beta_raw_moment
+from .truncbeta import MixCoefficients, mix_coefficients, trunc_beta_raw_moment
 
 __all__ = [
     "CheckReport",
@@ -87,16 +98,25 @@ class CheckReport:
     discrepancy: float
     tolerance: float
     runtime_s: float
+    cpu_s: float
     details: str = ""
 
 
+def _clocks() -> tuple[float, float]:
+    """Wall seconds and this process's CPU seconds (all threads)."""
+    return time.perf_counter(), time.process_time()
+
+
 def _report(name, discrepancy, tolerance, t0, details="", extra_ok=True) -> CheckReport:
+    """The check's report; t0 holds its ``_clocks()`` at the start."""
+    wall, cpu = _clocks()
     return CheckReport(
         name=name,
         passed=bool(discrepancy <= tolerance and extra_ok),
         discrepancy=float(discrepancy),
         tolerance=float(tolerance),
-        runtime_s=time.perf_counter() - t0,
+        runtime_s=wall - t0[0],
+        cpu_s=cpu - t0[1],
         details=details,
     )
 
@@ -219,50 +239,56 @@ def expected_quadratic_loss(ds: Dataset, model, kind: LossKind, coeffs: MixCoeff
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo draws of the checks
-
-
-def _block_draws(ds, alpha, rng, n: int, model=None, row=None):
-    """(i, j, theta) for each ``_draw_blocks(n, model)`` block: the rows
-    (``row`` for every draw when given), folded weights and partners, drawn
-    from rng in that order when the block is reached, so no array sized by
-    n is made."""
-    for b in _draw_blocks(n, model):
-        k = min(b.stop, n) - b.start
-        i = rng.integers(ds.n, size=k) if row is None else row
-        theta = sample_theta(alpha, rng, size=k)
-        yield i, rng.integers(ds.n, size=k), theta
+# Monte Carlo loops of the checks
 
 
 def _perdraw_gap(ds, model, kind, alpha, theta_bar, rng, n: int) -> float:
     """Largest |pairwise - perturbed| summand over n draws (i, theta, j)."""
-    worst = 0.0
-    for i, j, th in _block_draws(ds, alpha, rng, n, model):
-        gap = pair_loss_values(ds, model, kind, i, j, th)
-        gap -= perturbed_loss_values(ds, model, kind, i, j, th, theta_bar)
-        worst = np.maximum(worst, np.max(np.abs(gap, out=gap)))
+    mod = modify(ds, theta_bar)
+    worst = np.zeros(())
+
+    def block(g, k: int) -> float:
+        i, j, th = _block_draws(ds, g, k, alpha, fold=True)
+        gap = _pair_losses(ds, model, kind, i, j, th)
+        gap -= _perturbed_losses(ds, mod, model, kind, i, j, th, theta_bar)
+        return np.max(np.abs(gap, out=gap))
+
+    _monte_carlo(rng, n, model, block, lambda gap: np.maximum(worst, gap, out=worst))
     return float(worst)
 
 
 def _mc_second_moments(ds, alpha, theta_bar, i, rng, n: int):
     """Sums over n draws of delta delta^T, eps eps^T and delta eps^T for row i."""
-    sxx, syy, sxy = np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c))
-    for _, j, th in _block_draws(ds, alpha, rng, n, row=i):
+    sums = (np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c)))
+
+    def block(g, k: int):
+        _, j, th = _block_draws(ds, g, k, alpha, fold=True, row=i)
         delta, eps = perturbation(ds, theta_bar, i, j, th)
-        sxx += delta.T @ delta
-        syy += eps.T @ eps
-        sxy += delta.T @ eps
-    return sxx, syy, sxy
+        return delta.T @ delta, eps.T @ eps, delta.T @ eps
+
+    def merge(parts) -> None:
+        for acc, part in zip(sums, parts):
+            acc += part
+
+    _monte_carlo(rng, n, None, block, merge)
+    return sums
 
 
 def _zero_mean_moments(ds, alpha, theta_bar, i, rng, n: int) -> list[_Moments]:
-    """Streamed moments over n draws of each coordinate of row i's
-    perturbations, the d input coordinates then the c output ones."""
+    """Moments over n draws of each coordinate of row i's perturbations, the
+    d input coordinates then the c output ones."""
     moments = [_Moments() for _ in range(ds.d + ds.c)]
-    for _, j, th in _block_draws(ds, alpha, rng, n, row=i):
+
+    def block(g, k: int) -> list[_Moments]:
+        _, j, th = _block_draws(ds, g, k, alpha, fold=True, row=i)
         delta, eps = perturbation(ds, theta_bar, i, j, th)
-        for acc, coord in zip(moments, (*delta.T, *eps.T)):
-            acc.add(coord)
+        return [_Moments.of(coord) for coord in (*delta.T, *eps.T)]
+
+    def merge(parts) -> None:
+        for acc, part in zip(moments, parts):
+            acc.merge(part)
+
+    _monte_carlo(rng, n, None, block, merge)
     return moments
 
 
@@ -282,10 +308,9 @@ def check_risk_rewrite(
     """Per-draw identity between the pairwise and perturbed risk forms, the
     zero-mean property of the perturbations, and paired MC estimators.
 
-    The per-draw identity and each zero-mean row hold one block of draws and
-    their loss vectors or perturbations (``_block_draws``); the estimators
-    hold one chunk of draws each."""
-    t0 = time.perf_counter()
+    Every part runs one ``mixup`` block per worker at a time: its draws and
+    their loss vectors or perturbations, whatever the draw counts."""
+    t0 = _clocks()
     tb = mix_coefficients(alpha).theta_bar
     rng = np.random.default_rng(seed)
     perdraw_err = _perdraw_gap(ds, model, kind, alpha, tb, rng, n_perdraw)
@@ -320,9 +345,9 @@ def check_covariance_formula(
     """Closed-form covariances vs the direct moment expansion and Monte Carlo.
 
     Both stacks are compared whole, each row relative to its largest oracle
-    entry. The Monte Carlo part holds one block of draws and perturbations
-    (``_block_draws``), whatever n_mc."""
-    t0 = time.perf_counter()
+    entry. The Monte Carlo part holds one ``mixup`` block of draws and
+    perturbations per worker, whatever n_mc."""
+    t0 = _clocks()
     coeffs = mix_coefficients(alpha) if coeffs is None else coeffs
     closed = perturbation_covariances(ds, coeffs)
     oracle = exact_second_moments(ds, coeffs)
@@ -353,7 +378,7 @@ def check_penalty_decomposition(
     alpha: float,
 ) -> CheckReport:
     """Quadrature-exact expectation of the Taylor loss vs the decomposition."""
-    t0 = time.perf_counter()
+    t0 = _clocks()
     coeffs = mix_coefficients(alpha)
     oracle = expected_quadratic_loss(ds, model, kind, coeffs)
     br = r_terms_general(ds, model, kind, coeffs)
@@ -378,7 +403,7 @@ def check_loss_specializations(
     alpha: float,
 ) -> CheckReport:
     """Specialized loss formulas must match the general path term by term."""
-    t0 = time.perf_counter()
+    t0 = _clocks()
     coeffs = mix_coefficients(alpha)
     gaps = {}
     ce = r_terms_ce(ds_class, models["ce"], coeffs)
@@ -420,7 +445,7 @@ def check_mols(ds: Dataset, alpha: float, seed: int = 0) -> CheckReport:
     with no additive constant; the quadrature oracle pins the coefficients
     down to machine precision.
     """
-    t0 = time.perf_counter()
+    t0 = _clocks()
     coeffs = mix_coefficients(alpha)
     ols = mols_fit(ds)
     gW, gb = exact_se_mixup_gradient(ds, ols, coeffs)
@@ -499,7 +524,7 @@ def check_label_smoothing(ds: Dataset, alpha: float) -> CheckReport:
     was used. Fails as inconclusive when the optimizer tolerance is not
     reached.
     """
-    t0 = time.perf_counter()
+    t0 = _clocks()
     if not ds.is_classification():
         raise ValueError("label smoothing check needs simplex outputs")
     grad_tol, slack = 1e-8, 1e-9
@@ -547,7 +572,7 @@ def check_taylor(
     For the squared error with a linear model the expansion is exact, which
     is asserted directly at order-one perturbations.
     """
-    t0 = time.perf_counter()
+    t0 = _clocks()
     coeffs = mix_coefficients(alpha)
     mod = modify(ds, coeffs.theta_bar)
     rng = np.random.default_rng(seed)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mixreg import mixup
 from mixreg.models import _PHASE_ELEMS
 from mixreg.verification import run_all
 
@@ -90,8 +91,9 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def mc_memory_bound(draws: int, workers: int) -> float:
-    """Bytes allowed while scoring ``draws`` draws at once: their two indices,
-    weights and losses, per worker one phase block plus a quarter for a task
-    block's gathered rows and losses, and 1 MiB for the rest."""
-    return 4 * 8 * draws + workers * 1.25 * 8 * _PHASE_ELEMS + 2**20
+def mc_memory_bound(workers: int) -> float:
+    """Bytes allowed for Monte Carlo on ``workers`` workers, whatever the
+    draw count: per worker one phase block plus a quarter, and sixteen
+    float64 arrays of one block (its draws, gathered rows and losses); 1 MiB
+    for the rest."""
+    return workers * (1.25 * 8 * _PHASE_ELEMS + 16 * 8 * mixup._BLOCK) + 2**20

@@ -398,7 +398,7 @@ def test_verify_exit_code_and_json(tmp_path, monkeypatch, run_all_reports):
     code = main(["verify", "--seed", "0", "--out", str(tmp_path / "v")])
     assert code == 0 and seeds == [0]
     payload = json.loads((tmp_path / "v" / "verify.json").read_text())
-    assert all(set(r) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "details"}
+    assert all(set(r) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details"}
                for r in payload)
     assert all(r["passed"] for r in payload)
     summary = json.loads((tmp_path / "v" / "verify_summary.json").read_text())
@@ -410,14 +410,14 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     import mixreg.cli as cli
     from mixreg.verification import CheckReport
 
-    reports = [CheckReport("a", True, 0.0, 1.0, 0.25), CheckReport("a", True, 0.0, 1.0, 0.5),
-               CheckReport("b", False, 2.0, 1.0, 0.125)]
+    reports = [CheckReport("a", True, 0.0, 1.0, 0.25, 0.5), CheckReport("a", True, 0.0, 1.0, 0.5, 0.75),
+               CheckReport("b", False, 2.0, 1.0, 0.125, 0.0625)]
     monkeypatch.setattr(cli, "run_all", lambda seed: reports)
     assert main(["verify", "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert set(summary) == {"total_s", "cpu_s", "mc_workers", "peak_rss_mb", "checks"}
     assert summary["total_s"] >= 0.0 and summary["peak_rss_mb"] > 0.0
-    assert summary["checks"] == [{"name": r.name, "runtime_s": r.runtime_s} for r in reports]
+    assert summary["checks"] == [{"name": r.name, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports]
     assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
 
 

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from conftest import mc_memory_bound, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixreg import mixup
+from mixreg import mixup, verification
 from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind, loss_values
 from mixreg.mixup import (
@@ -228,26 +229,50 @@ def test_two_estimators_agree_on_rff():
     assert abs(a.mean - b.mean) < 4 * np.hypot(a.stderr, b.stderr)
 
 
+def _serial_blocks(estimator, ds, model, kind, alpha, n_draws, rng):
+    """The estimators' reference, one block after another on this thread:
+    each block's summands, from the block's own generator (child b of the
+    seed sequence keyed by one draw from rng) drawing rows, weights and
+    partners, scored by the public summand."""
+    step = mixup._block_size(model)
+    key = int(rng.integers(2**64, dtype=np.uint64))
+    children = np.random.SeedSequence(key).spawn(-(-n_draws // step))
+    tb = mix_coefficients(alpha).theta_bar
+    for b, child in enumerate(children):
+        g, k = np.random.default_rng(child), min(step, n_draws - b * step)
+        I = g.integers(ds.n, size=k)
+        if estimator is mixup_risk_mc:
+            lam = g.beta(alpha, alpha, size=k)
+            yield pair_loss_values(ds, model, kind, I, g.integers(ds.n, size=k), lam)
+        else:
+            theta = sample_theta(alpha, g, size=k)
+            yield perturbed_loss_values(ds, model, kind, I, g.integers(ds.n, size=k), theta, tb)
+
+
+def _serial_estimate(estimator, ds, model, kind, alpha, n_draws, rng):
+    """The reference blocks' moments, merged in block order."""
+    moments = mixup._Moments()
+    for vals in _serial_blocks(estimator, ds, model, kind, alpha, n_draws, rng):
+        moments.merge(mixup._Moments.of(vals))
+    return moments.estimate()
+
+
 @pytest.mark.parametrize("offset", [1e5, 1e6])
-@pytest.mark.parametrize("chunk", [mixup._CHUNK, 700])
-def test_stderr_survives_a_large_loss_offset(offset, chunk, monkeypatch):
-    """Losses near offset + 1e-3 N(0, 1): the streamed standard error equals
-    the two-pass one on the same summands, in one chunk and across chunks."""
+@pytest.mark.parametrize("block", [200_000, 700])
+def test_stderr_survives_a_large_loss_offset(offset, block, monkeypatch):
+    """Losses near offset + 1e-3 N(0, 1): the merged standard error equals
+    the two-pass one on the same summands, in one block and across eight."""
     rng = np.random.default_rng(8)
     ds = Dataset(rng.normal(size=(30, 2)), 1e-3 / np.sqrt(2 * offset) * rng.normal(size=(30, 1)))
     model = LinearModel(W=np.zeros((1, 2)), b=[np.sqrt(2 * offset)])
-    summands = []
-
-    def recording(*args):
-        vals = pair_loss_values(*args)
-        summands.append(vals)
-        return vals
-
-    monkeypatch.setattr(mixup, "_CHUNK", chunk)
-    monkeypatch.setattr(mixup, "pair_loss_values", recording)
-    est = mixup_risk_mc(ds, model, LossKind.SQUARED_ERROR, 1.0, 5000, np.random.default_rng(9))
-    vals = np.concatenate(summands)
-    assert vals.size == 5000 and abs(vals.mean() / offset - 1.0) < 1e-6
+    monkeypatch.setattr(mixup, "_BLOCK", block)
+    kind = LossKind.SQUARED_ERROR
+    est = mixup_risk_mc(ds, model, kind, 1.0, 5000, np.random.default_rng(9))
+    blocks = list(_serial_blocks(mixup_risk_mc, ds, model, kind, 1.0, 5000, np.random.default_rng(9)))
+    vals = np.concatenate(blocks)
+    assert len(blocks) == (1 if block > 5000 else 8)
+    assert vals.size == est.n_draws == 5000 and abs(vals.mean() / offset - 1.0) < 1e-6
+    assert abs(est.mean - vals.mean()) <= 1e-12 * offset
     two_pass = vals.std(ddof=1) / np.sqrt(vals.size)
     assert abs(est.stderr - two_pass) <= 1e-6 * two_pass
 
@@ -266,27 +291,44 @@ def test_monte_carlo_memory_is_bounded_by_one_phase_block(monkeypatch):
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         peak = traced_peak(lambda: (
-            pair_loss_values(ds, model, kind, I, J, lam),
             mixup_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(6)),
             perturbed_erm_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(7)),
         ))
-        assert peak < mc_memory_bound(n_draws, workers), workers
+        assert peak < mc_memory_bound(workers), workers
+        # the summand's output on top: one array of n_draws losses
+        peak = traced_peak(lambda: pair_loss_values(ds, model, kind, I, J, lam))
+        assert peak < 8 * n_draws + mc_memory_bound(workers), workers
 
 
 def test_monte_carlo_memory_is_bounded_by_one_draw_block(monkeypatch):
-    """At 80 features the draws dominate: over two full chunks of draws each
-    estimator holds one chunk of draws and one phase block per worker, at 1,
-    2 and 4 workers (chunk-sized mixed and perturbed rows took 21 and 24 MB)."""
+    """At 80 features the draws dominate: at 2 and at 8 blocks of draws each
+    estimator holds one block of draws and one phase block per worker, at 1,
+    2 and 4 workers: up to 2.3 / 4.6 / 9.1 MiB. Holding 200 000-draw chunks of
+    draws took 8.4 / 10.7 / 14.9 MiB, and chunk-sized mixed and perturbed
+    rows 21 and 24 MB."""
     ds = make_two_moons(50, 0.05, seed=3)
     model = init_rff(2, 80, 3.0, 2, seed=4)
     model.w = np.random.default_rng(4).normal(size=model.w.shape)
+    block = mixup._block_size(model)
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
-            peak = traced_peak(lambda: estimator(
-                ds, model, LossKind.CROSS_ENTROPY, 1.0, 2 * mixup._CHUNK, np.random.default_rng(6)
-            ))
-            assert peak < mc_memory_bound(mixup._CHUNK, workers), (estimator.__name__, workers)
+            for n in (2 * block, 8 * block):
+                peak = traced_peak(lambda: estimator(
+                    ds, model, LossKind.CROSS_ENTROPY, 1.0, n, np.random.default_rng(6)))
+                assert peak < mc_memory_bound(workers), (estimator.__name__, workers, n)
+
+
+def test_estimator_memory_does_not_grow_with_the_draw_count(monkeypatch):
+    """One worker's traced peak is the same, to 16 KiB, at 10^6 and at 4 x
+    10^6 draws, for both estimators on a linear model (0.41 MiB): nothing
+    is kept per draw or per block."""
+    monkeypatch.setattr(mixup, "_WORKERS", 1)
+    ds, model, kind = _worker_case("linear")
+    for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
+        peaks = [traced_peak(lambda: estimator(ds, model, kind, 1.0, n, np.random.default_rng(6)))
+                 for n in (10**6, 4 * 10**6)]
+        assert abs(peaks[1] - peaks[0]) < 2**14, (estimator.__name__, peaks)
 
 
 @pytest.mark.parametrize("n_features, draw_block", [(80, None), (1000, 1000)])
@@ -295,7 +337,7 @@ def test_summands_in_draw_blocks_equal_one_shot(n_features, draw_block, monkeypa
     expressions over all draws at once, at draw counts around the block, and
     the model never sees more than one block of rows."""
     if draw_block is not None:
-        monkeypatch.setattr(mixup, "_DRAW_BLOCK", draw_block)
+        monkeypatch.setattr(mixup, "_BLOCK", draw_block)
     ds = make_two_moons(50, 0.05, seed=3)
     model = init_rff(2, n_features, 3.0, 2, seed=4)
     model.w = np.random.default_rng(4).normal(size=model.w.shape)
@@ -303,7 +345,8 @@ def test_summands_in_draw_blocks_equal_one_shot(n_features, draw_block, monkeypa
     tb = mix_coefficients(1.0).theta_bar
     mod = modify(ds, tb)
     X, Y = ds.inputs, ds.outputs
-    block = mixup._draw_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop
+    block = mixup._block_size(model)
+    assert block % model.block_rows == 0 and block <= mixup._BLOCK
     rng = np.random.default_rng(5)
     for n in (block - 1, block, block + 1, 3 * block + 7):
         I, J = rng.integers(ds.n, size=n), rng.integers(ds.n, size=n)
@@ -339,13 +382,12 @@ def test_summands_and_estimates_do_not_depend_on_worker_count(case, draw_block, 
     """With 1, 2 or 3 pool workers both summands equal, bit for bit, the
     expressions over all draws at once (for the linear model a single
     ``x @ W.T + b`` over every draw), and both estimators return equal
-    estimates, at draw counts around a task block and across chunks."""
+    estimates, at draw counts around a block and across blocks."""
     if draw_block is not None:
-        monkeypatch.setattr(mixup, "_DRAW_BLOCK", draw_block)
+        monkeypatch.setattr(mixup, "_BLOCK", draw_block)
     ds, model, kind = _worker_case(case)
-    block = mixup._task_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop
-    assert case != "linear" or block == mixup._DRAW_BLOCK // mixup._TASKS_PER_BLOCK
-    monkeypatch.setattr(mixup, "_CHUNK", 2 * block + 3)
+    block = mixup._block_size(model)
+    assert case != "linear" or block == mixup._BLOCK
     tb = mix_coefficients(1.0).theta_bar
     mod = modify(ds, tb)
     X, Y = ds.inputs, ds.outputs
@@ -370,35 +412,19 @@ def test_summands_and_estimates_do_not_depend_on_worker_count(case, draw_block, 
         assert estimates[0] == estimates[1] == estimates[2], n
 
 
-def _serial_estimate(estimator, ds, model, kind, alpha, n_draws, rng):
-    """The estimators' reference: draw one chunk, score it, merge its moments,
-    then draw the next."""
-    moments = mixup._Moments()
-    tb = mix_coefficients(alpha).theta_bar
-    while moments.n < n_draws:
-        k = min(mixup._CHUNK, n_draws - moments.n)
-        if estimator is mixup_risk_mc:
-            I, J, lam = rng.integers(ds.n, size=k), rng.integers(ds.n, size=k), rng.beta(alpha, alpha, size=k)
-            vals = pair_loss_values(ds, model, kind, I, J, lam)
-        else:
-            I, theta = rng.integers(ds.n, size=k), sample_theta(alpha, rng, size=k)
-            vals = perturbed_loss_values(ds, model, kind, I, rng.integers(ds.n, size=k), theta, tb)
-        moments.add(vals)
-    return moments.estimate()
-
-
 @pytest.mark.parametrize("case", ["linear", "80"])
 def test_estimates_equal_serial_draw_then_score(case, monkeypatch):
-    """With 1, 2 or 3 workers, the estimators give the estimate and the final
-    generator state of drawing and scoring one chunk after the other: in one
-    chunk, in several whole chunks and with a remainder."""
+    """With 1, 2 or 3 workers, the estimators give the estimate of drawing
+    each block from its own generator, scoring it and merging its moments,
+    one block after the other, and leave the caller's generator one draw
+    on: in one block, in several whole blocks and with a remainder."""
     ds, model, kind = _worker_case(case)
-    chunk = 3 * mixup._task_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop + 5
-    monkeypatch.setattr(mixup, "_CHUNK", chunk)
-    for n in (chunk - 1, 3 * chunk, 2 * chunk + 7):
+    block = mixup._block_size(model)
+    for n in (block - 1, 3 * block, 2 * block + 7):
         for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
             serial_rng = np.random.default_rng(n)
             expected = _serial_estimate(estimator, ds, model, kind, 0.7, n, serial_rng)
+            assert expected.n_draws == n
             for workers in (1, 2, 3):
                 monkeypatch.setattr(mixup, "_WORKERS", workers)
                 rng = np.random.default_rng(n)
@@ -408,23 +434,28 @@ def test_estimates_equal_serial_draw_then_score(case, monkeypatch):
 
 _BLAS_THREADS_SCRIPT = """
 import numpy as np
-from mixreg.data import Dataset
+from mixreg.data import Dataset, make_two_moons
 from mixreg.losses import LossKind
-from mixreg.mixup import _Moments, mixup_risk_mc
-from mixreg.models import LinearModel
-acc = _Moments()
-acc.add(np.random.default_rng(0).normal(size=1_000_000))
+from mixreg.mixup import _Moments, mixup_risk_mc, perturbed_erm_risk_mc
+from mixreg.models import LinearModel, init_rff
+acc = _Moments.of(np.random.default_rng(0).normal(size=1_000_000))
 rng = np.random.default_rng(1)
 ds = Dataset(rng.normal(size=(50, 3)), rng.normal(size=(50, 2)))
 lin = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
 est = mixup_risk_mc(ds, lin, LossKind.SQUARED_ERROR, 1.0, 1_000_000, np.random.default_rng(2))
-print(repr(acc.m2), repr(est.mean), repr(est.stderr))
+moons = make_two_moons(50, 0.05, seed=3)
+rff = init_rff(2, 80, 3.0, 2, seed=4)
+rff.w = np.random.default_rng(4).normal(size=rff.w.shape)
+rff_ests = [f(moons, rff, LossKind.CROSS_ENTROPY, 1.0, 100_000, np.random.default_rng(5))
+            for f in (mixup_risk_mc, perturbed_erm_risk_mc)]
+print(repr(acc.m2), repr(est.mean), repr(est.stderr), rff_ests)
 """
 
 
 def test_standard_errors_do_not_depend_on_the_blas_thread_count():
-    """One million streamed values, and a linear squared-error estimate over
-    a million draws, give the same bits with one BLAS thread and with two."""
+    """One million values in one block, a linear squared-error estimate over
+    a million draws and both 80-feature estimates over 100 000 give the same
+    bits with one BLAS thread and with two."""
     import os
     import subprocess
     from pathlib import Path
@@ -441,11 +472,11 @@ def test_standard_errors_do_not_depend_on_the_blas_thread_count():
 
 
 def test_many_small_blocks_on_more_workers_than_cores(monkeypatch):
-    """Hundreds of 16-draw task blocks on more workers than cores, with the
-    interpreter switching threads every microsecond, fill every slice of the
-    output exactly once: the summand equals the one-shot expression."""
-    monkeypatch.setattr(mixup, "_DRAW_BLOCK", 16 * mixup._TASKS_PER_BLOCK)
-    monkeypatch.setattr(mixup, "_WORKERS", 2 * mixup._usable_cpus() + 1)
+    """Hundreds of 16-draw blocks on more workers than cores, with the
+    interpreter switching threads every microsecond, for two seconds of
+    rounds: the summand fills every slice of its output exactly once and
+    equals the one-shot expression, and both estimators and the per-draw
+    identity's loop return what they return on one worker."""
     ds, model, kind = _worker_case("linear")
     rng = np.random.default_rng(13)
     n = 5000
@@ -453,21 +484,37 @@ def test_many_small_blocks_on_more_workers_than_cores(monkeypatch):
     t = lam[:, None]
     expected = loss_values(kind, t * ds.outputs[I] + (1.0 - t) * ds.outputs[J],
                            model.predict(t * ds.inputs[I] + (1.0 - t) * ds.inputs[J]))
+    monkeypatch.setattr(mixup, "_BLOCK", 16)
+    tb = mix_coefficients(1.0).theta_bar
+
+    def results():
+        return (
+            mixup_risk_mc(ds, model, kind, 1.0, n, np.random.default_rng(14)),
+            perturbed_erm_risk_mc(ds, model, kind, 1.0, n, np.random.default_rng(15)),
+            verification._perdraw_gap(ds, model, kind, 1.0, tb, np.random.default_rng(16), n),
+        )
+
+    monkeypatch.setattr(mixup, "_WORKERS", 1)
+    one_worker = results()
+    monkeypatch.setattr(mixup, "_WORKERS", 2 * mixup._usable_cpus() + 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(5):
+        deadline, rounds = time.monotonic() + 2.0, 0
+        while rounds < 2 or time.monotonic() < deadline:
             assert np.array_equal(pair_loss_values(ds, model, kind, I, J, lam), expected)
+            assert results() == one_worker, rounds
+            rounds += 1
     finally:
         sys.setswitchinterval(interval)
 
 
 def test_a_failing_block_raises_from_the_summand(monkeypatch):
-    """An exception in one task block is raised by the summand call itself,
-    after which the pool serves the next call."""
+    """An exception in one block is raised by the summand or estimator call
+    itself, after which the pool serves the next call."""
     monkeypatch.setattr(mixup, "_WORKERS", 2)
     ds, model, kind = _worker_case("80")
-    block = mixup._task_blocks(4 * mixup._DRAW_BLOCK, model)[0].stop
+    block = mixup._block_size(model)
     n = 3 * block + 7
     rng = np.random.default_rng(6)
     I, J, lam = rng.integers(ds.n, size=n), rng.integers(ds.n, size=n), rng.beta(1.0, 1.0, size=n)
@@ -480,14 +527,20 @@ def test_a_failing_block_raises_from_the_summand(monkeypatch):
             raise error
         return f(x)
 
+    calls = [
+        lambda: pair_loss_values(ds, model, kind, I, J, lam),
+        lambda: perturbed_loss_values(ds, model, kind, I, J, theta, tb),
+        lambda: mixup_risk_mc(ds, model, kind, 1.0, n, np.random.default_rng(7)),
+        lambda: perturbed_erm_risk_mc(ds, model, kind, 1.0, n, np.random.default_rng(7)),
+    ]
     with monkeypatch.context() as patch:
         patch.setattr(model, "predict", predict)
-        with pytest.raises(FloatingPointError) as pair_info:
-            pair_loss_values(ds, model, kind, I, J, lam)
-        with pytest.raises(FloatingPointError) as pert_info:
-            perturbed_loss_values(ds, model, kind, I, J, theta, tb)
-    assert pair_info.value is error and pert_info.value is error
+        for call in calls:
+            with pytest.raises(FloatingPointError) as info:
+                call()
+            assert info.value is error
     assert np.all(np.isfinite(pair_loss_values(ds, model, kind, I, J, lam)))
+    assert np.isfinite(mixup_risk_mc(ds, model, kind, 1.0, n, np.random.default_rng(7)).mean)
 
 
 @pytest.mark.parametrize(
@@ -583,3 +636,32 @@ def test_estimator_input_validation():
         mixup_risk_mc(ds, model, LossKind.SQUARED_ERROR, 1.0, 0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         mixup_minibatch(np.zeros((0, 2)), np.zeros((0, 2)), 1.0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("estimator", [mixup_risk_mc, perturbed_erm_risk_mc])
+def test_estimators_reject_an_alpha_that_is_not_finite_and_positive(estimator, alpha):
+    """Both estimators raise for a nan, infinite or non-positive alpha; the
+    pairwise one used to return a nan estimate for nan and inf."""
+    ds = _small_regression(7)
+    with pytest.raises(ValueError, match="alpha"):
+        estimator(ds, _ConstantModel(np.zeros(2)), LossKind.SQUARED_ERROR, alpha, 10, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n_draws", [2.7, 3.0, True, False, 0, -1, "3", None])
+@pytest.mark.parametrize("estimator", [mixup_risk_mc, perturbed_erm_risk_mc])
+def test_estimators_take_a_whole_number_of_draws(estimator, n_draws):
+    """n_draws must be an integer of at least one and not a bool: 2.7 used
+    to run 2 draws and True 1."""
+    ds = _small_regression(7)
+    with pytest.raises(ValueError, match="n_draws"):
+        estimator(ds, _ConstantModel(np.zeros(2)), LossKind.SQUARED_ERROR, 1.0, n_draws, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("estimator", [mixup_risk_mc, perturbed_erm_risk_mc])
+def test_estimators_take_numpy_integer_draw_counts(estimator):
+    ds = _small_regression(7)
+    model, kind = _ConstantModel(np.zeros(2)), LossKind.SQUARED_ERROR
+    est = estimator(ds, model, kind, 1.0, np.int64(10), np.random.default_rng(0))
+    assert est == estimator(ds, model, kind, 1.0, 10, np.random.default_rng(0))
+    assert type(est.n_draws) is int and est.n_draws == 10

@@ -12,7 +12,6 @@ from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import per_example_covariances, r_terms_general
-from mixreg.mixup import _draw_blocks
 from mixreg.truncbeta import MixCoefficients, mix_coefficients, sample_theta
 from mixreg.verification import (
     check_label_smoothing,
@@ -52,24 +51,24 @@ def test_risk_rewrite_check_linear_se():
 
 def _assert_risk_rewrite_memory(monkeypatch, ds, model, kind, n_perdraw, n_mc):
     """One ``check_risk_rewrite`` passes at 1, 2 and 4 workers, each time
-    tracing under the bound of scoring one chunk at that worker count."""
+    tracing under the bound of one block per worker."""
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         reports = []
         peak = traced_peak(lambda: reports.append(
             check_risk_rewrite(ds, model, kind, 1.0, n_perdraw=n_perdraw, n_mc=n_mc)))
         assert reports[0].passed, reports[0].details
-        assert peak < mc_memory_bound(mixup._CHUNK, workers), (workers, peak)
+        assert peak < mc_memory_bound(workers), (workers, peak)
 
 
 def test_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
     """The suite's cosine-feature instance of the check (100 000 per-draw and
-    2 x 1 000 000 Monte Carlo draws at 80 features) holds no more than the
-    estimators' one chunk of draws and a phase block per worker: 8.4 / 10.7 /
-    14.9 MiB at 1 / 2 / 4 workers. With the zero-mean partners drawn at once,
-    each block stacked and a full-size 1 - lam in ``sample_theta`` it took
-    15.4 / 17.7 / 22.0 MiB, and 43.5 MB with draw-sized temporaries in the
-    summands."""
+    2 x 1 000 000 Monte Carlo draws at 80 features) holds one block of draws
+    and a phase block per worker: 2.3 / 4.6 / 9.1 MiB at 1 / 2 / 4 workers.
+    While the estimators held 200 000-draw chunks it took 8.4 / 10.7 / 14.9
+    MiB; with the zero-mean partners drawn at once, each block stacked and a
+    full-size 1 - lam in ``sample_theta`` 15.4 / 17.7 / 22.0 MiB, and 43.5
+    MB with draw-sized temporaries in the summands."""
     ds = make_two_moons(50, 0.05, seed=0)
     model = init_rff(2, 80, 3.0, 2, seed=1)
     model.w = 0.5 * np.random.default_rng(0).normal(size=model.w.shape)
@@ -78,9 +77,10 @@ def test_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
 
 def test_linear_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
     """The suite's linear instance (20 000 per-draw and 2 x 200 000 Monte
-    Carlo draws) stays inside the same bound at 1, 2 and 4 workers: 6.5 /
-    6.8 / 7.4 MiB, against 13.3 MiB with the zero-mean partners drawn at
-    once, each block stacked and a full-size 1 - lam in ``sample_theta``."""
+    Carlo draws) stays inside the same bound at 1, 2 and 4 workers (6.5 /
+    6.8 / 7.4 MiB while the estimators held 200 000-draw chunks, 13.3 MiB
+    with the zero-mean partners drawn at once, each block stacked and a
+    full-size 1 - lam in ``sample_theta``)."""
     ds = _random_regression(2)
     rng = np.random.default_rng(0)
     model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
@@ -90,50 +90,65 @@ def test_linear_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_perdraw_identity_memory_is_its_indices_weights_and_one_block(monkeypatch, workers):
     """The per-draw identity holds one block of row indices, weights,
-    partners and loss vectors, whatever the draw count: with a linear model
-    3.5 / 3.6 / 3.9 MiB at 1 / 2 / 4 workers at 1 000 000 draws and the same
-    at 4 000 000, under the bound of scoring one draw block at once. With
-    every row index and weight drawn up front it took 17.1 / 17.6 / 18.3 MiB
-    at 1 000 000 draws, 16 B a draw more."""
+    partners and loss vectors per worker, whatever the draw count: with a
+    linear model 0.5 / 0.9 / 1.8 MiB at 1 / 2 / 4 workers at 1 000 000 draws
+    and the same at 4 000 000. Over 2^16-draw blocks drawn on the calling
+    thread it took 3.5 / 3.6 / 3.9 MiB, and with every row index and weight
+    drawn up front 17.1 / 17.6 / 18.3 MiB at 1 000 000 draws."""
     monkeypatch.setattr(mixup, "_WORKERS", workers)
     ds = _random_regression(2)
     rng = np.random.default_rng(0)
     model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
+    peaks = []
     for n in (1_000_000, 4_000_000):
         gaps = []
-        peak = traced_peak(lambda: gaps.append(verification._perdraw_gap(
-            ds, model, LossKind.SQUARED_ERROR, 1.0, 0.75, rng, n)))
+        peaks.append(traced_peak(lambda: gaps.append(verification._perdraw_gap(
+            ds, model, LossKind.SQUARED_ERROR, 1.0, 0.75, rng, n))))
         assert gaps[0] < 1e-12
-        assert peak < mc_memory_bound(mixup._DRAW_BLOCK, workers), (n, peak)
+    assert max(peaks) < mc_memory_bound(workers), peaks
+    # the threads' timing decides which block temporaries overlap: up to one
+    # block array per worker
+    assert abs(peaks[1] - peaks[0]) < workers * 8 * mixup._BLOCK, peaks
 
 
-def test_block_draws_are_rows_weights_then_partners_per_block():
-    """Each block's rows (none when one row is fixed), folded weights and
-    partners come from the generator in that order, just before the block;
-    the last block is the remainder of the draw count."""
-    ds, n = _random_regression(4, n=12), 2 * mixup._DRAW_BLOCK + 7
-    for row in (None, 5):
+def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
+    """Block b of a Monte Carlo loop gets child b of the seed sequence keyed
+    by one draw from the caller's generator, and the block size or the
+    remainder of the draw count; from it a block draws its rows (none when
+    one row is fixed), its weights, folded or not, and its partners, in
+    that order and nothing more."""
+    ds, n = _random_regression(4, n=12), 2 * mixup._BLOCK + 7
+    for workers in (1, 3):
+        monkeypatch.setattr(mixup, "_WORKERS", workers)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        sizes = []
-        for i, j, theta in verification._block_draws(ds, 0.7, rng, n, row=row):
-            k = len(theta)
-            sizes.append(k)
-            assert np.array_equal(i, ref.integers(ds.n, size=k) if row is None else row)
-            assert np.array_equal(theta, sample_theta(0.7, ref, size=k))
-            assert np.array_equal(j, ref.integers(ds.n, size=k))
-        assert sizes == [mixup._DRAW_BLOCK, mixup._DRAW_BLOCK, 7]
+        key = int(ref.integers(2**64, dtype=np.uint64))
+        blocks = []
+
+        mixup._monte_carlo(rng, n, None, lambda g, k: (k, g.bit_generator.state), blocks.append)
         assert rng.bit_generator.state == ref.bit_generator.state
+        children = np.random.SeedSequence(key).spawn(3)
+        assert [k for k, _ in blocks] == [mixup._BLOCK, mixup._BLOCK, 7]
+        assert [s for _, s in blocks] == [np.random.default_rng(c).bit_generator.state for c in children]
+    for row in (None, 5):
+        for fold in (True, False):
+            g, ref = np.random.default_rng(4), np.random.default_rng(4)
+            i, j, w = mixup._block_draws(ds, g, 1000, 0.7, fold, row=row)
+            assert np.array_equal(i, ref.integers(ds.n, size=1000) if row is None else row)
+            expected = sample_theta(0.7, ref, size=1000) if fold else ref.beta(0.7, 0.7, size=1000)
+            assert np.array_equal(w, expected)
+            assert np.array_equal(j, ref.integers(ds.n, size=1000))
+            assert g.bit_generator.state == ref.bit_generator.state
 
 
 def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypatch):
     """The per-draw gap, the zero-mean moments and the covariance sums are
-    the same for the same seed, at one worker and at two, over a draw count
-    that is not a whole number of blocks."""
+    the same for the same seed, at one, two and three workers, over a draw
+    count that is not a whole number of blocks."""
     ds, kind = make_two_moons(20, 0.05, seed=1), LossKind.CROSS_ENTROPY
     model = init_rff(2, 80, 3.0, 2, seed=1)
     model.w = 0.5 * np.random.default_rng(0).normal(size=model.w.shape)
     tb = mix_coefficients(1.0).theta_bar
-    n = 2 * _draw_blocks(10**9, model)[0].stop + 12_345
+    n = 2 * mixup._block_size(model) + 12_345
 
     def draws():
         gap = verification._perdraw_gap(ds, model, kind, 1.0, tb, np.random.default_rng(3), n)
@@ -142,10 +157,10 @@ def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypat
         return gap, [(m.n, m.total, m.m2) for m in moments], [s.tolist() for s in sums]
 
     results = []
-    for workers in (1, 2, 1):
+    for workers in (1, 2, 3, 1):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         results.append(draws())
-    assert results[0] == results[1] == results[2]
+    assert results[0] == results[1] == results[2] == results[3]
     assert results[0][0] < 1e-12 and all(m[0] == n for m in results[0][1])
 
 
@@ -205,17 +220,20 @@ def test_covariance_check_passes():
 
 
 @pytest.mark.parametrize("n_mc", [1_000_000, 4_000_000])
-def test_covariance_check_memory_is_its_weights_and_one_block(n_mc):
+def test_covariance_check_memory_is_its_weights_and_one_block(n_mc, monkeypatch):
     """The check holds one block of folded weights, partners and
-    perturbations, whatever n_mc: 7.0 MiB at 1 M and at 4 M draws, under 16
-    float64 arrays of one draw block (8 MiB). With all n_mc weights drawn
-    before the first partner it took 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB
-    with every partner drawn at once too."""
+    perturbations per worker, whatever n_mc: 0.4 / 0.7 / 1.4 MiB at 1 / 2 /
+    4 workers, at 1 M and at 4 M draws. Over 2^16-draw blocks on the calling
+    thread it took 7.0 MiB; with all n_mc weights drawn before the first
+    partner 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB with every partner drawn at
+    once too."""
     ds = make_two_moons(20, 0.05, seed=1)
-    reports = []
-    peak = traced_peak(lambda: reports.append(check_covariance_formula(ds, 1.0, n_mc=n_mc)))
-    assert reports[0].passed, reports[0].details
-    assert peak < 16 * 8 * mixup._DRAW_BLOCK
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(mixup, "_WORKERS", workers)
+        reports = []
+        peak = traced_peak(lambda: reports.append(check_covariance_formula(ds, 1.0, n_mc=n_mc)))
+        assert reports[0].passed, reports[0].details
+        assert peak < mc_memory_bound(workers), (workers, peak)
 
 
 def test_decomposition_check_each_loss():
@@ -343,7 +361,7 @@ def test_run_all_green_and_serializable(run_all_reports):
         "label_smoothing_entropy",
     }
     for row in payload:
-        assert set(row) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "details"}
+        assert set(row) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details"}
     table = format_report_table(reports)
     assert "PASS" in table and "FAIL" not in table
     assert sum(r.runtime_s for r in reports) < 300.0
