@@ -98,8 +98,8 @@ class CheckReport:
     discrepancy: float
     tolerance: float
     runtime_s: float
-    cpu_s: float
     details: str = ""
+    cpu_s: float = 0.0
 
 
 def _clocks() -> tuple[float, float]:

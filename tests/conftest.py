@@ -91,9 +91,10 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def mc_memory_bound(workers: int) -> float:
+def mc_memory_bound(workers: int, *, phase_blocks: float = 1.25, block_arrays: int = 16) -> float:
     """Bytes allowed for Monte Carlo on ``workers`` workers, whatever the
-    draw count: per worker one phase block plus a quarter, and sixteen
-    float64 arrays of one block (its draws, gathered rows and losses); 1 MiB
-    for the rest."""
-    return workers * (1.25 * 8 * _PHASE_ELEMS + 16 * 8 * mixup._BLOCK) + 2**20
+    draw count: per worker ``phase_blocks`` phase blocks (one and a quarter
+    by default; none where no model is called) and ``block_arrays`` float64
+    arrays of one block (its draws, gathered rows and losses); 1 MiB for the
+    rest."""
+    return workers * (phase_blocks * 8 * _PHASE_ELEMS + block_arrays * 8 * mixup._BLOCK) + 2**20

@@ -410,8 +410,8 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     import mixreg.cli as cli
     from mixreg.verification import CheckReport
 
-    reports = [CheckReport("a", True, 0.0, 1.0, 0.25, 0.5), CheckReport("a", True, 0.0, 1.0, 0.5, 0.75),
-               CheckReport("b", False, 2.0, 1.0, 0.125, 0.0625)]
+    reports = [CheckReport("a", True, 0.0, 1.0, 0.25, cpu_s=0.5), CheckReport("a", True, 0.0, 1.0, 0.5, cpu_s=0.75),
+               CheckReport("b", False, 2.0, 1.0, 0.125, cpu_s=0.0625)]
     monkeypatch.setattr(cli, "run_all", lambda seed: reports)
     assert main(["verify", "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "verify_summary.json").read_text())

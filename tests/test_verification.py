@@ -223,17 +223,18 @@ def test_covariance_check_passes():
 def test_covariance_check_memory_is_its_weights_and_one_block(n_mc, monkeypatch):
     """The check holds one block of folded weights, partners and
     perturbations per worker, whatever n_mc: 0.4 / 0.7 / 1.4 MiB at 1 / 2 /
-    4 workers, at 1 M and at 4 M draws. Over 2^16-draw blocks on the calling
-    thread it took 7.0 MiB; with all n_mc weights drawn before the first
-    partner 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB with every partner drawn at
-    once too."""
+    4 workers, at 1 M and at 4 M draws, under 16 block arrays per worker and
+    no phase block, since no model is called (1.5 / 2 / 3 MiB). Over 2^16-draw
+    blocks on the calling thread it took 7.0 MiB; with all n_mc weights drawn
+    before the first partner 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB with every
+    partner drawn at once too."""
     ds = make_two_moons(20, 0.05, seed=1)
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         reports = []
         peak = traced_peak(lambda: reports.append(check_covariance_formula(ds, 1.0, n_mc=n_mc)))
         assert reports[0].passed, reports[0].details
-        assert peak < mc_memory_bound(workers), (workers, peak)
+        assert peak < mc_memory_bound(workers, phase_blocks=0), (workers, peak)
 
 
 def test_decomposition_check_each_loss():
