@@ -11,10 +11,10 @@ Subcommands:
               seconds per check)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
-eval and breakdown rebuild the dataset at the seed stored in model.json
-unless --seed is given; eval --mode rescaled uses the rescaling statistics
-stored there. The artifact fixes the method and alpha, so eval takes neither
-flag; breakdown takes --alpha for its penalties, else the alpha stored there.
+eval and breakdown check model.json against the dataset rebuilt at its
+stored seed (or --seed); neither trains, so they read no train or model
+keys. The artifact fixes the method and alpha, so eval takes neither flag;
+breakdown takes --alpha for its penalties, else the stored alpha.
 
 Config file (JSON; flags override file values). The defaults, shown here,
 are ExperimentSpec's two-moons protocol trained with mixup:
@@ -35,12 +35,14 @@ are ExperimentSpec's two-moons protocol trained with mixup:
 A config file that is not a readable JSON object (or has a section that is
 not one), a key outside this layout, a value its key does not allow, an
 unreadable csv dataset or one with a cell that is not a finite number,
-invalid two-moons values, data the train keys cannot train on, or, for eval
-and sweep, test targets off the probability simplex ends the command with
-exit code 2 before any output, as does an --out that names, or lies under,
-something that exists and is not a directory, a negative verify --seed, or
-model.json metadata that eval or breakdown cannot use. The config.json each
-command writes holds only the keys its run read (README, "Command line").
+invalid two-moons values, for train and sweep data the train keys cannot
+train on, or, for eval and sweep, test targets off the probability simplex
+ends the command with exit code 2 before any output, as does an --out that
+names, or lies under, something that exists and is not a directory, a
+negative verify --seed, or model.json metadata that eval or breakdown cannot
+use, such as a model whose widths do not fit the data. Every csv is written
+by data.write_csv; the config.json each command writes holds only the keys
+its run read (README, "Command line").
 """
 
 from __future__ import annotations
@@ -49,21 +51,21 @@ import argparse
 import json
 import resource
 import sys
-import time
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import mixup
-from .data import load_csv
+from .data import load_csv, write_csv
 from .experiment import ExperimentSpec, make_instance, run_method
 from .losses import LossKind
-from .metrics import Rescale, metrics, write_histogram_csv
+from .metrics import CONFIDENCE_BINS, Rescale, metrics
 from .models import load_model_json, save_model_json
 from .regularizers import r_terms_general
-from .training import METHODS, MODELS, TrainConfig, check_data, train
+from .training import METHODS, MODELS, TrainConfig, check_data, check_targets, train
 from .truncbeta import mix_coefficients
-from .verification import format_report_table, reports_to_json, run_all
+from .verification import _clocks, format_report_table, reports_to_json, run_all
 
 _SPEC = ExperimentSpec()
 _DEFAULT_TRAIN = _SPEC.train_config("mixup", TrainConfig.seed)
@@ -96,6 +98,8 @@ DEFAULT_CONFIG = {
     "repetitions": _SPEC.repetitions,
 }
 DEFAULT_CONFIG["train"]["loss"] = _DEFAULT_TRAIN.loss.value
+# the MetricsRow fields eval and sweep write, in column order
+_METRICS = ("accuracy", "ce_loss", "ece", "mean_entropy", "mean_confidence")
 
 
 def _fail(message: str):
@@ -147,31 +151,26 @@ def _load_config(args) -> dict:
     return _deep_update(cfg, override)
 
 
-def _resolve(cfg: dict, loaded: dict | None = None):
-    """The (train, test) datasets, the TrainConfig and the record of a merged
-    config: its layout holding exactly the keys a run reads (seed, the keys of
-    its dataset and model kinds, the train keys, drop_r2 only for mixup_approx),
-    from which the TrainConfig and every config.json are made. Bad input ends
-    the command with exit code 2 before any output is written. Runs that share
-    ``loaded`` read a csv pair once and make two-moons data once per seed.
-    """
+def _section(cfg: dict, s: str) -> dict:
+    """Section ``s`` of a merged config as a run reads it, its choices
+    checked: the kind and that kind's own keys for dataset and model, every
+    key but drop_r2, which only mixup_approx reads, for train."""
     for (section, key), choices in _CHOICES.items():
-        if cfg[section][key] not in choices:
-            _fail(f"{section}.{key} must be one of {choices}, got {cfg[section][key]!r}")
-    record = {"seed": cfg["seed"]}
-    for s, kinds in _KIND_KEYS.items():
-        keys = ("kind",) + kinds[cfg[s]["kind"]]
-        if not set(keys) <= set(cfg[s]):
-            _fail(f"a {cfg[s]['kind']} {s} needs {', '.join(f'{s}.{k}' for k in keys[1:])}")
-        record[s] = {k: cfg[s][k] for k in keys}
-    record["train"] = {k: v for k, v in cfg["train"].items()
-                       if k != "drop_r2" or cfg["train"]["method"] == "mixup_approx"}
-    fields = {f: record[s][k] for s, keys in _TRAIN_FIELDS.items() for k, f in keys.items()
-              if k in record[s]}
-    try:
-        tc = TrainConfig(seed=record["seed"], **dict(fields, loss=LossKind(fields["loss"])))
-    except (TypeError, ValueError) as exc:
-        _fail(f"invalid config: {exc}")
+        if section == s and cfg[s][key] not in choices:
+            _fail(f"{s}.{key} must be one of {choices}, got {cfg[s][key]!r}")
+    if s == "train":
+        return {k: v for k, v in cfg[s].items() if k != "drop_r2" or cfg[s]["method"] == "mixup_approx"}
+    keys = ("kind",) + _KIND_KEYS[s][cfg[s]["kind"]]
+    if not set(keys) <= set(cfg[s]):
+        _fail(f"a {cfg[s]['kind']} {s} needs {', '.join(f'{s}.{k}' for k in keys[1:])}")
+    return {k: cfg[s][k] for k in keys}
+
+
+def _load_data(cfg: dict, loaded: dict | None = None):
+    """The (train, test) datasets of a merged config and their record, the
+    seed and the dataset section; bad data exits 2. Runs that share
+    ``loaded`` read a csv pair once and make two-moons data once per seed."""
+    record = {"seed": cfg["seed"], "dataset": _section(cfg, "dataset")}
     ds = record["dataset"]
     loaded = {} if loaded is None else loaded
     key = "csv" if ds["kind"] == "csv" else record["seed"]
@@ -182,11 +181,29 @@ def _resolve(cfg: dict, loaded: dict | None = None):
             else:
                 moons = ExperimentSpec(**{k: ds[k] for k in _KIND_KEYS["dataset"]["two_moons"]})
                 loaded[key] = make_instance(moons, record["seed"])
-        datasets = loaded[key]
-        check_data(*datasets, tc)
     except (OSError, TypeError, ValueError) as exc:
         _fail(f"invalid dataset: {exc}")
-    return datasets, tc, record
+    return loaded[key], record
+
+
+def _resolve(cfg: dict, loaded: dict | None = None):
+    """The (train, test) datasets, the TrainConfig and the record of a merged
+    config for train and sweep: its layout holding exactly the keys a run
+    reads, from which the TrainConfig and every config.json are made. Data
+    the TrainConfig cannot train on exits 2 too."""
+    record = {s: _section(cfg, s) for s in ("model", "train")}
+    fields = {f: record[s][k] for s, keys in _TRAIN_FIELDS.items() for k, f in keys.items()
+              if k in record[s]}
+    try:
+        tc = TrainConfig(seed=cfg["seed"], **dict(fields, loss=LossKind(fields["loss"])))
+    except (TypeError, ValueError) as exc:
+        _fail(f"invalid config: {exc}")
+    datasets, data_record = _load_data(cfg, loaded)
+    try:
+        check_data(*datasets, tc)
+    except ValueError as exc:
+        _fail(f"invalid dataset: {exc}")
+    return datasets, tc, dict(record, **data_record)
 
 
 def _check_scorable(command: str, *test_sets) -> None:
@@ -226,7 +243,6 @@ def cmd_train(args) -> int:
             "xbar": trace.rescale.xbar.tolist(),
             "ybar": trace.rescale.ybar.tolist(),
             "theta_bar": trace.rescale.theta_bar,
-            "alpha": tc.alpha,
         }
     save_model_json(model, out / "model.json", extra=extra)
     trace.write_csv(out / "trace.csv")
@@ -234,47 +250,69 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args):
-    """The saved model, its metadata, and the datasets and record (seed,
-    dataset, model path) at the trained seed unless ``--seed`` is given."""
+_Artifact = namedtuple("_Artifact", "model method loss rescale alpha datasets record")
+
+
+def _load_model(args) -> _Artifact:
+    """The one reader of model.json metadata. Against the datasets rebuilt
+    at the stored seed (or --seed) it checks the model's widths, the stored
+    loss kind (cross-entropy if none), the rescaling statistics (None if
+    none) and the alpha (--alpha if given, else the stored one or None);
+    what eval and breakdown cannot use exits 2, naming the artifact."""
     try:
         model, extra = load_model_json(args.model)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         _fail(f"cannot load model {args.model}: {exc}")
     if not isinstance(extra, dict) or not isinstance(extra.get("rescale", {}), dict):
         _fail(f"cannot load model {args.model}: extra and extra.rescale must be JSON objects")
+    name = f"model {args.model}"
     cfg = _load_config(args)
-    if args.seed is None and "seed" in extra:
-        cfg = dict(cfg, seed=extra["seed"])
-    datasets, _, record = _resolve(cfg)
-    return model, extra, datasets, {"seed": record["seed"], "dataset": record["dataset"],
-                                    "model_path": str(args.model)}
+    stored_seed = args.seed is None and "seed" in extra
+    seed = extra["seed"] if stored_seed else cfg["seed"]
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        _fail(f"{name if stored_seed else 'invalid config'}: seed must be an integer >= 0, got {seed!r}")
+    datasets, record = _load_data(dict(cfg, seed=seed))
+    d, c = model.in_dim, model.out_dim
+    for ds in datasets:
+        if (ds.d, ds.c) != (d, c):
+            _fail(f"{name} maps {d} inputs to {c} outputs, the data {ds.d} to {ds.c}")
+    try:
+        loss = LossKind(extra.get("loss", TrainConfig.loss.value))
+        check_targets(loss, *datasets)
+    except ValueError as exc:
+        _fail(f"{name}: {exc}")
+    rescale = extra.get("rescale")
+    if rescale is not None:
+        try:
+            xbar, ybar, tb = (np.asarray(rescale[k], dtype=float) for k in ("xbar", "ybar", "theta_bar"))
+        except (KeyError, TypeError, ValueError) as exc:
+            _fail(f"{name}: unreadable rescaling statistics ({type(exc).__name__}: {exc})")
+        if (xbar.shape, ybar.shape, tb.shape) != ((d,), (c,), ()) or not (
+                np.isfinite(xbar).all() and np.isfinite(ybar).all() and 0.5 <= tb <= 1):
+            _fail(f"{name}: the rescaling statistics must be xbar of {d} finite values, ybar of "
+                  f"{c} and theta_bar in [1/2, 1], got theta_bar {rescale['theta_bar']!r}")
+        rescale = Rescale(xbar, ybar, float(tb))
+    flagged = getattr(args, "alpha", None) is not None
+    alpha = args.alpha if flagged else extra.get("alpha")
+    if alpha is not None and (type(alpha) not in (int, float) or not 0 < alpha < np.inf):
+        _fail(f"{'invalid config' if flagged else name}: alpha must be a finite positive number, "
+              f"got {alpha!r}")
+    return _Artifact(model, extra.get("method", "unknown"), loss, rescale, alpha, datasets,
+                     dict(record, model_path=str(args.model)))
 
 
 def cmd_eval(args) -> int:
-    model, extra, (_, ds_test), record = _load_model(args)
-    _check_scorable("eval", ds_test)
-    rescale = None
-    if args.mode == "rescaled":
-        resc = extra.get("rescale")
-        if resc is None:
-            _fail("model artifact carries no rescaling statistics; cannot eval rescaled")
-        try:
-            xbar, ybar, tb = (np.asarray(resc[k], dtype=float) for k in ("xbar", "ybar", "theta_bar"))
-        except (KeyError, TypeError, ValueError) as exc:
-            _fail(f"model {args.model}: unreadable rescaling statistics ({type(exc).__name__}: {exc})")
-        if (xbar.shape, ybar.shape, tb.shape) != ((ds_test.d,), (ds_test.c,), ()) or not 0.5 <= tb <= 1:
-            _fail(f"model {args.model}: the rescaling statistics must be xbar of {ds_test.d} values, "
-                  f"ybar of {ds_test.c} and theta_bar in [1/2, 1], got theta_bar {resc['theta_bar']!r}")
-        rescale = Rescale(xbar, ybar, float(tb))
-    row = metrics(model, ds_test, rescale)
-    out = _output_dir(args, dict(record, mode=args.mode))
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("method,mode,seed," + row.csv_header() + "\n")
-        fh.write(
-            f"{extra.get('method', 'unknown')},{args.mode},{record['seed']}," + row.csv_row() + "\n"
-        )
-    write_histogram_csv(row.confidence_histogram, out / "confidence_histogram.csv")
+    art = _load_model(args)
+    _check_scorable("eval", art.datasets[1])
+    if args.mode == "rescaled" and art.rescale is None:
+        _fail("model artifact carries no rescaling statistics; cannot eval rescaled")
+    row = metrics(art.model, art.datasets[1], art.rescale if args.mode == "rescaled" else None)
+    out = _output_dir(args, dict(art.record, mode=args.mode))
+    write_csv(out / "metrics.csv", ("method", "mode", "seed") + _METRICS,
+              [(art.method, args.mode, art.record["seed"], *(getattr(row, k) for k in _METRICS))])
+    edges = np.linspace(0.0, 1.0, CONFIDENCE_BINS + 1)
+    write_csv(out / "confidence_histogram.csv", ("bin_left", "bin_right", "count"),
+              zip(edges[:-1], edges[1:], row.confidence_histogram))
     print(f"wrote {out / 'metrics.csv'} and {out / 'confidence_histogram.csv'}")
     return 0
 
@@ -321,7 +359,6 @@ def cmd_sweep(args) -> int:
     del record["seed"], record["train"]["alpha"]
     out = _output_dir(args, dict(record, seeds=seeds, alphas=alphas))
 
-    metric_names = ("accuracy", "ce_loss", "ece", "mean_entropy", "mean_confidence")
     rows = []
     for alpha, alpha_runs in runs:
         results = [run_method(*datasets, tc) for datasets, tc, _ in alpha_runs]
@@ -330,14 +367,12 @@ def cmd_sweep(args) -> int:
         for mode_name, scored in modes.items():
             if not scored:
                 continue
-            for name in metric_names:
+            for name in _METRICS:
                 mean, *ci = _t_interval(np.asarray([getattr(row, name) for row in scored]))
-                ci = ["n/a" if v is None else repr(v) for v in ci]
+                ci = ["n/a" if v is None else v for v in ci]
                 rows.append((cfg["train"]["method"], alpha, mode_name, name, mean, *ci, len(scored)))
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("method,alpha,mode,metric,mean,ci_low,ci_high,repetitions\n")
-        for r in rows:
-            fh.write("%s,%r,%s,%s,%r,%s,%s,%d\n" % r)
+    write_csv(out / "sweep.csv",
+              ("method", "alpha", "mode", "metric", "mean", "ci_low", "ci_high", "repetitions"), rows)
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} rows)")
     return 0
 
@@ -349,18 +384,12 @@ def _peak_rss_mb() -> float:
     return peak / 2**20 if sys.platform == "darwin" else peak / 2**10
 
 
-def _cpu_s() -> float:
-    """User plus system seconds of this process, all threads together."""
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    return usage.ru_utime + usage.ru_stime
-
-
 def cmd_verify(args) -> int:
     if args.seed < 0:
         _fail(f"--seed must be a non-negative integer, got {args.seed}")
-    t0, cpu0 = time.perf_counter(), _cpu_s()
+    t0 = _clocks()
     reports = run_all(seed=args.seed)
-    total_s, cpu_s = time.perf_counter() - t0, _cpu_s() - cpu0
+    total_s, cpu_s = (end - start for end, start in zip(_clocks(), t0))
     print(format_report_table(reports))
     if args.out:
         out = Path(args.out)
@@ -381,28 +410,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_breakdown(args) -> int:
-    model, extra, (ds_train, _), record = _load_model(args)
-    alpha = args.alpha
-    if alpha is None:
-        # artifacts from before alpha was stored for every method keep it
-        # only under the mixing methods' rescaling statistics
-        alpha = extra.get("alpha", extra.get("rescale", {}).get("alpha"))
-    if alpha is None:
+    art = _load_model(args)
+    if art.alpha is None:
         _fail("model artifact stores no alpha; pass --alpha for the breakdown")
-    if type(alpha) not in (int, float) or not 0 < alpha < np.inf:  # --alpha is checked already
-        _fail(f"model {args.model}: alpha must be a finite positive number, got {alpha!r}")
-    try:
-        kind = LossKind(extra.get("loss", TrainConfig.loss.value))
-    except ValueError as exc:
-        _fail(f"model {args.model}: {exc}")
-    br = r_terms_general(ds_train, model, kind, mix_coefficients(alpha))
-    out = _output_dir(args, dict(record, alpha=alpha))
-    with open(out / "breakdown.csv", "w") as fh:
-        fh.write("erm_modified,r1,r2,r3,r4,total,clipped_inverses\n")
-        fh.write(
-            "%r,%r,%r,%r,%r,%r,%d\n"
-            % (br.erm_modified, br.r1, br.r2, br.r3, br.r4, br.total, br.clipped_inverses)
-        )
+    br = r_terms_general(art.datasets[0], art.model, art.loss, mix_coefficients(art.alpha))
+    out = _output_dir(args, dict(art.record, alpha=art.alpha))
+    terms = ("erm_modified", "r1", "r2", "r3", "r4", "total", "clipped_inverses")
+    write_csv(out / "breakdown.csv", terms, [[getattr(br, k) for k in terms]])
     print(f"wrote {out / 'breakdown.csv'}")
     return 0
 

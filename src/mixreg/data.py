@@ -1,7 +1,9 @@
-"""Dataset container, the two-moons generator, and the mean-shrinkage map.
+"""Dataset container, the two-moons generator, the mean-shrinkage map, and
+csv tables.
 
 :func:`shrink` is the one copy of the map: :func:`modify` applies it to the
 rows a method fits and :class:`metrics.Rescale` to test inputs, bit for bit.
+:func:`write_csv` writes every csv the program writes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "shrink",
     "modify",
     "train_test_split",
+    "write_csv",
     "save_csv",
     "load_csv",
 ]
@@ -171,14 +174,21 @@ def train_test_split(ds: Dataset, train_fraction: float, seed: int):
     )
 
 
+def write_csv(path, header, rows) -> None:
+    """The one csv writer: a header, then one line per row, each line
+    ending in LF. Cells are written as given, so a float, numpy scalars
+    included, is its shortest round-trip decimal, as ``repr`` writes a
+    Python float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(ds: Dataset, path) -> None:
     """Write rows with header x0..x{d-1},y0..y{c-1}; floats round-trip exactly."""
     header = [f"x{j}" for j in range(ds.d)] + [f"y{j}" for j in range(ds.c)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for xi, yi in zip(ds.inputs, ds.outputs):
-            writer.writerow([repr(float(v)) for v in xi] + [repr(float(v)) for v in yi])
+    write_csv(path, header, np.hstack([ds.inputs, ds.outputs]))
 
 
 def _finite_cell(path, row: int, column: str, text: str) -> float:
@@ -194,9 +204,10 @@ def _finite_cell(path, row: int, column: str, text: str) -> float:
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by :func:`save_csv`; ValueError for a file
-    without that header, with a row of another length, with no rows, or with
-    a cell that is not a finite number (the first one is named)."""
+    """Read a dataset written by :func:`save_csv`, lines ending in LF or
+    CRLF; ValueError for a file without that header, with a row of another
+    length, with no rows, or with a cell that is not a finite number (the
+    first one is named)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])

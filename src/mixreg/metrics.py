@@ -34,7 +34,6 @@ __all__ = [
     "ece",
     "metrics",
     "confidence_histogram",
-    "write_histogram_csv",
 ]
 
 ECE_BINS = 15
@@ -81,18 +80,6 @@ class MetricsRow:
     mean_confidence: float
     confidence_histogram: np.ndarray
 
-    def csv_header(self) -> str:
-        return "accuracy,ce_loss,ece,mean_entropy,mean_confidence"
-
-    def csv_row(self) -> str:
-        return "%r,%r,%r,%r,%r" % (
-            self.accuracy,
-            self.ce_loss,
-            self.ece,
-            self.mean_entropy,
-            self.mean_confidence,
-        )
-
 
 def predict(model, x: np.ndarray, rescale: Rescale | None = None) -> np.ndarray:
     """Raw outputs when ``rescale`` is None, else the rescaled prediction."""
@@ -128,15 +115,13 @@ def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
     return float(total)
 
 
-def confidence_histogram(confidences, n_bins: int = CONFIDENCE_BINS) -> np.ndarray:
-    """Counts over equal-width bins on [0, 1]; sums to the sample size."""
-    counts, _ = np.histogram(np.asarray(confidences, dtype=float), bins=n_bins, range=(0.0, 1.0))
-    return counts
+def confidence_histogram(confidences) -> np.ndarray:
+    """Counts over ``CONFIDENCE_BINS`` equal-width bins on [0, 1]; sums to
+    the sample size."""
+    return np.histogram(np.asarray(confidences, dtype=float), bins=CONFIDENCE_BINS, range=(0.0, 1.0))[0]
 
 
-def metrics(
-    model, ds_test: Dataset, rescale: Rescale | None = None, n_ece_bins: int = ECE_BINS
-) -> MetricsRow:
+def metrics(model, ds_test: Dataset, rescale: Rescale | None = None) -> MetricsRow:
     """Accuracy, cross-entropy, calibration error, entropy and confidence stats
     of the raw (``rescale`` None) or rescaled predictor."""
     if not ds_test.is_classification():
@@ -150,17 +135,8 @@ def metrics(
     return MetricsRow(
         accuracy=float(correct.mean()),
         ce_loss=float(loss_values(LossKind.CROSS_ENTROPY, ds_test.outputs, logits).mean()),
-        ece=ece(conf, correct, n_bins=n_ece_bins),
+        ece=ece(conf, correct),
         mean_entropy=float(entropy(probs).mean()),
         mean_confidence=float(conf.mean()),
         confidence_histogram=confidence_histogram(conf),
     )
-
-
-def write_histogram_csv(hist: np.ndarray, path) -> None:
-    """Write bins as rows of bin_left,bin_right,count."""
-    edges = np.linspace(0.0, 1.0, len(hist) + 1)
-    with open(path, "w") as fh:
-        fh.write("bin_left,bin_right,count\n")
-        for b, cnt in enumerate(hist):
-            fh.write("%r,%r,%d\n" % (edges[b], edges[b + 1], int(cnt)))

@@ -384,12 +384,11 @@ def mixup_minibatch(
     batch_y: np.ndarray,
     alpha: float,
     rng: np.random.Generator,
-    lam: np.ndarray | None = None,
 ):
     """Convex-combine each batch row with a uniformly drawn partner row.
 
-    One lam ~ Beta(alpha, alpha) per pair; ``lam`` overrides the draw
-    (testing hook). Returns (mixed_x, mixed_y).
+    Draws the m partners, then one lam ~ Beta(alpha, alpha) per pair; row i
+    becomes lam_i z_i + (1 - lam_i) z_partner(i). Returns (mixed_x, mixed_y).
     """
     batch_x = np.asarray(batch_x, dtype=float)
     batch_y = np.asarray(batch_y, dtype=float)
@@ -397,9 +396,6 @@ def mixup_minibatch(
     if m == 0:
         raise ValueError("batch must be nonempty")
     partner = rng.integers(m, size=m)
-    if lam is None:
-        lam = rng.beta(alpha, alpha, size=m)
-    else:
-        lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,))
+    lam = rng.beta(alpha, alpha, size=m)
     rows = np.arange(m)
     return tuple(_combine_rows(z, rows, partner, lam, 1.0 - lam) for z in (batch_x, batch_y))

@@ -38,7 +38,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .data import Dataset, modify
+from .data import Dataset, modify, write_csv
 from .losses import LossKind, grad_u_rows, hess_uu_rows, loss_values, sigmoid, softmax_rows
 from .metrics import Rescale, predict
 from .models import LinearModel, RffModel, init_rff
@@ -125,12 +125,8 @@ class TrainTrace:
         return len(self.epochs)
 
     def write_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("epoch,objective,train_acc,test_acc,test_loss\n")
-            for row in zip(
-                self.epochs, self.objective, self.train_acc, self.test_acc, self.test_loss
-            ):
-                fh.write("%d,%r,%r,%r,%r\n" % row)
+        write_csv(path, ("epoch", "objective", "train_acc", "test_acc", "test_loss"),
+                  zip(self.epochs, self.objective, self.train_acc, self.test_acc, self.test_loss))
 
 
 def _accuracy(outputs: np.ndarray, targets: np.ndarray, threshold: float) -> float:
@@ -309,19 +305,25 @@ def _step(model, grad, step_size: float) -> None:
         model.b = model.b - step_size * gb
 
 
+def check_targets(kind: LossKind, *datasets: Dataset) -> None:
+    """Raise ValueError unless the loss can score every dataset's targets:
+    the logistic loss sees one target column and cross-entropy sees targets
+    on the probability simplex."""
+    for ds in datasets:
+        if kind is LossKind.LOGISTIC and ds.c != 1:
+            raise ValueError(f"the logistic loss needs one target column, got {ds.c}")
+        if kind is LossKind.CROSS_ENTROPY and not ds.is_classification():
+            raise ValueError("cross-entropy needs targets on the probability simplex")
+
+
 def check_data(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig) -> None:
     """Raise ValueError unless the config can train on the datasets: the
-    batch size divides the training rows, the logistic loss sees one target
-    column and cross-entropy sees targets on the probability simplex."""
+    batch size divides the training rows and :func:`check_targets` passes."""
     if ds_train.n % cfg.batch_size:
         raise ValueError(
             f"batch_size {cfg.batch_size} does not divide the training set size {ds_train.n}"
         )
-    for ds in (ds_train, ds_test):
-        if cfg.loss is LossKind.LOGISTIC and ds.c != 1:
-            raise ValueError(f"the logistic loss needs one target column, got {ds.c}")
-        if cfg.loss is LossKind.CROSS_ENTROPY and not ds.is_classification():
-            raise ValueError("cross-entropy needs targets on the probability simplex")
+    check_targets(cfg.loss, ds_train, ds_test)
 
 
 def train(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig):

@@ -14,6 +14,7 @@ from mixreg import mixup
 from mixreg.cli import DEFAULT_CONFIG, _t_interval, main
 from mixreg.data import load_csv
 from mixreg.losses import LossKind
+from mixreg.models import LinearModel, init_rff, save_model_json
 
 TINY_CONFIG = {
     "seed": 0,
@@ -50,7 +51,8 @@ def test_train_outputs_and_determinism(tmp_path):
     assert echoed["train"]["method"] == "mixup"
     model = json.loads((out1 / "model.json").read_text())
     assert model["kind"] == "rff"
-    assert "rescale" in model["extra"]
+    assert model["extra"]["alpha"] == 1.0
+    assert set(model["extra"]["rescale"]) == {"xbar", "ybar", "theta_bar"}
     rows = (out1 / "trace.csv").read_text().splitlines()
     assert rows[0] == "epoch,objective,train_acc,test_acc,test_loss"
     assert len(rows) == 5
@@ -421,6 +423,19 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
 
 
+def test_verify_summary_times_come_from_the_check_clocks(tmp_path, monkeypatch, run_all_reports):
+    """verify_summary.json's total_s and cpu_s are differences of the clock
+    pair every check's runtime_s and cpu_s come from."""
+    import mixreg.cli as cli
+
+    ticks = iter([(1.0, 10.0), (3.5, 14.25)])
+    monkeypatch.setattr(cli, "_clocks", lambda: next(ticks))
+    monkeypatch.setattr(cli, "run_all", lambda seed: run_all_reports)
+    assert main(["verify", "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "verify_summary.json").read_text())
+    assert (summary["total_s"], summary["cpu_s"]) == (2.5, 4.25)
+
+
 def test_verify_negative_seed_exits_2_before_any_output(tmp_path, capsys, monkeypatch):
     import mixreg.cli as cli
 
@@ -515,6 +530,9 @@ _BAD_METADATA = {
     "xbar of the wrong length": ("eval", ["--mode", "rescaled"],
                                  lambda p: p["extra"]["rescale"].update(xbar=[0.0] * 3),
                                  "model {model}: the rescaling statistics must be"),
+    "ybar not finite": ("eval", ["--mode", "rescaled"],
+                        lambda p: p["extra"]["rescale"].update(ybar=[float("nan"), 0.5]),
+                        "model {model}: the rescaling statistics must be"),
     "theta_bar below 1/2": ("eval", ["--mode", "rescaled"],
                             lambda p: p["extra"]["rescale"].update(theta_bar=0.3),
                             "model {model}: the rescaling statistics must be"),
@@ -526,6 +544,10 @@ _BAD_METADATA = {
                              "model {model}: 'hinge' is not a valid LossKind"),
     "--alpha not positive": ("breakdown", ["--alpha", "-1"], lambda p: None,
                              "invalid config: alpha must be a finite positive number"),
+    # mixing artifacts once stored alpha twice; the copy under rescale is not read
+    "alpha only under rescale": ("breakdown", [],
+                                 lambda p: p["extra"]["rescale"].update(alpha=p["extra"].pop("alpha")),
+                                 "model artifact stores no alpha; pass --alpha"),
 }
 
 
@@ -580,6 +602,90 @@ def test_breakdown_of_erm_uses_the_trained_alpha(tmp_path, capsys):
     main(["breakdown", "--config", str(cfg), "--model", str(old_path), "--alpha", "0.3",
           "--out", str(tmp_path / "old")])
     assert (tmp_path / "old" / "breakdown.csv").read_text() == flag
+
+
+# the csv columns that hold names; every other cell is a number
+_TEXT_COLUMNS = {"method", "mode", "metric"}
+_INT_COLUMNS = {"epoch", "seed", "count", "repetitions", "clipped_inverses"}
+
+
+def test_every_csv_cell_reads_back_as_a_number(tmp_path):
+    """Each csv that train, eval (raw and rescaled), sweep and breakdown
+    write parses with csv.DictReader into names and plain numbers, and the
+    histogram edges are the 21 equal-width edges on [0, 1]."""
+    cfg = str(_write_config(tmp_path))
+    model = str(tmp_path / "train" / "model.json")
+    runs = {
+        "train": (["train"], ["trace.csv"]),
+        "raw": (["eval", "--model", model], ["metrics.csv", "confidence_histogram.csv"]),
+        "rescaled": (["eval", "--model", model, "--mode", "rescaled"],
+                     ["metrics.csv", "confidence_histogram.csv"]),
+        "sweep": (["sweep", "--seeds", "0,1", "--alphas", "0.5,1"], ["sweep.csv"]),
+        "breakdown": (["breakdown", "--model", model], ["breakdown.csv"]),
+    }
+    for out, (args, files) in runs.items():
+        assert main([*args, "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        for name in files:
+            with open(tmp_path / out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                for column, cell in row.items():
+                    if column not in _TEXT_COLUMNS:
+                        (int if column in _INT_COLUMNS else float)(cell)
+            if name == "confidence_histogram.csv":
+                edges = [float(r["bin_left"]) for r in rows] + [float(rows[-1]["bin_right"])]
+                assert edges == np.linspace(0.0, 1.0, 21).tolist()
+                assert [float(r["bin_right"]) for r in rows] == edges[1:]
+
+
+def _cosine_head(c):
+    model = init_rff(2, 30, 3.0, c, seed=0)
+    model.w = np.random.default_rng(0).normal(size=model.w.shape)
+    return model
+
+
+# models whose input or output width does not fit two-moons (2 inputs, 2 classes)
+_MISFIT_MODELS = {
+    "3-input linear": lambda: LinearModel(W=np.zeros((2, 3)), b=np.zeros(2)),
+    "1-output cosine head": lambda: _cosine_head(1),
+    "3-output cosine head": lambda: _cosine_head(3),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "breakdown"])
+@pytest.mark.parametrize("case", _MISFIT_MODELS)
+def test_a_model_that_does_not_fit_the_data_exits_2_before_any_output(tmp_path, capsys, command, case):
+    model = tmp_path / "model.json"
+    save_model_json(_MISFIT_MODELS[case](), model,
+                    extra={"method": "erm", "loss": "ce", "seed": 0, "alpha": 1.0})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(_write_config(tmp_path)), "--model", str(model),
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"mixreg: model {model} maps ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_eval_and_breakdown_ignore_the_training_batch_size(tmp_path):
+    """A 40-row csv pair and a config that names only the dataset: the
+    default training batch of 50 does not divide 40 rows, and neither
+    command trains, so both succeed."""
+    from mixreg.data import make_two_moons, save_csv, train_test_split
+
+    tr, te = train_test_split(make_two_moons(80, 0.05, seed=0), 0.5, seed=1)
+    save_csv(tr, tmp_path / "tr.csv")
+    save_csv(te, tmp_path / "te.csv")
+    dataset = {"kind": "csv", "train": str(tmp_path / "tr.csv"), "test": str(tmp_path / "te.csv")}
+    assert tr.n == 40 and DEFAULT_CONFIG["train"]["batch_size"] == 50
+    assert main(["train", "--config", str(_write_config(tmp_path, dataset=dataset)),
+                 "--out", str(tmp_path / "train")]) == 0
+    only_data = tmp_path / "data.json"
+    only_data.write_text(json.dumps({"dataset": dataset}))
+    model = str(tmp_path / "train" / "model.json")
+    for args in (["eval", "--mode", "rescaled"], ["breakdown"]):
+        assert main([*args, "--config", str(only_data), "--model", model,
+                     "--out", str(tmp_path / args[0])]) == 0
 
 
 def test_sweep_aggregation(tmp_path):

@@ -10,6 +10,7 @@ from mixreg.data import (
     save_csv,
     shrink,
     train_test_split,
+    write_csv,
 )
 from mixreg.metrics import Rescale
 
@@ -166,6 +167,30 @@ def test_csv_round_trip(tmp_path):
     assert np.array_equal(back.outputs, ds.outputs)
     header = path.read_text().splitlines()[0]
     assert header == "x0,x1,y0,y1"
+
+
+def test_csv_lines_end_in_lf_and_load_csv_reads_crlf_too(tmp_path):
+    ds = make_two_moons(12, 0.37, seed=8)
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    save_csv(ds, lf)
+    assert b"\r" not in lf.read_bytes()
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    back = load_csv(crlf)
+    assert np.array_equal(back.inputs, ds.inputs) and np.array_equal(back.outputs, ds.outputs)
+
+
+def test_write_csv_cells_are_plain_numbers_and_names(tmp_path):
+    """Python floats as ``%r`` writes them, numpy scalars as plain shortest
+    round-trip numbers, ints and names as they are."""
+    floats = np.random.default_rng(3).normal(size=50) * 10.0 ** np.arange(-25, 25)
+    path = tmp_path / "t.csv"
+    write_csv(path, ("name", "x", "np_x", "k", "np_k"),
+              [("a", float(v), v, 7, np.int64(7)) for v in floats])
+    lines = path.read_text().splitlines()
+    assert lines[0] == "name,x,np_x,k,np_k"
+    assert lines[1:] == ["a,%r,%r,7,7" % (float(v), float(v)) for v in floats]
+    write_csv(path, ("left", "ci"), [(np.float64(0.05), "n/a")])
+    assert path.read_bytes() == b"left,ci\n0.05,n/a\n"
 
 
 @pytest.mark.parametrize(

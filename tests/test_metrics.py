@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mixreg.data import Dataset, make_two_moons
 from mixreg.metrics import (
+    CONFIDENCE_BINS,
     Rescale,
     confidence_histogram,
     ece,
@@ -144,8 +145,9 @@ def test_metrics_requires_classification():
 
 
 def test_histogram_bins_and_modes():
-    hist = confidence_histogram([0.0, 0.51, 0.49, 1.0], n_bins=20)
-    assert hist.sum() == 4
+    hist = confidence_histogram([0.0, 0.51, 0.49, 1.0])
+    assert hist.sum() == 4 and len(hist) == CONFIDENCE_BINS == 20
+    assert np.flatnonzero(hist).tolist() == [0, 9, 10, 19]
     ds = make_two_moons(30, 0.05, seed=7)
     model = init_rff(2, 40, 3.0, 2, seed=7)
     model.w = np.random.default_rng(7).normal(size=model.w.shape)

@@ -1,3 +1,4 @@
+import copy
 import sys
 import time
 
@@ -597,12 +598,22 @@ def test_risk_invariant_under_row_permutation():
     assert np.abs(np.sort(vals) - np.sort(vals_perm)).max() < 1e-12
 
 
-def test_minibatch_lambda_one_is_identity():
+def test_minibatch_rows_are_the_drawn_convex_combinations():
+    """Replaying the draws from a copy of the generator, partners first and
+    then one Beta(alpha, alpha) weight per row, gives every mixed row as
+    lam z_i + (1 - lam) z_partner bit for bit, and leaves both generators at
+    the same state."""
     rng = np.random.default_rng(8)
     X = rng.normal(size=(10, 2))
     Y = np.eye(2)[rng.integers(2, size=10)]
-    mx, my = mixup_minibatch(X, Y, 1.0, rng, lam=np.ones(10))
-    assert np.array_equal(mx, X) and np.array_equal(my, Y)
+    replay = copy.deepcopy(rng)
+    mx, my = mixup_minibatch(X, Y, 0.4, rng)
+    partner = replay.integers(10, size=10)
+    lam = replay.beta(0.4, 0.4, size=10)[:, None]
+    for z, mixed in ((X, mx), (Y, my)):
+        assert np.array_equal(mixed, lam * z + (1.0 - lam) * z[partner])
+    assert not np.array_equal(mx, X)
+    assert rng.random() == replay.random()
 
 
 def test_minibatch_outputs_stay_on_simplex():
