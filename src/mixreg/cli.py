@@ -7,8 +7,8 @@ Subcommands:
   verify      run the numerical certification suite (exit 0 iff all pass);
               --out writes verify.json (one report per check) and
               verify_summary.json (total seconds, CPU seconds over the same
-              span, Monte Carlo worker threads, peak RSS, wall and CPU
-              seconds per check)
+              span, Monte Carlo worker threads, the numpy version, peak
+              RSS, wall and CPU seconds per check)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
 eval and breakdown check model.json against the dataset rebuilt at its
@@ -331,11 +331,15 @@ def _t_interval(values: np.ndarray):
 
 
 def _flag_list(flag: str, text: str, cast) -> list:
-    """A comma-separated flag value as a list of ``cast`` values."""
+    """A comma-separated flag value as a list of distinct ``cast`` values."""
     try:
-        return [cast(v) for v in text.split(",")]
+        values = [cast(v) for v in text.split(",")]
     except ValueError:
         _fail(f"--{flag} takes comma-separated {cast.__name__} values, got {text!r}")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        _fail(f"--{flag} repeats {', '.join(map(str, repeated))}; give each value once")
+    return values
 
 
 def cmd_sweep(args) -> int:
@@ -400,6 +404,7 @@ def cmd_verify(args) -> int:
             "total_s": total_s,
             "cpu_s": cpu_s,
             "mc_workers": mixup._WORKERS,
+            "numpy": np.__version__,
             "peak_rss_mb": _peak_rss_mb(),
             "checks": [{"name": r.name, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports],
         }

@@ -317,8 +317,14 @@ def check_targets(kind: LossKind, *datasets: Dataset) -> None:
 
 
 def check_data(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig) -> None:
-    """Raise ValueError unless the config can train on the datasets: the
-    batch size divides the training rows and :func:`check_targets` passes."""
+    """Raise ValueError unless the config can train on the datasets: both
+    have the same input and output widths, the batch size divides the
+    training rows and :func:`check_targets` passes."""
+    if (ds_train.d, ds_train.c) != (ds_test.d, ds_test.c):
+        raise ValueError(
+            f"the training set maps {ds_train.d} inputs to {ds_train.c} outputs, "
+            f"the test set {ds_test.d} inputs to {ds_test.c} outputs"
+        )
     if ds_train.n % cfg.batch_size:
         raise ValueError(
             f"batch_size {cfg.batch_size} does not divide the training set size {ds_train.n}"

@@ -172,6 +172,28 @@ def test_bad_input_exits_2_and_creates_no_output(tmp_path, capsys, monkeypatch, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("d, c", [(3, 2), (2, 3)], ids=["three inputs", "three outputs"])
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_test_set_of_another_width_exits_2_and_names_both(tmp_path, capsys, monkeypatch,
+                                                          command, d, c):
+    from mixreg.data import Dataset, save_csv
+
+    monkeypatch.chdir(tmp_path)
+    dataset = _moons_csv(tmp_path)
+    rng = np.random.default_rng(0)
+    save_csv(Dataset(rng.normal(size=(20, d)), np.eye(c)[rng.integers(c, size=20)]),
+             tmp_path / "te_wide.csv")
+    path = _write_config(tmp_path, dataset=dict(dataset, test="te_wide.csv"))
+    seeds = ["--seeds", "0"] if command == "sweep" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), *seeds, "--out", "out"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "mixreg: invalid dataset: the training set maps 2 inputs to 2 outputs, "
+        f"the test set {d} inputs to {c} outputs\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_and_breakdown_accept_regression_data(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     _regression_csv(tmp_path)
@@ -226,6 +248,25 @@ def test_unparsable_sweep_list_exits_2_and_names_the_flag(tmp_path, capsys, flag
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"mixreg: {flag} ") and repr(value) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, repeated", [("--seeds", "0,1,0", "0"),
+                                                    ("--alphas", "1,0.5,1.0", "1.0")])
+def test_repeated_sweep_value_exits_2_before_any_work(tmp_path, capsys, monkeypatch, flag, value,
+                                                      repeated):
+    """A seed or alpha given twice would run and count the same runs twice."""
+    import mixreg.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the command started work")
+
+    monkeypatch.setattr(cli, "run_method", no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(_write_config(tmp_path)), flag, value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"mixreg: {flag} repeats {repeated};")
     assert not (tmp_path / "out").exists()
 
 
@@ -417,7 +458,8 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_all", lambda seed: reports)
     assert main(["verify", "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
-    assert set(summary) == {"total_s", "cpu_s", "mc_workers", "peak_rss_mb", "checks"}
+    assert set(summary) == {"total_s", "cpu_s", "mc_workers", "numpy", "peak_rss_mb", "checks"}
+    assert summary["numpy"] == np.__version__
     assert summary["total_s"] >= 0.0 and summary["peak_rss_mb"] > 0.0
     assert summary["checks"] == [{"name": r.name, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports]
     assert len(json.loads((tmp_path / "verify.json").read_text())) == 3

@@ -8,6 +8,7 @@ from mixreg.models import (
     _PHASE_ELEMS,
     LinearModel,
     RffModel,
+    _cos,
     init_rff,
     load_model_json,
     save_model_json,
@@ -35,6 +36,51 @@ def test_linear_homogeneity_without_intercept():
     x = rng.normal(size=2)
     for t in (0.3, 2.5, -1.7):
         assert np.allclose(model.predict(t * x), t * model.predict(x), atol=1e-14)
+
+
+def _cos_inputs():
+    rng = np.random.default_rng(7)
+    odd_pi = np.arange(-2001, 2002, 2) * np.pi
+    return {
+        "dense on [-200, 200]": np.linspace(-200.0, 200.0, 2_000_001),
+        **{f"normal at scale {scale:g}": rng.normal(scale=scale, size=100_000)
+           for scale in (1.0, 1e3, 1e6, 1e10, 1e15)},
+        "odd multiples of pi": odd_pi,
+        "odd multiples of pi + 1e-9": odd_pi + 1e-9,
+        "odd multiples of pi - 1e-9": odd_pi - 1e-9,
+        "multiples of pi/2": np.arange(-1000, 1001) * (np.pi / 2),
+        "zeros and a subnormal": np.array([0.0, -0.0, 5e-324, -5e-324]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_cos_inputs()))
+def test_cos_kernel_within_2_pow_minus_51_of_libm(name):
+    p = _cos_inputs()[name]
+    got = _cos(p.copy())
+    assert np.abs(got - np.cos(p)).max() <= 2.0**-51
+    assert np.abs(got).max() <= 1.0
+
+
+def test_cos_kernel_gives_nan_for_inf_and_nan():
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_cos(np.array([np.inf, -np.inf, np.nan]))).all()
+
+
+def test_cos_kernel_does_not_depend_on_position():
+    """An element's cosine has the same bits in any slice, at any offset
+    and alignment, as in the whole array."""
+    p = np.random.default_rng(8).uniform(-50.0, 50.0, size=1003)
+    whole = _cos(p.copy())
+    for start, stop in ((0, 1), (1, 2), (3, 17), (5, 1003), (0, 1000), (517, 600)):
+        assert np.array_equal(_cos(p[start:stop].copy()), whole[start:stop])
+        in_place = p.copy()
+        _cos(in_place[start:stop])
+        assert np.array_equal(in_place[start:stop], whole[start:stop])
+    raw = np.empty(8 * p.size + 8, dtype=np.uint8)
+    unaligned = np.frombuffer(raw[1 : 1 + 8 * p.size].data, dtype=float)
+    assert unaligned.ctypes.data % 8 != 0
+    unaligned[:] = p
+    assert np.array_equal(_cos(unaligned), whole)
 
 
 def test_rff_zero_head_and_straight_line_oracle():
