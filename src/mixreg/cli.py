@@ -8,7 +8,7 @@ Subcommands:
               --out writes verify.json (one report per check) and
               verify_summary.json (total seconds, CPU seconds over the same
               span, Monte Carlo worker threads, the numpy version, peak
-              RSS, wall and CPU seconds per check)
+              RSS, and each check's alpha and wall and CPU seconds)
   breakdown   the regularizer decomposition of a saved model on a dataset
 
 eval and breakdown check model.json against the dataset rebuilt at its
@@ -406,7 +406,9 @@ def cmd_verify(args) -> int:
             "mc_workers": mixup._WORKERS,
             "numpy": np.__version__,
             "peak_rss_mb": _peak_rss_mb(),
-            "checks": [{"name": r.name, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports],
+            "checks": [
+                {"name": r.name, "alpha": r.alpha, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports
+            ],
         }
         with open(out / "verify_summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)

@@ -31,6 +31,15 @@ and of losses, plus one row block of the model's prediction
 (``models._PHASE_ELEMS`` phase elements for a cosine-feature head), whatever
 the feature count.
 
+A block's mixing weights, folded or not, come from
+``truncbeta._symmetric_beta``: the ratio of two standard gammas for
+alpha >= 1, ``Generator.beta`` below (the module notes of ``truncbeta``
+give the per-draw costs). Above alpha = 1 and below it the draws are
+``Generator.beta``'s bit for bit; at alpha = 1 exactly numpy's ``beta``
+takes another algorithm, so there every Monte Carlo number differs from
+one drawn through ``Generator.beta``, with the same law. The training
+path, ``mixup_minibatch``, draws its weights with ``Generator.beta``.
+
 ``pair_loss_values`` and ``perturbed_loss_values`` score given draws
 through the same per-block functions, each block writing its losses into
 its own slice of one output. A block scores on the thread that took it and
@@ -55,7 +64,7 @@ import numpy as np
 
 from .data import Dataset, modify
 from .losses import LossKind, loss_values
-from .truncbeta import _validate_alpha, mix_coefficients, sample_theta
+from .truncbeta import _symmetric_beta, _validate_alpha, mix_coefficients, sample_theta
 
 __all__ = [
     "McEstimate",
@@ -207,9 +216,10 @@ def _monte_carlo(rng: np.random.Generator, n: int, model, block, merge) -> None:
 def _block_draws(ds: Dataset, g: np.random.Generator, k: int, alpha: float, fold: bool, row=None):
     """(i, j, w) of one block, drawn from its generator g in this order: k
     rows i (none when ``row`` is every draw's row), k weights w ~ Beta(alpha,
-    alpha), folded to max(w, 1 - w) when ``fold``, and k partners j."""
+    alpha) from ``truncbeta._symmetric_beta``, folded to max(w, 1 - w) when
+    ``fold``, and k partners j."""
     i = g.integers(ds.n, size=k) if row is None else row
-    w = sample_theta(alpha, g, size=k) if fold else g.beta(alpha, alpha, size=k)
+    w = sample_theta(alpha, g, size=k) if fold else _symmetric_beta(alpha, g, size=k)
     return i, g.integers(ds.n, size=k), w
 
 
@@ -387,7 +397,8 @@ def mixup_minibatch(
 ):
     """Convex-combine each batch row with a uniformly drawn partner row.
 
-    Draws the m partners, then one lam ~ Beta(alpha, alpha) per pair; row i
+    Draws the m partners, then one lam ~ Beta(alpha, alpha) per pair with
+    ``Generator.beta`` (not the Monte Carlo sampler); row i
     becomes lam_i z_i + (1 - lam_i) z_partner(i). Returns (mixed_x, mixed_y).
     """
     batch_x = np.asarray(batch_x, dtype=float)

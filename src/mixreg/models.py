@@ -9,19 +9,30 @@ only the head weights w (c, M) train. Derivatives follow from the chain rule:
     df_i/dx_j      = -(1/sqrt(M)) sum_m w_im sin(S_m.x + B_m) S_mj
     d2f_i/dx_j dx_k = -(1/sqrt(M)) sum_m w_im cos(S_m.x + B_m) S_mj S_mk
 
-The cosines of phi are evaluated by ``_cos`` through the half-angle
-identity cos p = 2 / (1 + tan^2(p/2)) - 1, in place in the phase block. On
-every phase the tests try (dense on [-200, 200], normal draws at scales up
-to 1e15, odd multiples of pi and their neighbours, +-0, subnormals) it is
-within 2^-51 of libm's ``np.cos`` and never leaves [-1, 1]; inf and nan
-give nan. It is faster only because numpy runs float64 ``tan`` in a SIMD
-loop and float64 ``cos`` as scalar code: 4.6-6.2 ns per element against
-25-33 ns for ``np.cos`` at the program's block shapes, with numpy 2.4.6 on
-an x86-64 host with AVX-512. Where a numpy build or CPU has no SIMD ``tan``
+Features are formed in five numpy passes over one phase block after one
+matrix product. ``_half_phases`` appends a 1 to each row and multiplies by
+[S^T / 2; B / 2], made once per model, which gives the half-angle phases
+h = (S x + B) / 2 with B added inside the product. ``_cos`` then takes
+cos(2 h) / sqrt(M) in place through the half-angle identity
+cos p = 2 / (1 + tan^2(p/2)) - 1 with 1/sqrt(M) folded into its two
+constants: tan, square, +1, divide and subtract. On every phase the tests
+try (dense on [-200, 200], normal draws at scales up to 1e15, odd
+multiples of pi and their neighbours, +-0, subnormals) the unscaled kernel
+is within 2^-51 of libm's ``np.cos`` and never leaves [-1, 1]; scaled, it
+is within 2^-50 / sqrt(M) of ``np.cos(p) / sqrt(M)``; inf and nan give nan.
+It is faster only because numpy runs float64 ``tan`` in a SIMD loop and
+float64 ``cos`` as scalar code: 4.6-6.2 ns per element against 25-33 ns
+for ``np.cos`` at the program's block shapes, with numpy 2.4.6 on an
+x86-64 host with AVX-512. Where a numpy build or CPU has no SIMD ``tan``
 loop the kernel is not faster than ``np.cos``; that case has not been
 measured. ``np.tan`` gives each element the same bits whatever its offset,
-alignment or array length, so a row's features do not depend on the block
-the row is evaluated in.
+alignment or array length, and the product computes each phase from its
+own row, so a row's features have the same bits in every batch of two or
+more rows. A single point, and a batch of one row, goes through a
+matrix-vector product instead and may differ from the batched bits by
+rounding. Since B is added inside the product and 1/sqrt(M) inside the
+kernel, features differ by rounding from a product followed by + B and a
+division by sqrt(M).
 
 Batch predictions of the feature model are evaluated in row blocks of at
 most ``_PHASE_ELEMS`` phase elements (rows x M), so the memory a prediction
@@ -50,20 +61,21 @@ __all__ = [
 ]
 
 
-def _cos(p: np.ndarray) -> np.ndarray:
-    """cos(p) in place, through cos p = 2 / (1 + tan^2(p/2)) - 1; returns p.
+def _cos(h: np.ndarray, scale: float) -> np.ndarray:
+    """scale * cos(2 h) in place in the half-angle phases h, through
+    cos p = 2 / (1 + tan^2(p/2)) - 1; returns h.
 
-    Six numpy passes over p and no second array. Near odd multiples of pi,
-    where tan(p/2) is huge, 2 / (1 + tan^2) is tiny and the result is -1
-    to within rounding.
+    Five numpy passes over h and no second array: the scale is folded into
+    the two constants, (2 scale) / (1 + tan^2 h) - scale. Near odd multiples
+    of pi/2, where tan h is huge, the quotient is tiny and the result is
+    -scale to within rounding.
     """
-    p *= 0.5
-    np.tan(p, out=p)
-    np.square(p, out=p)
-    p += 1.0
-    np.divide(2.0, p, out=p)
-    p -= 1.0
-    return p
+    np.tan(h, out=h)
+    np.square(h, out=h)
+    h += 1.0
+    np.divide(2.0 * scale, h, out=h)
+    h -= scale
+    return h
 
 
 # 2 MiB of float64 phases per block, the per-core L2 of the machine the
@@ -132,6 +144,9 @@ class RffModel:
         self.w = np.atleast_2d(np.asarray(self.w, dtype=float))
         if self.S.shape[0] != self.B.shape[0] or self.w.shape[1] != self.S.shape[0]:
             raise ValueError("inconsistent feature shapes: S (M,d), B (M,), w (c,M)")
+        # [S^T / 2; B / 2], (d + 1, M): a row with a 1 appended times this
+        # is its half-angle phases
+        self._half = np.vstack([0.5 * self.S.T, 0.5 * self.B])
 
     @property
     def n_features(self) -> int:
@@ -145,25 +160,29 @@ class RffModel:
     def in_dim(self) -> int:
         return self.S.shape[1]
 
-    def _phases(self, x: np.ndarray) -> np.ndarray:
+    def _half_phases(self, x: np.ndarray) -> np.ndarray:
+        """(S x + B) / 2 for a point (d,) -> (M,) or a batch (n, d) -> (n, M):
+        x with a 1 appended to each row, times [S^T / 2; B / 2]."""
         x = np.asarray(x, dtype=float)
-        phase = x @ self.S.T if x.ndim > 1 else self.S @ x
-        phase += self.B
-        return phase
+        rows = np.empty(x.shape[:-1] + (x.shape[-1] + 1,))
+        rows[..., :-1] = x
+        rows[..., -1] = 1.0
+        return rows @ self._half
 
     def features(self, x: np.ndarray) -> np.ndarray:
         """phi for a single point (d,) -> (M,) or a batch (n, d) -> (n, M).
 
-        The cosines are taken in place in the phase block by ``_cos``,
-        within 2^-51 of ``np.cos``.
+        The scaled cosines are taken in place in the half-angle phase block
+        by ``_cos``, within 2^-50 / sqrt(M) of ``np.cos(2 h) / sqrt(M)`` at the
+        computed half-angle phases h.
         """
-        phi = _cos(self._phases(x))
-        phi /= np.sqrt(self.n_features)
-        return phi
+        return _cos(self._half_phases(x), 1.0 / np.sqrt(self.n_features))
 
     def sin_features(self, x: np.ndarray) -> np.ndarray:
-        """sin(S x + B), the factor shared by all input derivatives."""
-        sin = self._phases(x)
+        """sin(S x + B), the factor shared by all input derivatives; the
+        phases are the half-angle ones doubled, which is exact."""
+        sin = self._half_phases(x)
+        sin *= 2.0
         np.sin(sin, out=sin)
         return sin
 

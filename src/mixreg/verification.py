@@ -100,6 +100,9 @@ class CheckReport:
     runtime_s: float
     details: str = ""
     cpu_s: float = 0.0
+    # the mixing alpha the check ran at; it fixes the Beta sampler's branch
+    # (``truncbeta._symmetric_beta``)
+    alpha: float | None = None
 
 
 def _clocks() -> tuple[float, float]:
@@ -107,8 +110,8 @@ def _clocks() -> tuple[float, float]:
     return time.perf_counter(), time.process_time()
 
 
-def _report(name, discrepancy, tolerance, t0, details="", extra_ok=True) -> CheckReport:
-    """The check's report; t0 holds its ``_clocks()`` at the start."""
+def _report(name, alpha, discrepancy, tolerance, t0, details="", extra_ok=True) -> CheckReport:
+    """The check's report at mixing alpha; t0 holds its ``_clocks()`` at the start."""
     wall, cpu = _clocks()
     return CheckReport(
         name=name,
@@ -118,6 +121,7 @@ def _report(name, discrepancy, tolerance, t0, details="", extra_ok=True) -> Chec
         runtime_s=wall - t0[0],
         cpu_s=cpu - t0[1],
         details=details,
+        alpha=float(alpha),
     )
 
 
@@ -331,7 +335,7 @@ def check_risk_rewrite(
         f"paired MC gap {gap:.3e} vs 4 sigma {4 * sigma:.3e}: {mc_ok}"
     )
     return _report(
-        "risk_rewrite_identity", perdraw_err, 1e-12, t0, details, extra_ok=mean_ok and mc_ok
+        "risk_rewrite_identity", alpha, perdraw_err, 1e-12, t0, details, extra_ok=mean_ok and mc_ok
     )
 
 
@@ -368,7 +372,7 @@ def check_covariance_formula(
     mc_rel_tol = 0.01
     mc_ok = mc_rel <= mc_rel_tol
     details = f"closed vs oracle rel {worst:.3e}; MC rel {mc_rel:.3e} (tol {mc_rel_tol}): {mc_ok}"
-    return _report("perturbation_covariances", worst, 1e-10, t0, details, extra_ok=mc_ok)
+    return _report("perturbation_covariances", alpha, worst, 1e-10, t0, details, extra_ok=mc_ok)
 
 
 def check_penalty_decomposition(
@@ -388,7 +392,7 @@ def check_penalty_decomposition(
         f"oracle {oracle:.12f} vs total {br.total:.12f}; "
         f"r1={br.r1:.3e} r2={br.r2:.3e} r3={br.r3:.3e} r4={br.r4:.3e}; signs ok: {sign_ok}"
     )
-    return _report("penalty_decomposition", err, 1e-7, t0, details, extra_ok=sign_ok)
+    return _report("penalty_decomposition", alpha, err, 1e-7, t0, details, extra_ok=sign_ok)
 
 
 def _breakdown_gap(a: RegularizerBreakdown, b: RegularizerBreakdown) -> float:
@@ -415,7 +419,7 @@ def check_loss_specializations(
     structural_ok = ce.r4 == 0.0 and lr.r4 == 0.0
     worst = max(gaps.values())
     details = "; ".join(f"{k}: {v:.3e}" for k, v in gaps.items()) + f"; ce/lr r4==0: {structural_ok}"
-    return _report("loss_specializations", worst, 1e-10, t0, details, extra_ok=structural_ok)
+    return _report("loss_specializations", alpha, worst, 1e-10, t0, details, extra_ok=structural_ok)
 
 
 def _exact_se_risk_quadrature(ds: Dataset, model: LinearModel, coeffs, nodes: int = 400) -> float:
@@ -472,7 +476,7 @@ def check_mols(ds: Dataset, alpha: float, seed: int = 0) -> CheckReport:
     grad_tol = 1e-6
     ok = grad_norm <= grad_tol
     details = f"gradient norm at OLS {grad_norm:.3e} (tol {grad_tol}); affine residual {affine_resid:.3e}"
-    return _report("least_squares_neutrality", affine_resid, 1e-7, t0, details, extra_ok=ok)
+    return _report("least_squares_neutrality", alpha, affine_resid, 1e-7, t0, details, extra_ok=ok)
 
 
 def _newton_ce_fit(X: np.ndarray, Y: np.ndarray, grad_tol: float = 1e-9, ridge: float = 0.0):
@@ -556,7 +560,7 @@ def check_label_smoothing(ds: Dataset, alpha: float) -> CheckReport:
         + ("" if converged else "; INCONCLUSIVE: optimizer tolerance not reached")
     )
     extra_ok = converged and (plain_holds or not secondary)
-    return _report("label_smoothing_entropy", violation, slack, t0, details, extra_ok=extra_ok)
+    return _report("label_smoothing_entropy", alpha, violation, slack, t0, details, extra_ok=extra_ok)
 
 
 def check_taylor(
@@ -596,7 +600,7 @@ def check_taylor(
             )
         details = f"zero-perturbation residual {zero_res:.3e}; exact-case residual {worst:.3e}"
         return _report(
-            "taylor_exact_se_linear", worst, 1e-10, t0, details, extra_ok=zero_res <= 1e-12
+            "taylor_exact_se_linear", alpha, worst, 1e-10, t0, details, extra_ok=zero_res <= 1e-12
         )
 
     res_big = res_small = 0.0
@@ -614,6 +618,7 @@ def check_taylor(
     # report the shortfall below the required decay factor as the discrepancy
     return _report(
         "taylor_cubic_remainder",
+        alpha,
         max(6.0 - ratio, 0.0),
         0.0,
         t0,

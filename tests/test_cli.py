@@ -441,10 +441,11 @@ def test_verify_exit_code_and_json(tmp_path, monkeypatch, run_all_reports):
     code = main(["verify", "--seed", "0", "--out", str(tmp_path / "v")])
     assert code == 0 and seeds == [0]
     payload = json.loads((tmp_path / "v" / "verify.json").read_text())
-    assert all(set(r) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details"}
+    assert all(set(r) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details", "alpha"}
                for r in payload)
     assert all(r["passed"] for r in payload)
     summary = json.loads((tmp_path / "v" / "verify_summary.json").read_text())
+    assert [c["alpha"] for c in summary["checks"]] == [r["alpha"] for r in payload] == [r.alpha for r in run_all_reports]
     assert summary["mc_workers"] == mixup._WORKERS >= 1
     assert 0.0 <= summary["cpu_s"] and summary["total_s"] >= 0.0
 
@@ -454,15 +455,18 @@ def test_verify_writes_a_run_summary(tmp_path, monkeypatch):
     from mixreg.verification import CheckReport
 
     reports = [CheckReport("a", True, 0.0, 1.0, 0.25, cpu_s=0.5), CheckReport("a", True, 0.0, 1.0, 0.5, cpu_s=0.75),
-               CheckReport("b", False, 2.0, 1.0, 0.125, cpu_s=0.0625)]
+               CheckReport("b", False, 2.0, 1.0, 0.125, "", 0.0625, 0.7)]
     monkeypatch.setattr(cli, "run_all", lambda seed: reports)
     assert main(["verify", "--out", str(tmp_path)]) == 1
     summary = json.loads((tmp_path / "verify_summary.json").read_text())
     assert set(summary) == {"total_s", "cpu_s", "mc_workers", "numpy", "peak_rss_mb", "checks"}
     assert summary["numpy"] == np.__version__
     assert summary["total_s"] >= 0.0 and summary["peak_rss_mb"] > 0.0
-    assert summary["checks"] == [{"name": r.name, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports]
-    assert len(json.loads((tmp_path / "verify.json").read_text())) == 3
+    assert summary["checks"] == [
+        {"name": r.name, "alpha": r.alpha, "runtime_s": r.runtime_s, "cpu_s": r.cpu_s} for r in reports
+    ]
+    assert [c["alpha"] for c in summary["checks"]] == [None, None, 0.7]
+    assert [r["alpha"] for r in json.loads((tmp_path / "verify.json").read_text())] == [None, None, 0.7]
 
 
 def test_verify_summary_times_come_from_the_check_clocks(tmp_path, monkeypatch, run_all_reports):

@@ -205,3 +205,75 @@ def test_logistic_row_gradient_is_overflow_safe():
     U = np.array([[-800.0], [800.0]])
     Y = np.array([[1.0], [0.0]])
     assert np.array_equal(grad_u_rows(LossKind.LOGISTIC, Y, U), [[-1.0], [1.0]])
+
+
+def _row_major_values(kind, Y, U):
+    """``loss_values``' expressions reduced along C-ordered rows: numpy's
+    row sum, sequential below 8 terms and pairwise from 8."""
+    Y, U = np.ascontiguousarray(Y), np.ascontiguousarray(U)
+    if kind is LossKind.SQUARED_ERROR:
+        return 0.5 * ((Y - U) ** 2).sum(axis=1)
+    if kind is LossKind.CROSS_ENTROPY:
+        m = U.max(axis=1)
+        return np.log(np.exp(U - m[:, None]).sum(axis=1)) + m - (Y * U).sum(axis=1)
+    return np.logaddexp(0.0, U[:, 0]) - Y[:, 0] * U[:, 0]
+
+
+def _loss_inputs(kind, n, c, seed):
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(n, c)) * rng.uniform(0.1, 30.0, size=(n, 1))
+    if kind is LossKind.CROSS_ENTROPY:
+        Y = rng.dirichlet(np.ones(c), size=n)
+    elif kind is LossKind.LOGISTIC:
+        Y = rng.uniform(size=(n, c))
+    else:
+        Y = rng.normal(size=(n, c)) * rng.uniform(0.1, 30.0, size=(n, 1))
+    return Y, U
+
+
+def _layouts(Y, U):
+    """The same values C-ordered, F-ordered, as strided views of larger
+    arrays, and one of each."""
+    def strided(a):
+        big = np.full((3 * a.shape[0], 2 * a.shape[1] + 1), np.nan)
+        big[::3, 1::2] = a
+        return big[::3, 1::2]
+
+    return {
+        "C": (Y, U),
+        "F": (np.asfortranarray(Y), np.asfortranarray(U)),
+        "strided": (strided(Y), strided(U)),
+        "C and F": (Y, np.asfortranarray(U)),
+        "strided and C": (strided(Y), U),
+    }
+
+
+_CASES = [(LossKind.CROSS_ENTROPY, c) for c in range(1, 8)] + [(LossKind.SQUARED_ERROR, c) for c in range(1, 8)]
+
+
+@pytest.mark.parametrize("kind, c", _CASES + [(LossKind.LOGISTIC, 1)])
+def test_loss_values_equal_the_row_major_expression_up_to_seven_classes(kind, c):
+    """Reducing by column adds each row's terms left to right, as numpy's
+    row sum does below 8 terms: the same bits for every layout."""
+    Y, U = _loss_inputs(kind, 1001, c, seed=c)
+    expected = _row_major_values(kind, Y, U)
+    for name, (y, u) in _layouts(Y, U).items():
+        assert np.array_equal(loss_values(kind, y, u), expected), name
+
+
+@pytest.mark.parametrize("kind", [LossKind.CROSS_ENTROPY, LossKind.SQUARED_ERROR])
+@pytest.mark.parametrize("c", [8, 9, 16, 33])
+def test_loss_values_from_eight_classes_within_rounding_of_the_row_major_expression(kind, c):
+    """From 8 terms numpy's row sum is pairwise, so the two orders differ by
+    rounding: each sum by at most 2 (c - 1) 2^-53 times its sum of absolute
+    terms. Per row that bounds the SE value's change by c 2^-52 times the
+    value, and the CE value's by c 2^-52 (1 + |max u| + sum |y u| + |l|)."""
+    Y, U = _loss_inputs(kind, 1001, c, seed=c)
+    expected = _row_major_values(kind, Y, U)
+    if kind is LossKind.SQUARED_ERROR:
+        scale = expected
+    else:
+        scale = 1.0 + np.abs(U).max(axis=1) + np.abs(Y * U).sum(axis=1) + np.abs(expected)
+    for name, (y, u) in _layouts(Y, U).items():
+        got = loss_values(kind, y, u)
+        assert np.all(np.abs(got - expected) <= c * 2.0**-52 * scale), name

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import sys
 import time
 
@@ -230,6 +231,16 @@ def test_two_estimators_agree_on_rff():
     assert abs(a.mean - b.mean) < 4 * np.hypot(a.stderr, b.stderr)
 
 
+def _reference_beta(g, alpha, k):
+    """k unfolded Beta(alpha, alpha) weights as a block draws them: the ratio
+    Ga / (Ga + Gb) of interleaved standard gamma pairs for alpha >= 1, else
+    ``Generator.beta``."""
+    if alpha < 1.0:
+        return g.beta(alpha, alpha, size=k)
+    G = g.standard_gamma(alpha, size=(k, 2))
+    return G[:, 0] / (G[:, 0] + G[:, 1])
+
+
 def _serial_blocks(estimator, ds, model, kind, alpha, n_draws, rng):
     """The estimators' reference, one block after another on this thread:
     each block's summands, from the block's own generator (child b of the
@@ -243,7 +254,7 @@ def _serial_blocks(estimator, ds, model, kind, alpha, n_draws, rng):
         g, k = np.random.default_rng(child), min(step, n_draws - b * step)
         I = g.integers(ds.n, size=k)
         if estimator is mixup_risk_mc:
-            lam = g.beta(alpha, alpha, size=k)
+            lam = _reference_beta(g, alpha, k)
             yield pair_loss_values(ds, model, kind, I, g.integers(ds.n, size=k), lam)
         else:
             theta = sample_theta(alpha, g, size=k)
@@ -420,19 +431,20 @@ def test_estimates_equal_serial_draw_then_score(case, monkeypatch):
     """With 1, 2 or 3 workers, the estimators give the estimate of drawing
     each block from its own generator, scoring it and merging its moments,
     one block after the other, and leave the caller's generator one draw
-    on: in one block, in several whole blocks and with a remainder."""
+    on: in one block, in several whole blocks and with a remainder, on both
+    branches of the Beta sampler (alpha 0.7 and 1)."""
     ds, model, kind = _worker_case(case)
     block = mixup._block_size(model)
-    for n in (block - 1, 3 * block, 2 * block + 7):
+    for alpha, n in itertools.product((0.7, 1.0), (block - 1, 3 * block, 2 * block + 7)):
         for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
             serial_rng = np.random.default_rng(n)
-            expected = _serial_estimate(estimator, ds, model, kind, 0.7, n, serial_rng)
+            expected = _serial_estimate(estimator, ds, model, kind, alpha, n, serial_rng)
             assert expected.n_draws == n
             for workers in (1, 2, 3):
                 monkeypatch.setattr(mixup, "_WORKERS", workers)
                 rng = np.random.default_rng(n)
-                assert estimator(ds, model, kind, 0.7, n, rng) == expected, (n, workers)
-                assert rng.bit_generator.state == serial_rng.bit_generator.state, (n, workers)
+                assert estimator(ds, model, kind, alpha, n, rng) == expected, (alpha, n, workers)
+                assert rng.bit_generator.state == serial_rng.bit_generator.state, (alpha, n, workers)
 
 
 _BLAS_THREADS_SCRIPT = """

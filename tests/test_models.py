@@ -55,32 +55,70 @@ def _cos_inputs():
 
 @pytest.mark.parametrize("name", list(_cos_inputs()))
 def test_cos_kernel_within_2_pow_minus_51_of_libm(name):
+    """The kernel takes half-angle phases; halving p is exact (a subnormal
+    halves to zero, whose cosine is the same 1)."""
     p = _cos_inputs()[name]
-    got = _cos(p.copy())
+    got = _cos(p / 2, 1.0)
     assert np.abs(got - np.cos(p)).max() <= 2.0**-51
     assert np.abs(got).max() <= 1.0
 
 
+@pytest.mark.parametrize("M", [1, 2, 80, 1000, 4096])
+def test_scaled_cos_kernel_within_2_pow_minus_50_of_scaled_libm(M):
+    """With 1/sqrt(M) folded into its constants the kernel is within
+    2^-50 / sqrt(M) of np.cos(p) / sqrt(M) (1.06 * 2^-51 / sqrt(M) at most
+    where measured) and stays within [-1/sqrt(M), 1/sqrt(M)]."""
+    scale = 1.0 / np.sqrt(M)
+    for name, p in _cos_inputs().items():
+        got = _cos(p / 2, scale)
+        assert np.abs(got - np.cos(p) * scale).max() <= 2.0**-50 * scale, name
+        assert np.abs(got).max() <= scale, name
+
+
 def test_cos_kernel_gives_nan_for_inf_and_nan():
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_cos(np.array([np.inf, -np.inf, np.nan]))).all()
+        for scale in (1.0, 1.0 / np.sqrt(80)):
+            assert np.isnan(_cos(np.array([np.inf, -np.inf, np.nan]), scale)).all()
 
 
 def test_cos_kernel_does_not_depend_on_position():
     """An element's cosine has the same bits in any slice, at any offset
-    and alignment, as in the whole array."""
-    p = np.random.default_rng(8).uniform(-50.0, 50.0, size=1003)
-    whole = _cos(p.copy())
-    for start, stop in ((0, 1), (1, 2), (3, 17), (5, 1003), (0, 1000), (517, 600)):
-        assert np.array_equal(_cos(p[start:stop].copy()), whole[start:stop])
-        in_place = p.copy()
-        _cos(in_place[start:stop])
-        assert np.array_equal(in_place[start:stop], whole[start:stop])
-    raw = np.empty(8 * p.size + 8, dtype=np.uint8)
-    unaligned = np.frombuffer(raw[1 : 1 + 8 * p.size].data, dtype=float)
-    assert unaligned.ctypes.data % 8 != 0
-    unaligned[:] = p
-    assert np.array_equal(_cos(unaligned), whole)
+    and alignment, as in the whole array, scaled or not."""
+    h = np.random.default_rng(8).uniform(-25.0, 25.0, size=1003)
+    for scale in (1.0, 1.0 / np.sqrt(80)):
+        whole = _cos(h.copy(), scale)
+        for start, stop in ((0, 1), (1, 2), (3, 17), (5, 1003), (0, 1000), (517, 600)):
+            assert np.array_equal(_cos(h[start:stop].copy(), scale), whole[start:stop])
+            in_place = h.copy()
+            _cos(in_place[start:stop], scale)
+            assert np.array_equal(in_place[start:stop], whole[start:stop])
+        raw = np.empty(8 * h.size + 8, dtype=np.uint8)
+        unaligned = np.frombuffer(raw[1 : 1 + 8 * h.size].data, dtype=float)
+        assert unaligned.ctypes.data % 8 != 0
+        unaligned[:] = h
+        assert np.array_equal(_cos(unaligned, scale), whole)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("M", [7, 80, 1000])
+def test_rff_row_features_do_not_depend_on_the_batch(d, M):
+    """A row's features have the same bits in every slice of two or more
+    rows, at any offset; a single point or a one-row batch goes through a
+    matrix-vector product and agrees to rounding. Every batch is within
+    2^-50 / sqrt(M) of np.cos of its phases doubled, over sqrt(M)."""
+    model = init_rff(d=d, M=M, sigma_rff=3.0, c=2, seed=10 * d + M)
+    x = np.random.default_rng(d + M).normal(size=(37, d))
+    whole = model.features(x)
+    for start, stop in ((0, 2), (1, 3), (5, 37), (0, 36), (17, 30), (35, 37)):
+        assert np.array_equal(model.features(x[start:stop]), whole[start:stop]), (start, stop)
+        assert np.array_equal(model.features(np.asfortranarray(x[start:stop])), whole[start:stop])
+    scale = 1.0 / np.sqrt(M)
+    for k in (0, 20, 36):
+        for one in (model.features(x[k]), model.features(x[k : k + 1])[0]):
+            assert np.abs(one - whole[k]).max() <= 1e-14 * scale
+    h = model._half_phases(x)
+    assert np.abs(whole - np.cos(2 * h) * scale).max() <= 2.0**-50 * scale
+    assert np.abs(2 * h - (x @ model.S.T + model.B)).max() <= 1e-13 * (1 + np.abs(x @ model.S.T).max())
 
 
 def test_rff_zero_head_and_straight_line_oracle():

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import json
 from pathlib import Path
 
@@ -12,7 +13,7 @@ from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import per_example_covariances, r_terms_general
-from mixreg.truncbeta import MixCoefficients, mix_coefficients, sample_theta
+from mixreg.truncbeta import MixCoefficients, mix_coefficients
 from mixreg.verification import (
     check_label_smoothing,
     check_covariance_formula,
@@ -116,7 +117,8 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
     by one draw from the caller's generator, and the block size or the
     remainder of the draw count; from it a block draws its rows (none when
     one row is fixed), its weights, folded or not, and its partners, in
-    that order and nothing more."""
+    that order and nothing more. The weights are ``Generator.beta``'s at
+    alpha 0.7 and the ratio of interleaved standard gamma pairs at alpha 1."""
     ds, n = _random_regression(4, n=12), 2 * mixup._BLOCK + 7
     for workers in (1, 3):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
@@ -129,15 +131,18 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
         children = np.random.SeedSequence(key).spawn(3)
         assert [k for k, _ in blocks] == [mixup._BLOCK, mixup._BLOCK, 7]
         assert [s for _, s in blocks] == [np.random.default_rng(c).bit_generator.state for c in children]
-    for row in (None, 5):
-        for fold in (True, False):
-            g, ref = np.random.default_rng(4), np.random.default_rng(4)
-            i, j, w = mixup._block_draws(ds, g, 1000, 0.7, fold, row=row)
-            assert np.array_equal(i, ref.integers(ds.n, size=1000) if row is None else row)
-            expected = sample_theta(0.7, ref, size=1000) if fold else ref.beta(0.7, 0.7, size=1000)
-            assert np.array_equal(w, expected)
-            assert np.array_equal(j, ref.integers(ds.n, size=1000))
-            assert g.bit_generator.state == ref.bit_generator.state
+    for alpha, row, fold in itertools.product((0.7, 1.0), (None, 5), (True, False)):
+        g, ref = np.random.default_rng(4), np.random.default_rng(4)
+        i, j, w = mixup._block_draws(ds, g, 1000, alpha, fold, row=row)
+        assert np.array_equal(i, ref.integers(ds.n, size=1000) if row is None else row)
+        if alpha < 1.0:
+            lam = ref.beta(alpha, alpha, size=1000)
+        else:
+            G = ref.standard_gamma(alpha, size=(1000, 2))
+            lam = G[:, 0] / (G[:, 0] + G[:, 1])
+        assert np.array_equal(w, np.maximum(lam, 1.0 - lam) if fold else lam), (alpha, row, fold)
+        assert np.array_equal(j, ref.integers(ds.n, size=1000))
+        assert g.bit_generator.state == ref.bit_generator.state
 
 
 def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypatch):
@@ -362,7 +367,9 @@ def test_run_all_green_and_serializable(run_all_reports):
         "label_smoothing_entropy",
     }
     for row in payload:
-        assert set(row) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details"}
+        assert set(row) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details", "alpha"}
+    # every check runs at alpha 1 but the second covariance check, at 0.7
+    assert [row["alpha"] for row in payload] == [1.0] * 3 + [0.7] + [1.0] * 8
     table = format_report_table(reports)
     assert "PASS" in table and "FAIL" not in table
     assert sum(r.runtime_s for r in reports) < 300.0
