@@ -32,13 +32,12 @@ and of losses, plus one row block of the model's prediction
 the feature count.
 
 A block's mixing weights, folded or not, come from
-``truncbeta._symmetric_beta``: the ratio of two standard gammas for
-alpha >= 1, ``Generator.beta`` below (the module notes of ``truncbeta``
-give the per-draw costs). Above alpha = 1 and below it the draws are
-``Generator.beta``'s bit for bit; at alpha = 1 exactly numpy's ``beta``
-takes another algorithm, so there every Monte Carlo number differs from
-one drawn through ``Generator.beta``, with the same law. The training
-path, ``mixup_minibatch``, draws its weights with ``Generator.beta``.
+``truncbeta._symmetric_beta``: ``Generator.random`` at alpha = 1 exactly,
+where Beta(1, 1) is uniform and numpy's ``beta`` runs a slow rejection
+sampler, and ``Generator.beta`` at every other alpha. So at alpha = 1 every
+Monte Carlo number differs from one drawn through ``Generator.beta``, with
+the same law. The training path, ``mixup_minibatch``, draws its weights
+with ``Generator.beta``.
 
 ``pair_loss_values`` and ``perturbed_loss_values`` score given draws
 through the same per-block functions, each block writing its losses into

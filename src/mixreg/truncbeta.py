@@ -20,24 +20,15 @@ the standard library; the variance is formed from Var(lam) and m directly,
 not as a difference of raw moments.
 
 Every Monte Carlo weight (``sample_theta`` and the unfolded weights of
-``mixup``'s blocks) comes from one sampler, ``_symmetric_beta``. For
-alpha >= 1 it draws lam = Ga / (Ga + Gb) from interleaved pairs of
-``Generator.standard_gamma(alpha)``; for alpha < 1 it calls
-``Generator.beta(alpha, alpha)``. For alpha > 1 the gamma ratio is numpy's
-own ``beta`` branch, so the draws and the generator's end state are
-``beta``'s bit for bit. At alpha = 1 exactly numpy's ``beta`` takes Johnk's
-rejection sampler instead, so there the stream differs from ``beta``'s,
-with the same law (Ga, Gb are then unit exponentials and lam is uniform).
-Per draw, numpy 2.4.6 on one core of a shared x86-64 host, 3276 draws a
-call, the best of repeated timings in two sessions:
-
-    alpha          0.1        0.5        1           2
-    beta           27-63 ns   38-87 ns   89-141 ns   31-67 ns
-    gamma ratio    42-102 ns  83-160 ns  15-22 ns    44-67 ns
-
-which is why each branch is taken where it is (at 2 both rows are the
-same algorithm, so their gap is the host's noise). ``mixup.mixup_minibatch``
-keeps ``Generator.beta``, so training streams do not depend on this rule.
+``mixup``'s blocks) comes from one sampler, ``_symmetric_beta``. At
+alpha = 1 exactly, Beta(1, 1) is Uniform(0, 1), so it calls
+``Generator.random``, one draw per weight, where numpy's ``beta`` runs
+Johnk's rejection sampler (136 ns per draw against 4 ns, numpy 2.4.6 on
+one core of a shared x86-64 host, 3276 draws a call); at
+every other alpha it calls ``Generator.beta(alpha, alpha)``, so Monte Carlo
+streams there are ``beta``'s. ``mixup.mixup_minibatch`` keeps
+``Generator.beta`` at every alpha, so training streams do not depend on
+this rule.
 """
 
 from __future__ import annotations
@@ -62,9 +53,6 @@ _INVARIANT_TOL = 1e-12
 # draws folded per pass in ``sample_theta``: the fold's temporary is one block
 # of 1 - lam, whatever the draw count
 _FOLD_BLOCK = 1 << 16
-# draws per pass of ``_symmetric_beta``'s gamma ratio: its temporary is one
-# block of gamma pairs, whatever the draw count
-_GAMMA_BLOCK = 1 << 14
 
 
 def _validate_alpha(alpha: float) -> float:
@@ -139,29 +127,12 @@ def mix_coefficients(alpha: float) -> MixCoefficients:
 
 def _symmetric_beta(alpha: float, rng: np.random.Generator, size: int | None = None):
     """lam ~ Beta(alpha, alpha) for a validated alpha: a float when ``size``
-    is None, else an array of that size.
+    is None, else a fresh array of that size.
 
-    For alpha >= 1, lam = Ga / (Ga + Gb) with (Ga, Gb) consecutive draws of
-    ``rng.standard_gamma(alpha)``, drawn ``_GAMMA_BLOCK`` pairs at a time
-    into one reused buffer, so beside the output it holds one block of
-    pairs. For alpha > 1 this equals ``rng.beta(alpha, alpha, size)`` bit
-    for bit, with the same end state; for alpha < 1 it is that call.
+    At alpha = 1 this is ``rng.random(size)`` (Beta(1, 1) is uniform);
+    otherwise it is ``rng.beta(alpha, alpha, size=size)``.
     """
-    if alpha < 1.0:
-        return rng.beta(alpha, alpha, size=size)
-    if size is None:
-        ga, gb = rng.standard_gamma(alpha, size=2)
-        return float(ga / (ga + gb))
-    lam = np.empty(size)
-    flat = lam.reshape(-1)  # a view of the fresh contiguous output
-    pairs = np.empty((min(_GAMMA_BLOCK, flat.size), 2))
-    for start in range(0, flat.size, _GAMMA_BLOCK):
-        block = flat[start:start + _GAMMA_BLOCK]
-        g = pairs[:block.size]
-        rng.standard_gamma(alpha, out=g)
-        np.add(g[:, 0], g[:, 1], out=block)
-        np.divide(g[:, 0], block, out=block)
-    return lam
+    return rng.random(size) if alpha == 1.0 else rng.beta(alpha, alpha, size=size)
 
 
 def sample_theta(alpha: float, rng: np.random.Generator, size: int | None = None):

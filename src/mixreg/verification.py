@@ -101,7 +101,8 @@ class CheckReport:
     details: str = ""
     cpu_s: float = 0.0
     # the mixing alpha the check ran at; it fixes the Beta sampler's branch
-    # (``truncbeta._symmetric_beta``)
+    # (``truncbeta._symmetric_beta``: uniform draws at 1, ``Generator.beta``
+    # elsewhere)
     alpha: float | None = None
 
 

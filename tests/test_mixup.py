@@ -232,13 +232,9 @@ def test_two_estimators_agree_on_rff():
 
 
 def _reference_beta(g, alpha, k):
-    """k unfolded Beta(alpha, alpha) weights as a block draws them: the ratio
-    Ga / (Ga + Gb) of interleaved standard gamma pairs for alpha >= 1, else
-    ``Generator.beta``."""
-    if alpha < 1.0:
-        return g.beta(alpha, alpha, size=k)
-    G = g.standard_gamma(alpha, size=(k, 2))
-    return G[:, 0] / (G[:, 0] + G[:, 1])
+    """k unfolded Beta(alpha, alpha) weights as a block draws them: uniform
+    draws at alpha = 1, else ``Generator.beta``."""
+    return g.random(k) if alpha == 1.0 else g.beta(alpha, alpha, size=k)
 
 
 def _serial_blocks(estimator, ds, model, kind, alpha, n_draws, rng):

@@ -8,7 +8,6 @@ from scipy.stats import kstest, ks_2samp
 
 from mixreg.truncbeta import (
     _FOLD_BLOCK,
-    _GAMMA_BLOCK,
     MixCoefficients,
     _symmetric_beta,
     mix_coefficients,
@@ -190,24 +189,11 @@ def test_blocked_fold_equals_one_shot_fold(size):
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
-@pytest.mark.parametrize("alpha", [1.0000001, 1.5, 2.0, 5.0])
-def test_sampler_is_generator_beta_above_one(alpha):
-    """Above alpha = 1 numpy's beta is the ratio of two standard gammas, so
-    the sampler gives its draws bit for bit and the same end state, for an
-    array across gamma blocks and for a scalar."""
-    for size in (3 * _GAMMA_BLOCK + 5, None):
-        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
-        got = _symmetric_beta(alpha, rng, size)
-        expected = ref.beta(alpha, alpha, size=size)
-        assert type(got) is type(expected) and np.array_equal(got, expected), size
-        assert rng.bit_generator.state == ref.bit_generator.state, size
-
-
-@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 0.7, 0.9999999])
-def test_sampler_is_generator_beta_below_one(alpha):
-    """Below alpha = 1 the sampler is ``Generator.beta``: Monte Carlo draws
-    there keep their stream."""
-    for size in (10_000, None):
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 0.7, 0.9999999, 1.0000001, 1.5, 2.0, 5.0])
+def test_sampler_is_generator_beta_away_from_one(alpha):
+    """Away from alpha = 1 the sampler is ``Generator.beta``: Monte Carlo
+    draws there keep its stream and end state."""
+    for size in (10_000, (3, 7), None):
         rng, ref = np.random.default_rng(12), np.random.default_rng(12)
         got = _symmetric_beta(alpha, rng, size)
         expected = ref.beta(alpha, alpha, size=size)
@@ -215,18 +201,15 @@ def test_sampler_is_generator_beta_below_one(alpha):
         assert rng.bit_generator.state == ref.bit_generator.state, size
 
 
-@pytest.mark.parametrize(
-    "size", [0, 1, _GAMMA_BLOCK - 1, _GAMMA_BLOCK, _GAMMA_BLOCK + 1, 3 * _GAMMA_BLOCK + 7, (3, _GAMMA_BLOCK // 2 + 5)]
-)
-def test_sampler_at_one_is_the_gamma_ratio_in_blocks(size):
-    """At alpha = 1, where numpy's beta takes Johnk's rejection sampler
-    instead, the sampler is the ratio of interleaved standard gamma pairs
-    drawn all at once, bit for bit and with the same end state, whatever
-    the draw count against its gamma block."""
+@pytest.mark.parametrize("size", [0, 1, 3276, (3, 7), None])
+def test_sampler_at_one_is_generator_random(size):
+    """At alpha = 1, where numpy's beta takes Johnk's rejection sampler, the
+    sampler is ``Generator.random``: one uniform draw per weight, the same
+    bits and end state, a float for a scalar."""
     rng, ref = np.random.default_rng(13), np.random.default_rng(13)
     got = _symmetric_beta(1.0, rng, size)
-    G = ref.standard_gamma(1.0, size=np.shape(np.empty(size)) + (2,))
-    assert got.shape == G.shape[:-1] and np.array_equal(got, G[..., 0] / (G[..., 0] + G[..., 1]))
+    expected = ref.random(size)
+    assert type(got) is type(expected) and np.array_equal(got, expected)
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
@@ -241,10 +224,9 @@ def test_sampler_at_one_is_uniform():
 
 
 def test_sample_theta_holds_no_full_size_temporary():
-    """A million draws trace under their own 8 MB plus 1 MiB, through the
-    gamma ratio at alpha 1 and through ``Generator.beta`` at 0.5; with a
-    full-size 1 - lam the peak was twice the draws, and a full-size array
-    of gamma pairs would be three times."""
+    """A million draws trace under their own 8 MB plus 1 MiB, through
+    ``Generator.random`` at alpha 1 and through ``Generator.beta`` at 0.5;
+    with a full-size 1 - lam the peak was twice the draws."""
     rng = np.random.default_rng(0)
     n = 10**6
     for alpha in (1.0, 0.5):

@@ -118,7 +118,7 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
     remainder of the draw count; from it a block draws its rows (none when
     one row is fixed), its weights, folded or not, and its partners, in
     that order and nothing more. The weights are ``Generator.beta``'s at
-    alpha 0.7 and the ratio of interleaved standard gamma pairs at alpha 1."""
+    alpha 0.7 and ``Generator.random``'s at alpha 1."""
     ds, n = _random_regression(4, n=12), 2 * mixup._BLOCK + 7
     for workers in (1, 3):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
@@ -135,11 +135,7 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
         g, ref = np.random.default_rng(4), np.random.default_rng(4)
         i, j, w = mixup._block_draws(ds, g, 1000, alpha, fold, row=row)
         assert np.array_equal(i, ref.integers(ds.n, size=1000) if row is None else row)
-        if alpha < 1.0:
-            lam = ref.beta(alpha, alpha, size=1000)
-        else:
-            G = ref.standard_gamma(alpha, size=(1000, 2))
-            lam = G[:, 0] / (G[:, 0] + G[:, 1])
+        lam = ref.beta(alpha, alpha, size=1000) if alpha < 1.0 else ref.random(1000)
         assert np.array_equal(w, np.maximum(lam, 1.0 - lam) if fold else lam), (alpha, row, fold)
         assert np.array_equal(j, ref.integers(ds.n, size=1000))
         assert g.bit_generator.state == ref.bit_generator.state
