@@ -14,10 +14,16 @@ identity x~_i + delta_i = theta x_i + (1 - theta) x_j holds per draw, so the
 two risk forms agree summand by summand (``pair_loss_values`` and
 ``perturbed_loss_values``).
 
-Monte Carlo work runs one block at a time. A block is at most ``_BLOCK``
+Monte Carlo work runs one block at a time, sized by the memory it holds
+(``_block_size``). For a cosine-feature head a block is at most ``_BLOCK``
 draws, rounded down to a whole number of the model's prediction row blocks
 (at least one), so it contracts the same row blocks as one ``predict`` over
-all draws. Each block has its own generator (``_block_rng``), derived from
+all draws. A loop that forms no phase block (no model, or a linear one)
+takes ``_NARROW_BLOCK`` draws at a time: sixteen float64 arrays of one such
+block fill the memory of one phase block, and the larger blocks make fewer,
+longer numpy calls, so less of the loop runs in the interpreter, where the
+worker threads wait on one another for its lock.
+Each block has its own generator (``_block_rng``), derived from
 the block's index and one key that the caller's generator yields (the only
 number taken from it). The block draws its rows, weights and partners from
 that generator, in that order, scores them and returns a small result: its
@@ -29,7 +35,8 @@ bit whatever the number of cores. No array sized by the draw count is made:
 each worker holds one block of draws, of gathered, mixed or perturbed rows
 and of losses, plus one row block of the model's prediction
 (``models._PHASE_ELEMS`` phase elements for a cosine-feature head), whatever
-the feature count.
+the feature count. Every loop validates its draw count (``_checked_count``)
+before it draws anything.
 
 A block's mixing weights, folded or not, come from
 ``truncbeta._symmetric_beta``: ``Generator.random`` at alpha = 1 exactly,
@@ -63,6 +70,7 @@ import numpy as np
 
 from .data import Dataset, modify
 from .losses import LossKind, loss_values
+from .models import _PHASE_ELEMS
 from .truncbeta import _symmetric_beta, _validate_alpha, mix_coefficients, sample_theta
 
 __all__ = [
@@ -75,10 +83,15 @@ __all__ = [
     "mixup_minibatch",
 ]
 
-# draws per Monte Carlo block, before rounding to whole prediction row
-# blocks. Each helper thread keeps a malloc arena about the size of its
-# block's temporaries, which a larger block makes visible in the peak RSS
+# draws per Monte Carlo block of a cosine-feature head, before rounding to
+# whole prediction row blocks. Each helper thread keeps a malloc arena about
+# the size of its block's temporaries, which a larger block makes visible in
+# the peak RSS
 _BLOCK = 1 << 12
+
+# draws per block of a loop that forms no phase block: sixteen float64
+# arrays of it take the 2 MiB of one block of phases
+_NARROW_BLOCK = _PHASE_ELEMS // 16
 
 
 def _usable_cpus() -> int:
@@ -188,11 +201,14 @@ class _Moments:
 
 
 def _block_size(model=None) -> int:
-    """Draws per block: at most ``_BLOCK``, and for a model with prediction
-    row blocks (``RffModel.block_rows``) a whole number of them, at least
-    one, so a block contracts the same row blocks as one ``predict`` over
-    all draws and returns the same bits."""
-    rows = getattr(model, "block_rows", 1)
+    """Draws per block. For a model with prediction row blocks
+    (``RffModel.block_rows``) at most ``_BLOCK`` and a whole number of
+    them, at least one, so a block contracts the same row blocks as one
+    ``predict`` over all draws and returns the same bits. For no model or a
+    linear one, which form no phases, ``_NARROW_BLOCK``."""
+    rows = getattr(model, "block_rows", None)
+    if rows is None:
+        return _NARROW_BLOCK
     return max(rows, _BLOCK // rows * rows)
 
 
@@ -206,7 +222,9 @@ def _block_rng(key: int, b: int) -> np.random.Generator:
 def _monte_carlo(rng: np.random.Generator, n: int, model, block, merge) -> None:
     """merge(block(g, k)) for the blocks of n draws, merged in block order;
     k is the block's draw count and g its own generator. The blocks'
-    generators share one key, the one number drawn from rng."""
+    generators share one key, the one number drawn from rng. n must be an
+    integer of at least one, checked before rng is used."""
+    n = _checked_count(n)
     key = int(rng.integers(2**64, dtype=np.uint64))
     step = _block_size(model)
     _run_tasks(lambda b: block(_block_rng(key, b), min(step, n - b * step)), -(-n // step), merge)
@@ -354,7 +372,7 @@ def mixup_risk_mc(
     Beta(alpha, alpha), one draw per summand. alpha must be finite and
     positive and n_draws an integer of at least one.
     """
-    alpha, n_draws = _validate_alpha(alpha), _checked_count(n_draws)
+    alpha = _validate_alpha(alpha)
 
     def summands(g, k: int) -> np.ndarray:
         i, j, lam = _block_draws(ds, g, k, alpha, fold=False)
@@ -377,7 +395,7 @@ def perturbed_erm_risk_mc(
     l(y~_i + eps_i, f(x~_i + delta_i)) with theta_bar the mean of theta.
     alpha must be finite and positive and n_draws an integer of at least one.
     """
-    alpha, n_draws = _validate_alpha(alpha), _checked_count(n_draws)
+    alpha = _validate_alpha(alpha)
     tb = mix_coefficients(alpha).theta_bar
     mod = modify(ds, tb)
 

@@ -91,10 +91,13 @@ def traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def mc_memory_bound(workers: int, *, phase_blocks: float = 1.25, block_arrays: int = 16) -> float:
-    """Bytes allowed for Monte Carlo on ``workers`` workers, whatever the
-    draw count: per worker ``phase_blocks`` phase blocks (one and a quarter
-    by default; none where no model is called) and ``block_arrays`` float64
-    arrays of one block (its draws, gathered rows and losses); 1 MiB for the
-    rest."""
-    return workers * (phase_blocks * 8 * _PHASE_ELEMS + block_arrays * 8 * mixup._BLOCK) + 2**20
+def mc_memory_bound(workers: int, block: int, *, phase_blocks: float = 1.25, block_arrays: int = 16) -> float:
+    """Bytes allowed for Monte Carlo in blocks of ``block`` draws on
+    ``workers`` workers, whatever the draw count: per worker
+    ``phase_blocks`` phase blocks (one and a quarter by default; none where
+    no phases are formed) and ``block_arrays`` float64 arrays of one block
+    (its draws, gathered rows and losses); 1 MiB for the rest. A
+    cosine-feature loop passes ``mixup._BLOCK`` (16 arrays: 0.5 MiB per
+    worker), a loop with no model or a linear one ``mixup._block_size(None)``
+    (16 arrays: 2 MiB per worker, the size of one phase block)."""
+    return workers * (phase_blocks * 8 * _PHASE_ELEMS + block_arrays * 8 * block) + 2**20

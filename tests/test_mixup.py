@@ -20,7 +20,7 @@ from mixreg.mixup import (
     perturbation,
     perturbed_loss_values,
 )
-from mixreg.models import LinearModel, init_rff
+from mixreg.models import _PHASE_ELEMS, LinearModel, init_rff
 from mixreg.regularizers import exact_se_mixup_risk, per_example_covariances
 from mixreg.truncbeta import mix_coefficients, sample_theta
 
@@ -273,7 +273,8 @@ def test_stderr_survives_a_large_loss_offset(offset, block, monkeypatch):
     rng = np.random.default_rng(8)
     ds = Dataset(rng.normal(size=(30, 2)), 1e-3 / np.sqrt(2 * offset) * rng.normal(size=(30, 1)))
     model = LinearModel(W=np.zeros((1, 2)), b=[np.sqrt(2 * offset)])
-    monkeypatch.setattr(mixup, "_BLOCK", block)
+    monkeypatch.setattr(mixup, "_NARROW_BLOCK", block)
+    assert mixup._block_size(model) == block
     kind = LossKind.SQUARED_ERROR
     est = mixup_risk_mc(ds, model, kind, 1.0, 5000, np.random.default_rng(9))
     blocks = list(_serial_blocks(mixup_risk_mc, ds, model, kind, 1.0, 5000, np.random.default_rng(9)))
@@ -304,10 +305,10 @@ def test_monte_carlo_memory_is_bounded_by_one_phase_block(monkeypatch):
             mixup_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(6)),
             perturbed_erm_risk_mc(ds, model, kind, 1.0, n_draws, np.random.default_rng(7)),
         ))
-        assert peak < mc_memory_bound(workers, block_arrays=0), workers
+        assert peak < mc_memory_bound(workers, mixup._BLOCK, block_arrays=0), workers
         # the summand's output on top: one array of n_draws losses
         peak = traced_peak(lambda: pair_loss_values(ds, model, kind, I, J, lam))
-        assert peak < 8 * n_draws + mc_memory_bound(workers, block_arrays=0), workers
+        assert peak < 8 * n_draws + mc_memory_bound(workers, mixup._BLOCK, block_arrays=0), workers
 
 
 def test_monte_carlo_memory_is_bounded_by_one_draw_block(monkeypatch):
@@ -326,13 +327,14 @@ def test_monte_carlo_memory_is_bounded_by_one_draw_block(monkeypatch):
             for n in (2 * block, 8 * block):
                 peak = traced_peak(lambda: estimator(
                     ds, model, LossKind.CROSS_ENTROPY, 1.0, n, np.random.default_rng(6)))
-                assert peak < mc_memory_bound(workers), (estimator.__name__, workers, n)
+                assert peak < mc_memory_bound(workers, mixup._BLOCK), (estimator.__name__, workers, n)
 
 
 def test_estimator_memory_does_not_grow_with_the_draw_count(monkeypatch):
     """One worker's traced peak is the same, to 16 KiB, at 10^6 and at 4 x
-    10^6 draws, for both estimators on a linear model (0.41 MiB): nothing
-    is kept per draw or per block."""
+    10^6 draws, for both estimators on a linear model (1.6 MiB in 16 384-draw
+    blocks, 0.41 MiB in 4096-draw ones): nothing is kept per draw or per
+    block."""
     monkeypatch.setattr(mixup, "_WORKERS", 1)
     ds, model, kind = _worker_case("linear")
     for estimator in (mixup_risk_mc, perturbed_erm_risk_mc):
@@ -397,7 +399,7 @@ def test_summands_and_estimates_do_not_depend_on_worker_count(case, draw_block, 
         monkeypatch.setattr(mixup, "_BLOCK", draw_block)
     ds, model, kind = _worker_case(case)
     block = mixup._block_size(model)
-    assert case != "linear" or block == mixup._BLOCK
+    assert case != "linear" or block == mixup._NARROW_BLOCK
     tb = mix_coefficients(1.0).theta_bar
     mod = modify(ds, tb)
     X, Y = ds.inputs, ds.outputs
@@ -495,7 +497,8 @@ def test_many_small_blocks_on_more_workers_than_cores(monkeypatch):
     t = lam[:, None]
     expected = loss_values(kind, t * ds.outputs[I] + (1.0 - t) * ds.outputs[J],
                            model.predict(t * ds.inputs[I] + (1.0 - t) * ds.inputs[J]))
-    monkeypatch.setattr(mixup, "_BLOCK", 16)
+    monkeypatch.setattr(mixup, "_NARROW_BLOCK", 16)
+    assert mixup._block_size(model) == 16
     tb = mix_coefficients(1.0).theta_bar
 
     def results():
@@ -677,6 +680,20 @@ def test_estimators_take_a_whole_number_of_draws(estimator, n_draws):
     ds = _small_regression(7)
     with pytest.raises(ValueError, match="n_draws"):
         estimator(ds, _ConstantModel(np.zeros(2)), LossKind.SQUARED_ERROR, 1.0, n_draws, np.random.default_rng(0))
+
+
+def test_block_sizes_follow_the_memory_of_one_phase_block():
+    """Loops that form no phases (no model, a linear one) take 16 384-draw
+    blocks, sixteen float64 arrays of which fit in one 2 MiB phase block;
+    cosine-feature heads take whole row blocks of at most 4096 draws: 3276
+    at 80 features, 3930 at 1000."""
+    linear = LinearModel(W=np.zeros((2, 3)), b=np.zeros(2))
+    assert mixup._block_size(None) == mixup._block_size(linear) == 16_384
+    assert 16 * 8 * mixup._block_size(None) <= 8 * _PHASE_ELEMS
+    for n_features, block in ((80, 3276), (1000, 3930)):
+        model = init_rff(2, n_features, 3.0, 2, seed=0)
+        assert mixup._block_size(model) == block <= mixup._BLOCK
+        assert block % model.block_rows == 0
 
 
 @pytest.mark.parametrize("estimator", [mixup_risk_mc, perturbed_erm_risk_mc])

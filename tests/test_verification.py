@@ -50,7 +50,7 @@ def test_risk_rewrite_check_linear_se():
     assert rep.passed and rep.discrepancy < 1e-12
 
 
-def _assert_risk_rewrite_memory(monkeypatch, ds, model, kind, n_perdraw, n_mc):
+def _assert_risk_rewrite_memory(monkeypatch, ds, model, kind, n_perdraw, n_mc, block, phase_blocks):
     """One ``check_risk_rewrite`` passes at 1, 2 and 4 workers, each time
     tracing under the bound of one block per worker."""
     for workers in (1, 2, 4):
@@ -59,13 +59,15 @@ def _assert_risk_rewrite_memory(monkeypatch, ds, model, kind, n_perdraw, n_mc):
         peak = traced_peak(lambda: reports.append(
             check_risk_rewrite(ds, model, kind, 1.0, n_perdraw=n_perdraw, n_mc=n_mc)))
         assert reports[0].passed, reports[0].details
-        assert peak < mc_memory_bound(workers), (workers, peak)
+        assert peak < mc_memory_bound(workers, block, phase_blocks=phase_blocks), (workers, peak)
 
 
 def test_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
     """The suite's cosine-feature instance of the check (100 000 per-draw and
     2 x 1 000 000 Monte Carlo draws at 80 features) holds one block of draws
-    and a phase block per worker: 2.3 / 4.6 / 9.1 MiB at 1 / 2 / 4 workers.
+    and a phase block per worker: 2.3 / 4.7 / 9.3 MiB at 1 / 2 / 4 workers,
+    under the cosine-feature bound (4 / 7 / 13 MiB), which also covers its
+    zero-mean section's 16 384-draw blocks.
     While the estimators held 200 000-draw chunks it took 8.4 / 10.7 / 14.9
     MiB; with the zero-mean partners drawn at once, each block stacked and a
     full-size 1 - lam in ``sample_theta`` 15.4 / 17.7 / 22.0 MiB, and 43.5
@@ -73,29 +75,35 @@ def test_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
     ds = make_two_moons(50, 0.05, seed=0)
     model = init_rff(2, 80, 3.0, 2, seed=1)
     model.w = 0.5 * np.random.default_rng(0).normal(size=model.w.shape)
-    _assert_risk_rewrite_memory(monkeypatch, ds, model, LossKind.CROSS_ENTROPY, 100_000, 1_000_000)
+    _assert_risk_rewrite_memory(
+        monkeypatch, ds, model, LossKind.CROSS_ENTROPY, 100_000, 1_000_000, mixup._BLOCK, 1.25)
 
 
 def test_linear_risk_rewrite_check_memory_at_suite_sizes(monkeypatch):
     """The suite's linear instance (20 000 per-draw and 2 x 200 000 Monte
-    Carlo draws) stays inside the same bound at 1, 2 and 4 workers (6.5 /
-    6.8 / 7.4 MiB while the estimators held 200 000-draw chunks, 13.3 MiB
-    with the zero-mean partners drawn at once, each block stacked and a
-    full-size 1 - lam in ``sample_theta``)."""
+    Carlo draws) forms no phases and runs in 16 384-draw blocks: 1.9 / 3.5 /
+    6.3 MiB at 1, 2 and 4 workers, under 16 block arrays per worker and no
+    phase block (3 / 5 / 9 MiB). In 4096-draw blocks it took 0.5 / 0.9 /
+    1.7 MiB; 6.5 / 6.8 / 7.4 MiB while the estimators held 200 000-draw
+    chunks, 13.3 MiB with the zero-mean partners drawn at once, each block
+    stacked and a full-size 1 - lam in ``sample_theta``."""
     ds = _random_regression(2)
     rng = np.random.default_rng(0)
     model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
-    _assert_risk_rewrite_memory(monkeypatch, ds, model, LossKind.SQUARED_ERROR, 20_000, 200_000)
+    _assert_risk_rewrite_memory(
+        monkeypatch, ds, model, LossKind.SQUARED_ERROR, 20_000, 200_000, mixup._block_size(model), 0)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_perdraw_identity_memory_is_its_indices_weights_and_one_block(monkeypatch, workers):
     """The per-draw identity holds one block of row indices, weights,
     partners and loss vectors per worker, whatever the draw count: with a
-    linear model 0.5 / 0.9 / 1.8 MiB at 1 / 2 / 4 workers at 1 000 000 draws
-    and the same at 4 000 000. Over 2^16-draw blocks drawn on the calling
-    thread it took 3.5 / 3.6 / 3.9 MiB, and with every row index and weight
-    drawn up front 17.1 / 17.6 / 18.3 MiB at 1 000 000 draws."""
+    linear model, which forms no phases, 1.9 / 3.8 / 7.1 MiB at 1 / 2 / 4
+    workers at 1 000 000 draws and the same at 4 000 000, under 16 arrays
+    of one 16 384-draw block per worker (3 / 5 / 9 MiB). In 4096-draw blocks
+    it took 0.5 / 0.9 / 1.8 MiB, over 2^16-draw blocks drawn on the calling
+    thread 3.5 / 3.6 / 3.9 MiB, and with every row index and weight drawn up
+    front 17.1 / 17.6 / 18.3 MiB at 1 000 000 draws."""
     monkeypatch.setattr(mixup, "_WORKERS", workers)
     ds = _random_regression(2)
     rng = np.random.default_rng(0)
@@ -106,10 +114,11 @@ def test_perdraw_identity_memory_is_its_indices_weights_and_one_block(monkeypatc
         peaks.append(traced_peak(lambda: gaps.append(verification._perdraw_gap(
             ds, model, LossKind.SQUARED_ERROR, 1.0, 0.75, rng, n))))
         assert gaps[0] < 1e-12
-    assert max(peaks) < mc_memory_bound(workers), peaks
+    block = mixup._block_size(model)
+    assert max(peaks) < mc_memory_bound(workers, block, phase_blocks=0), peaks
     # the threads' timing decides which block temporaries overlap: up to one
     # block array per worker
-    assert abs(peaks[1] - peaks[0]) < workers * 8 * mixup._BLOCK, peaks
+    assert abs(peaks[1] - peaks[0]) < workers * 8 * block, peaks
 
 
 def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
@@ -119,7 +128,8 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
     one row is fixed), its weights, folded or not, and its partners, in
     that order and nothing more. The weights are ``Generator.beta``'s at
     alpha 0.7 and ``Generator.random``'s at alpha 1."""
-    ds, n = _random_regression(4, n=12), 2 * mixup._BLOCK + 7
+    block = mixup._block_size(None)
+    ds, n = _random_regression(4, n=12), 2 * block + 7
     for workers in (1, 3):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
@@ -129,7 +139,7 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
         mixup._monte_carlo(rng, n, None, lambda g, k: (k, g.bit_generator.state), blocks.append)
         assert rng.bit_generator.state == ref.bit_generator.state
         children = np.random.SeedSequence(key).spawn(3)
-        assert [k for k, _ in blocks] == [mixup._BLOCK, mixup._BLOCK, 7]
+        assert [k for k, _ in blocks] == [block, block, 7]
         assert [s for _, s in blocks] == [np.random.default_rng(c).bit_generator.state for c in children]
     for alpha, row, fold in itertools.product((0.7, 1.0), (None, 5), (True, False)):
         g, ref = np.random.default_rng(4), np.random.default_rng(4)
@@ -222,20 +232,37 @@ def test_covariance_check_passes():
 
 @pytest.mark.parametrize("n_mc", [1_000_000, 4_000_000])
 def test_covariance_check_memory_is_its_weights_and_one_block(n_mc, monkeypatch):
-    """The check holds one block of folded weights, partners and
-    perturbations per worker, whatever n_mc: 0.4 / 0.7 / 1.4 MiB at 1 / 2 /
-    4 workers, at 1 M and at 4 M draws, under 16 block arrays per worker and
-    no phase block, since no model is called (1.5 / 2 / 3 MiB). Over 2^16-draw
-    blocks on the calling thread it took 7.0 MiB; with all n_mc weights drawn
-    before the first partner 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB with every
-    partner drawn at once too."""
+    """The check holds one 16 384-draw block of folded weights, partners
+    and perturbations per worker, whatever n_mc: 1.4 / 2.8 / 5.2 MiB at 1 /
+    2 / 4 workers, at 1 M and at 4 M draws, under 16 block arrays per worker
+    and no phase block, since no model is called (3 / 5 / 9 MiB). In
+    4096-draw blocks it took 0.4 / 0.7 / 1.4 MiB, over 2^16-draw blocks on
+    the calling thread 7.0 MiB; with all n_mc weights drawn before the first
+    partner 12.1 / 35.0 MiB, and 21.3 / 67.1 MiB with every partner drawn
+    at once too."""
     ds = make_two_moons(20, 0.05, seed=1)
     for workers in (1, 2, 4):
         monkeypatch.setattr(mixup, "_WORKERS", workers)
         reports = []
         peak = traced_peak(lambda: reports.append(check_covariance_formula(ds, 1.0, n_mc=n_mc)))
         assert reports[0].passed, reports[0].details
-        assert peak < mc_memory_bound(workers, phase_blocks=0), (workers, peak)
+        assert peak < mc_memory_bound(workers, mixup._block_size(None), phase_blocks=0), (workers, peak)
+
+
+@pytest.mark.parametrize("count", [0, -5, 2.5, True])
+def test_risk_rewrite_check_takes_a_whole_number_of_per_draw_draws(count):
+    """n_perdraw 0 and -5 used to pass with discrepancy 0 on no draws."""
+    ds = _random_regression(0)
+    model = LinearModel(W=np.ones((2, 3)), b=np.zeros(2))
+    with pytest.raises(ValueError, match="n_draws"):
+        check_risk_rewrite(ds, model, LossKind.SQUARED_ERROR, 1.0, n_perdraw=count, n_mc=1000)
+
+
+@pytest.mark.parametrize("count", [0, -5, 2.5, True])
+def test_covariance_check_takes_a_whole_number_of_draws(count):
+    """n_mc 0 used to give "MC rel nan", 2.5 a TypeError and True one draw."""
+    with pytest.raises(ValueError, match="n_draws"):
+        check_covariance_formula(_random_regression(0), 1.0, n_mc=count)
 
 
 def test_decomposition_check_each_loss():
