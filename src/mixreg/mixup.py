@@ -252,9 +252,9 @@ def _checked_draws(ds: Dataset, I, J, weights):
     return I, J, weights
 
 
-def _checked_count(n_draws) -> int:
+def _checked_count(n_draws, name: str = "n_draws") -> int:
     if isinstance(n_draws, (bool, np.bool_)) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
-        raise ValueError(f"n_draws must be an integer >= 1, got {n_draws!r}")
+        raise ValueError(f"{name} must be an integer >= 1, got {n_draws!r}")
     return int(n_draws)
 
 

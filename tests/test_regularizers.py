@@ -187,7 +187,8 @@ def test_quadratic_loss_cubic_remainder_decay():
         (LossKind.SQUARED_ERROR, False),
     ],
 )
-def test_decomposition_identity_against_quadrature(kind, classification):
+@pytest.mark.parametrize("alpha", [0.1, 0.2, 0.5, 1.0, 2.0])
+def test_decomposition_identity_against_quadrature(kind, classification, alpha):
     """Decomposition equals the quadrature expectation of the Taylor loss."""
     moons = make_two_moons(10, 0.05, seed=5)
     if kind is LossKind.LOGISTIC:
@@ -200,7 +201,7 @@ def test_decomposition_identity_against_quadrature(kind, classification):
         ds = _random_dataset(5, n=10, d=2, c=2)
         rng = np.random.default_rng(5)
         model = LinearModel(W=rng.normal(size=(2, 2)), b=rng.normal(size=2))
-    coeffs = mix_coefficients(1.0)
+    coeffs = mix_coefficients(alpha)
     oracle = expected_quadratic_loss(ds, model, kind, coeffs)
     br = r_terms_general(ds, model, kind, coeffs)
     assert abs(oracle - br.total) < 1e-7

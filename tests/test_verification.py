@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import mc_memory_bound, traced_peak
+from test_truncbeta import ALPHA_GRID, quad_raw_moment
 
 import mixreg.verification as verification
 from mixreg import mixup
@@ -13,7 +14,7 @@ from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind
 from mixreg.models import LinearModel, init_rff
 from mixreg.regularizers import per_example_covariances, r_terms_general
-from mixreg.truncbeta import MixCoefficients, mix_coefficients
+from mixreg.truncbeta import MixCoefficients, mix_coefficients, trunc_beta_raw_moment
 from mixreg.verification import (
     check_label_smoothing,
     check_covariance_formula,
@@ -203,6 +204,17 @@ def test_oracles_live_apart_from_the_code_they_certify():
     assert all(defined.count(name) == 1 for name in oracles)
 
 
+def test_quadrature_oracles_build_their_own_rule():
+    """The rule is plain numpy (no scipy, no ``numpy.polynomial``), and the
+    quadrature oracles never read the closed-form moments they cross-check."""
+    path = Path(verification.__file__)
+    assert not [name for name in _imports(path) if name.startswith(("scipy", "numpy.polynomial"))]
+    oracles = {"_theta_rule", "expected_quadratic_loss", "_exact_se_risk_quadrature"}
+    for fn in ast.parse(path.read_text()).body:
+        if isinstance(fn, ast.FunctionDef) and fn.name in oracles:
+            assert "trunc_beta_raw_moment" not in {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+
+
 @pytest.mark.parametrize("kind", list(LossKind))
 def test_quadratic_loss_on_a_stack_equals_its_row_calls(kind):
     """(k, d) and (k, c) stacks give the k values of the one-row calls."""
@@ -249,31 +261,46 @@ def test_covariance_check_memory_is_its_weights_and_one_block(n_mc, monkeypatch)
         assert peak < mc_memory_bound(workers, mixup._block_size(None), phase_blocks=0), (workers, peak)
 
 
+def _no_draws(*args):
+    raise AssertionError("a check drew before it validated its draw counts")
+
+
 @pytest.mark.parametrize("count", [0, -5, 2.5, True])
-def test_risk_rewrite_check_takes_a_whole_number_of_per_draw_draws(count):
-    """n_perdraw 0 and -5 used to pass with discrepancy 0 on no draws."""
+@pytest.mark.parametrize("param", ["n_perdraw", "n_mc"])
+def test_risk_rewrite_check_takes_a_whole_number_of_draws(param, count, monkeypatch):
+    """n_perdraw 0 and -5 used to pass with discrepancy 0 on no draws; both
+    counts are checked by name before the first draw."""
     ds = _random_regression(0)
     model = LinearModel(W=np.ones((2, 3)), b=np.zeros(2))
-    with pytest.raises(ValueError, match="n_draws"):
-        check_risk_rewrite(ds, model, LossKind.SQUARED_ERROR, 1.0, n_perdraw=count, n_mc=1000)
+    monkeypatch.setattr(verification, "_monte_carlo", _no_draws)
+    counts = {"n_perdraw": 1000, "n_mc": 1000, param: count}
+    with pytest.raises(ValueError, match=f"^{param} must be an integer >= 1"):
+        check_risk_rewrite(ds, model, LossKind.SQUARED_ERROR, 1.0, **counts)
 
 
 @pytest.mark.parametrize("count", [0, -5, 2.5, True])
-def test_covariance_check_takes_a_whole_number_of_draws(count):
-    """n_mc 0 used to give "MC rel nan", 2.5 a TypeError and True one draw."""
-    with pytest.raises(ValueError, match="n_draws"):
+def test_covariance_check_takes_a_whole_number_of_draws(count, monkeypatch):
+    """n_mc 0 used to give "MC rel nan", 2.5 a TypeError and True one draw;
+    the count is checked by name before the first draw."""
+    monkeypatch.setattr(verification, "_monte_carlo", _no_draws)
+    with pytest.raises(ValueError, match="^n_mc must be an integer >= 1"):
         check_covariance_formula(_random_regression(0), 1.0, n_mc=count)
 
 
-def test_decomposition_check_each_loss():
+# alphas of the quadrature tests; below 1 the folded density is infinite at 1
+QUADRATURE_ALPHAS = [0.1, 0.2, 0.5, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("alpha", QUADRATURE_ALPHAS)
+def test_decomposition_check_each_loss(alpha):
     ds = make_two_moons(10, 0.05, seed=2)
     model = init_rff(2, 40, 3.0, 2, seed=3)
     model.w = 0.5 * np.random.default_rng(3).normal(size=model.w.shape)
-    assert check_penalty_decomposition(ds, model, LossKind.CROSS_ENTROPY, 1.0).passed
+    assert check_penalty_decomposition(ds, model, LossKind.CROSS_ENTROPY, alpha).passed
     scalar = Dataset(ds.inputs.copy(), ds.outputs[:, 1:2].copy())
     model1 = init_rff(2, 40, 3.0, 1, seed=4)
     model1.w = 0.5 * np.random.default_rng(4).normal(size=model1.w.shape)
-    assert check_penalty_decomposition(scalar, model1, LossKind.LOGISTIC, 1.0).passed
+    assert check_penalty_decomposition(scalar, model1, LossKind.LOGISTIC, alpha).passed
 
 
 def test_mols_check_exact_line():
@@ -288,8 +315,9 @@ def test_mols_check_exact_line():
     assert fit.b[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_mols_check_random_regression():
-    rep = check_mols(_random_regression(5, n=20, d=3, c=2), 1.0)
+@pytest.mark.parametrize("alpha", QUADRATURE_ALPHAS)
+def test_mols_check_random_regression(alpha):
+    rep = check_mols(_random_regression(5, n=20, d=3, c=2), alpha)
     assert rep.passed and rep.discrepancy < 1e-7
 
 
@@ -304,27 +332,53 @@ def test_alpha_one_moment_arithmetic():
     assert 2 * lambda_second_moment(c) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("alpha", [0.4, 1.0, 2.5])
-def test_theta_rule_builds_each_legendre_rule_once(alpha, monkeypatch):
-    """The folded rule equals the one built from a fresh ``leggauss`` bit for
-    bit, each node count is built once, and the shared rule is read-only."""
+@pytest.mark.parametrize("alpha", ALPHA_GRID)
+def test_theta_rule_reproduces_the_folded_moments(alpha):
+    """The Gauss–Jacobi rule's first two moments are the lgamma closed form's
+    to 1e-14 and its third and fourth an adaptive quadrature's to 1e-12, from
+    alpha = 0.05, where the density is infinite at theta = 1, to 20."""
+    theta, weights = verification._theta_rule(alpha)
+    assert theta.shape == weights.shape == (verification._THETA_NODES,)
+    assert np.all((0.5 < theta) & (theta < 1.0)) and np.all(weights > 0.0)
+    for k in (1, 2):
+        assert abs(weights @ theta**k - trunc_beta_raw_moment(alpha, k)) <= 1e-14
+    for k in (3, 4):
+        assert abs(weights @ theta**k - quad_raw_moment(alpha, k)) <= 1e-12
+
+
+def test_theta_rule_at_alpha_one_is_gauss_legendre():
+    """At alpha = 1 the folded density is flat and the rule is Gauss–Legendre
+    on [1/2, 1]."""
     from numpy.polynomial.legendre import leggauss
 
-    built = []
-    monkeypatch.setattr(verification, "leggauss", lambda n: built.append(n) or leggauss(n))
-    verification._legendre_rule.cache_clear()
-    try:
-        for nodes in (200, 400, 200, 400):
-            theta, weights = verification._theta_rule(alpha, nodes)
-            t, w = leggauss(nodes)
-            ref_theta = 0.75 + 0.25 * t
-            ref = w * ref_theta ** (alpha - 1.0) * (1.0 - ref_theta) ** (alpha - 1.0)
-            assert np.array_equal(theta, ref_theta) and np.array_equal(weights, ref / ref.sum())
-        assert built == [200, 400]
-        with pytest.raises(ValueError):
-            verification._legendre_rule(200)[0][0] = 0.0
-    finally:
-        verification._legendre_rule.cache_clear()
+    t, w = leggauss(verification._THETA_NODES)
+    theta, weights = verification._theta_rule(1.0)
+    assert np.max(np.abs(theta - (0.75 + 0.25 * t))) <= 1e-14
+    assert np.max(np.abs(weights - w / w.sum())) <= 1e-14
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.2, 1.0, 2.5, 20.0])
+def test_quadrature_oracles_do_not_move_when_the_nodes_double(alpha, monkeypatch):
+    """Twice the nodes give the same moments and oracle values to 1e-14."""
+    ds = make_two_moons(10, 0.05, seed=2)
+    model = init_rff(2, 40, 3.0, 2, seed=3)
+    model.w = 0.5 * np.random.default_rng(3).normal(size=model.w.shape)
+    reg = _random_regression(5, n=20, d=3, c=2)
+    lin = LinearModel(W=np.random.default_rng(5).normal(size=(2, 3)), b=np.ones(2))
+    coeffs = mix_coefficients(alpha)
+
+    def values():
+        theta, weights = verification._theta_rule(alpha)
+        return [weights @ theta**k for k in range(1, 5)] + [
+            expected_quadratic_loss(ds, model, LossKind.CROSS_ENTROPY, coeffs),
+            verification._exact_se_risk_quadrature(reg, lin, coeffs),
+        ]
+
+    base = values()
+    monkeypatch.setattr(verification, "_THETA_NODES", 2 * verification._THETA_NODES)
+    assert verification._theta_rule(alpha)[0].size == 64
+    for a, b in zip(base, values()):
+        assert abs(a - b) <= 1e-14 * max(1.0, abs(a))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -378,7 +432,7 @@ def test_taylor_checks():
 
 def test_run_all_green_and_serializable(run_all_reports):
     reports = run_all_reports
-    assert len(reports) == 12
+    assert len(reports) == 16
     assert all(r.passed for r in reports)
     payload = json.loads(reports_to_json(reports))
     assert {row["name"] for row in payload} >= {
@@ -391,10 +445,13 @@ def test_run_all_green_and_serializable(run_all_reports):
     }
     for row in payload:
         assert set(row) == {"name", "passed", "discrepancy", "tolerance", "runtime_s", "cpu_s", "details", "alpha"}
-    # every check runs at alpha 1 but the second covariance check, at 0.7
-    assert [row["alpha"] for row in payload] == [1.0] * 3 + [0.7] + [1.0] * 8
+    # every check runs at alpha 1 but the second covariance check, at 0.7,
+    # and the quadrature checks repeated at 0.2
+    assert [row["alpha"] for row in payload] == [1.0] * 3 + [0.7] + [1.0] * 8 + [0.2] * 4
+    assert [row["name"] for row in payload[12:]] == ["penalty_decomposition"] * 3 + ["least_squares_neutrality"]
     table = format_report_table(reports)
     assert "PASS" in table and "FAIL" not in table
+    assert [line.split()[1] for line in table.splitlines()[1:]] == [str(row["alpha"]) for row in payload]
     assert sum(r.runtime_s for r in reports) < 300.0
 
 
