@@ -47,9 +47,7 @@ __all__ = [
     "r_terms_lr",
     "r_terms_se",
     "approx_mixup_objective",
-    "psd_pinv",
-    "psd_sqrt",
-    "psd_pinv_sqrt",
+    "psd_roots",
     "mols_fit",
     "lambda_second_moment",
     "exact_se_mixup_risk",
@@ -90,31 +88,17 @@ class RegularizerBreakdown:
         return self.r1 + self.r3 + self.r4
 
 
-def _eigh_psd(A: np.ndarray):
+def psd_roots(A: np.ndarray):
+    """A symmetric PSD matrix's square root (round-off negatives clamped to
+    zero), the square root of its pseudo-inverse (relative eigenvalue
+    cutoff), that pseudo-inverse as the root's square, and the number of
+    truncated eigenvalues, from one eigendecomposition."""
     vals, vecs = np.linalg.eigh(np.asarray(A, dtype=float))
-    cutoff = _EIG_RCOND * max(vals.max(), 0.0)
-    return vals, vecs, cutoff
-
-
-def psd_pinv(A: np.ndarray) -> np.ndarray:
-    """Symmetric pseudo-inverse with relative eigenvalue cutoff."""
-    vals, vecs, cutoff = _eigh_psd(A)
-    inv = np.where(vals > cutoff, 1.0 / np.where(vals > cutoff, vals, 1.0), 0.0)
-    return (vecs * inv) @ vecs.T
-
-
-def psd_sqrt(A: np.ndarray) -> np.ndarray:
-    """Symmetric square root, clamping round-off negatives to zero."""
-    vals, vecs, _ = _eigh_psd(A)
-    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
-def psd_pinv_sqrt(A: np.ndarray):
-    """(A^+)^(1/2) together with the number of truncated eigenvalues."""
-    vals, vecs, cutoff = _eigh_psd(A)
-    keep = vals > cutoff
+    keep = vals > _EIG_RCOND * max(vals.max(), 0.0)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
     inv_root = np.where(keep, 1.0 / np.sqrt(np.where(keep, vals, 1.0)), 0.0)
-    return (vecs * inv_root) @ vecs.T, int(np.count_nonzero(~keep))
+    pinv_root = (vecs * inv_root) @ vecs.T
+    return root, pinv_root, pinv_root @ pinv_root, int(np.count_nonzero(~keep))
 
 
 def perturbation_covariances(
@@ -180,17 +164,14 @@ def r_terms_general(
         erm_mod += bnd.value
 
         A = cov.sxx
-        C = bnd.hess_uu
         hess_uy = bnd.hess_yu.T
         syx = cov.sxy.T
-        c_pinv_root, k1 = psd_pinv_sqrt(C)
-        a_pinv_root, k2 = psd_pinv_sqrt(A)
+        c_root, c_pinv_root, c_pinv, k1 = psd_roots(bnd.hess_uu)
+        a_root, a_pinv_root, a_pinv, k2 = psd_roots(A)
         clipped += k1 + k2
-        c_pinv = c_pinv_root @ c_pinv_root
-        a_pinv = a_pinv_root @ a_pinv_root
 
         J = -c_pinv @ hess_uy @ syx @ a_pinv
-        r1 += np.linalg.norm(psd_sqrt(C) @ (G - J) @ psd_sqrt(A)) ** 2 / 2.0
+        r1 += np.linalg.norm(c_root @ (G - J) @ a_root) ** 2 / 2.0
         r2 += 0.5 * float(np.tensordot(A, hessian_contraction(Hf, bnd.grad_u)))
         B = -hess_uy @ syx
         r3 -= np.linalg.norm(c_pinv_root @ B @ a_pinv_root) ** 2 / 2.0
@@ -223,11 +204,11 @@ def r_terms_ce(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         G = model.input_jacobian(xt)
         A = cov.sxx
         syx = cov.sxy.T
-        h_pinv_root, k1 = psd_pinv_sqrt(H)
-        a_pinv_root, k2 = psd_pinv_sqrt(A)
+        h_root, h_pinv_root, h_pinv, k1 = psd_roots(H)
+        a_root, a_pinv_root, a_pinv, k2 = psd_roots(A)
         clipped += k1 + k2
-        J = (h_pinv_root @ h_pinv_root) @ syx @ (a_pinv_root @ a_pinv_root)
-        r1 += np.linalg.norm(psd_sqrt(H) @ (G - J) @ psd_sqrt(A)) ** 2 / 2.0
+        J = h_pinv @ syx @ a_pinv
+        r1 += np.linalg.norm(h_root @ (G - J) @ a_root) ** 2 / 2.0
         r2 += 0.5 * float(np.tensordot(A, hessian_contraction(model.input_hessian(xt), resid[i])))
         r3 -= np.linalg.norm(h_pinv_root @ syx @ a_pinv_root) ** 2 / 2.0
     return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, 0.0, clipped)
@@ -245,9 +226,8 @@ def r_terms_lr(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         G = model.input_jacobian(xt).ravel()
         A = cov.sxx
         syx = cov.sxy.ravel()
-        a_pinv_root, k2 = psd_pinv_sqrt(A)
+        _, _, a_pinv, k2 = psd_roots(A)
         clipped += k2
-        a_pinv = a_pinv_root @ a_pinv_root
         if v > 0.0:
             J = (syx @ a_pinv) / v
             r3 -= 0.5 * float(syx @ a_pinv @ syx) / v
@@ -277,9 +257,8 @@ def r_terms_se(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         G = model.input_jacobian(xt)
         A = cov.sxx
         syx = cov.sxy.T
-        a_pinv_root, k2 = psd_pinv_sqrt(A)
+        _, a_pinv_root, a_pinv, k2 = psd_roots(A)
         clipped += k2
-        a_pinv = a_pinv_root @ a_pinv_root
         J = syx @ a_pinv
         diff = G - J
         r1 += 0.5 * float(np.trace(diff @ A @ diff.T))
@@ -306,7 +285,7 @@ def approx_mixup_objective(
 
 def mols_fit(ds: Dataset) -> LinearModel:
     """Multivariate least squares by normal equations on centered rows."""
-    W = ds.sxy.T @ psd_pinv(ds.sxx)
+    W = ds.sxy.T @ psd_roots(ds.sxx)[2]
     b = ds.y_mean - W @ ds.x_mean
     return LinearModel(W=W, b=b)
 

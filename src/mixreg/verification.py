@@ -29,10 +29,11 @@ The Monte Carlo parts (the per-draw identity and zero-mean moments of
 :func:`check_covariance_formula`) run on ``mixup``'s blocks, like the risk
 estimators: one block, one generator. Each block draws its rows (unless the
 check fixes one), folded weights and partners from its own generator,
-reduces them on the worker that took it to a largest gap, per-coordinate
-moments or covariance sums, and the check merges the block results in
-block order. So a check holds one block of draws per worker whatever its
-draw count, and its numbers do not depend on the worker count.
+reduces them on the worker that took it to a largest gap, or to a row's
+per-coordinate moments and covariance sums in one loop, and the check
+merges the block results in block order. So a check holds one block of
+draws per worker whatever its draw count, and its numbers do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -108,6 +109,12 @@ class CheckReport:
 def _clocks() -> tuple[float, float]:
     """Wall seconds and this process's CPU seconds (all threads)."""
     return time.perf_counter(), time.process_time()
+
+
+def _worst(parts) -> float:
+    """The largest of the parts, NaN when any part is NaN (Python's ``max``
+    keeps a NaN only when it comes first)."""
+    return float(np.max(list(parts)))
 
 
 def _report(name, alpha, discrepancy, tolerance, t0, details="", extra_ok=True) -> CheckReport:
@@ -197,7 +204,10 @@ _THETA_NODES = 32
 def _theta_rule(alpha: float):
     """Gauss–Jacobi nodes and weights for the folded mixing density on [1/2, 1],
     infinite at 1 for alpha < 1: Golub–Welsch for the weight (1-x)^(alpha-1)
-    on [-1, 1], mapped to theta = 0.75 + 0.25 x and times theta^(alpha-1)."""
+    on [-1, 1], mapped to theta = 0.75 + 0.25 x and times theta^(alpha-1).
+    The weights are formed in log space, since theta^(alpha-1) underflows
+    from alpha near 1100; the rule's first two moments are exact to
+    round-off up to alpha = 20, within 2e-11 at 200 and 1e-5 at 1000."""
     a = alpha - 1.0
     n = np.arange(1.0, _THETA_NODES)
     s = 2.0 * n + a
@@ -206,7 +216,8 @@ def _theta_rule(alpha: float):
     off = 2.0 * n * (n + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     theta = 0.75 + 0.25 * x
-    weights = vecs[0] ** 2 * theta ** a
+    log_w = 2.0 * np.log(np.abs(vecs[0])) + a * np.log(theta)
+    weights = np.exp(log_w - log_w.max())
     return theta, weights / weights.sum()
 
 
@@ -214,7 +225,8 @@ def expected_quadratic_loss(ds: Dataset, model, kind: LossKind, coeffs: MixCoeff
     """E over (theta, partner) of the quadratic Taylor loss, by quadrature
     over every partner row and ``_theta_rule``'s fixed 32 nodes: per partner
     a degree-2 polynomial in theta against the folded density, whose singular
-    factor is the rule's weight, so exact to round-off at every alpha > 0."""
+    factor is the rule's weight, so exact to round-off for alpha up to 20 and
+    within 2e-11 up to 200, alpha < 1 included."""
     theta, wts = _theta_rule(coeffs.alpha)
     tb = coeffs.theta_bar
     mod = modify(ds, tb)
@@ -253,39 +265,27 @@ def _perdraw_gap(ds, model, kind, alpha, theta_bar, rng, n: int) -> float:
     return float(worst)
 
 
-def _mc_second_moments(ds, alpha, theta_bar, i, rng, n: int):
-    """Sums over n draws of delta delta^T, eps eps^T and delta eps^T for row i."""
+def _perturbation_moments(ds, alpha, theta_bar, i, rng, n: int):
+    """Over n draws of row i's perturbations: the moments of each coordinate,
+    the d input coordinates then the c output ones, and the sums of
+    delta delta^T, eps eps^T and delta eps^T."""
+    moments = [_Moments() for _ in range(ds.d + ds.c)]
     sums = (np.zeros((ds.d, ds.d)), np.zeros((ds.c, ds.c)), np.zeros((ds.d, ds.c)))
 
     def block(g, k: int):
         _, j, th = _block_draws(ds, g, k, alpha, fold=True, row=i)
         delta, eps = perturbation(ds, theta_bar, i, j, th)
-        return delta.T @ delta, eps.T @ eps, delta.T @ eps
+        return ([_Moments.of(coord) for coord in (*delta.T, *eps.T)],
+                (delta.T @ delta, eps.T @ eps, delta.T @ eps))
 
     def merge(parts) -> None:
-        for acc, part in zip(sums, parts):
+        for acc, part in zip(moments, parts[0]):
+            acc.merge(part)
+        for acc, part in zip(sums, parts[1]):
             acc += part
 
     _monte_carlo(rng, n, None, block, merge)
-    return sums
-
-
-def _zero_mean_moments(ds, alpha, theta_bar, i, rng, n: int) -> list[_Moments]:
-    """Moments over n draws of each coordinate of row i's perturbations, the
-    d input coordinates then the c output ones."""
-    moments = [_Moments() for _ in range(ds.d + ds.c)]
-
-    def block(g, k: int) -> list[_Moments]:
-        _, j, th = _block_draws(ds, g, k, alpha, fold=True, row=i)
-        delta, eps = perturbation(ds, theta_bar, i, j, th)
-        return [_Moments.of(coord) for coord in (*delta.T, *eps.T)]
-
-    def merge(parts) -> None:
-        for acc, part in zip(moments, parts):
-            acc.merge(part)
-
-    _monte_carlo(rng, n, None, block, merge)
-    return moments
+    return moments, sums
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +314,7 @@ def check_risk_rewrite(
 
     # zero-mean perturbations, per coordinate, 4 standard errors
     zero_mean = [acc.estimate() for i in rng.choice(ds.n, size=min(5, ds.n), replace=False)
-                 for acc in _zero_mean_moments(ds, alpha, tb, i, rng, 200_000)]
+                 for acc in _perturbation_moments(ds, alpha, tb, i, rng, 200_000)[0]]
     mean_ok = all(abs(est.mean) <= 4.0 * max(est.stderr, 1e-300) for est in zero_mean)
 
     est_pair = mixup_risk_mc(ds, model, kind, alpha, n_mc, np.random.default_rng(seed + 1))
@@ -354,12 +354,12 @@ def check_covariance_formula(
     def row_max(a):
         return np.abs(a).max(axis=(1, 2))
 
-    worst = max(float(np.max(row_max(a - b) / np.maximum(row_max(b), 1e-30))) for a, b in blocks)
+    worst = _worst(float(np.max(row_max(a - b) / np.maximum(row_max(b), 1e-30))) for a, b in blocks)
 
     rng = np.random.default_rng(seed)
     i = int(rng.integers(ds.n))
-    sums = _mc_second_moments(ds, alpha, coeffs.theta_bar, i, rng, n_mc)
-    mc_rel = max(
+    sums = _perturbation_moments(ds, alpha, coeffs.theta_bar, i, rng, n_mc)[1]
+    mc_rel = _worst(
         float(np.linalg.norm(s / n_mc - a[i]) / max(np.linalg.norm(a[i]), 1e-30))
         for s, (a, _) in zip(sums, blocks)
     )
@@ -390,7 +390,7 @@ def check_penalty_decomposition(
 
 
 def _breakdown_gap(a: RegularizerBreakdown, b: RegularizerBreakdown) -> float:
-    return max(abs(getattr(a, k) - getattr(b, k)) for k in ("erm_modified", "r1", "r2", "r3", "r4"))
+    return _worst(abs(getattr(a, k) - getattr(b, k)) for k in ("erm_modified", "r1", "r2", "r3", "r4"))
 
 
 def check_loss_specializations(
@@ -411,7 +411,7 @@ def check_loss_specializations(
     se = r_terms_se(ds_reg, models["se"], coeffs)
     gaps["se"] = _breakdown_gap(se, r_terms_general(ds_reg, models["se"], LossKind.SQUARED_ERROR, coeffs))
     structural_ok = ce.r4 == 0.0 and lr.r4 == 0.0
-    worst = max(gaps.values())
+    worst = _worst(gaps.values())
     details = "; ".join(f"{k}: {v:.3e}" for k, v in gaps.items()) + f"; ce/lr r4==0: {structural_ok}"
     return _report("loss_specializations", alpha, worst, 1e-10, t0, details, extra_ok=structural_ok)
 
@@ -449,7 +449,7 @@ def check_mols(ds: Dataset, alpha: float, seed: int = 0) -> CheckReport:
 
     rng = np.random.default_rng(seed)
     m2 = lambda_second_moment(coeffs)
-    affine_resid = 0.0
+    resids = []
     for _ in range(3):
         W = rng.normal(size=ols.W.shape)
         b = rng.normal(size=ols.b.shape)
@@ -462,9 +462,9 @@ def check_mols(ds: Dataset, alpha: float, seed: int = 0) -> CheckReport:
         )
         predicted = (2.0 * m2 / ds.n) * se_sum + 0.5 * float(((b - bbar) ** 2).sum())
         oracle = _exact_se_risk_quadrature(ds, probe, coeffs)
-        affine_resid = max(affine_resid, abs(oracle - predicted))
         # the closed-form evaluator must agree with the quadrature oracle too
-        affine_resid = max(affine_resid, abs(oracle - exact_se_mixup_risk(ds, probe, coeffs)))
+        resids += [abs(oracle - predicted), abs(oracle - exact_se_mixup_risk(ds, probe, coeffs))]
+    affine_resid = _worst(resids)
     grad_tol = 1e-6
     ok = grad_norm <= grad_tol
     details = f"gradient norm at OLS {grad_norm:.3e} (tol {grad_tol}); affine residual {affine_resid:.3e}"
@@ -532,7 +532,7 @@ def check_label_smoothing(ds: Dataset, alpha: float) -> CheckReport:
     for ridge in (0.0, 1e-8):
         W0, g0 = _newton_ce_fit(X, Y, grad_tol=grad_tol / 10, ridge=ridge)
         W1, g1 = _newton_ce_fit(X, Yt, grad_tol=grad_tol / 10, ridge=ridge)
-        converged = max(g0, g1) <= grad_tol
+        converged = _worst((g0, g1)) <= grad_tol
         if converged:
             break
 
@@ -578,18 +578,14 @@ def check_taylor(
                             model.predict((mod.inputs[i] + delta)[None]))[0]
         return abs(exact - quadratic_loss(mod, model, kind, i, delta, eps))
 
-    zero_res = max(
-        residual(i, np.zeros(ds.d), np.zeros(ds.c)) for i in range(min(ds.n, 5))
-    )
+    zero_res = _worst(residual(i, np.zeros(ds.d), np.zeros(ds.c)) for i in range(min(ds.n, 5)))
 
     exact_case = kind is LossKind.SQUARED_ERROR and isinstance(model, LinearModel)
     if exact_case:
-        worst = 0.0
-        for _ in range(20):
-            i = int(rng.integers(ds.n))
-            worst = max(
-                worst, residual(i, rng.normal(size=ds.d), rng.normal(size=ds.c))
-            )
+        worst = _worst(
+            residual(int(rng.integers(ds.n)), rng.normal(size=ds.d), rng.normal(size=ds.c))
+            for _ in range(20)
+        )
         details = f"zero-perturbation residual {zero_res:.3e}; exact-case residual {worst:.3e}"
         return _report(
             "taylor_exact_se_linear", alpha, worst, 1e-10, t0, details, extra_ok=zero_res <= 1e-12

@@ -14,8 +14,7 @@ from mixreg.regularizers import (
     mols_fit,
     per_example_covariances,
     perturbation_covariances,
-    psd_pinv,
-    psd_sqrt,
+    psd_roots,
     r_terms_ce,
     r_terms_general,
     r_terms_lr,
@@ -334,18 +333,59 @@ def test_objective_lower_at_mixing_trained_model():
     assert objs["mixup"] < objs["erm"]
 
 
-def test_psd_helpers():
+def test_psd_roots():
+    """root^2 = A and A A^+ A = A at full rank and at rank 2 of 4; the
+    pseudo-inverse is the pseudo-inverse root's square, and the rank-2 case
+    truncates two eigenvalues."""
     rng = np.random.default_rng(7)
     Q = rng.normal(size=(4, 4))
-    A = Q @ Q.T
-    root = psd_sqrt(A)
-    assert np.abs(root @ root - A).max() < 1e-10
-    pinv = psd_pinv(A)
-    assert np.abs(A @ pinv @ A - A).max() < 1e-9
-    # rank-deficient case
-    low = Q[:, :2] @ Q[:, :2].T
-    pinv_low = psd_pinv(low)
-    assert np.abs(low @ pinv_low @ low - low).max() < 1e-9
+    for A, rank in ((Q @ Q.T, 4), (Q[:, :2] @ Q[:, :2].T, 2)):
+        root, pinv_root, pinv, clipped = psd_roots(A)
+        assert np.abs(root @ root - A).max() < 1e-10
+        assert np.abs(A @ pinv @ A - A).max() < 1e-9
+        assert np.array_equal(pinv, pinv_root @ pinv_root)
+        assert clipped == 4 - rank
+
+
+@pytest.mark.parametrize(
+    "terms, kind, per_row",
+    [
+        ("general", LossKind.CROSS_ENTROPY, 2),
+        ("general", LossKind.LOGISTIC, 2),
+        ("general", LossKind.SQUARED_ERROR, 2),
+        ("ce", LossKind.CROSS_ENTROPY, 2),
+        ("lr", LossKind.LOGISTIC, 1),
+        ("se", LossKind.SQUARED_ERROR, 1),
+    ],
+)
+def test_one_eigendecomposition_per_metric_per_row(terms, kind, per_row, monkeypatch):
+    """Each row factors its input covariance once and, where the curvature
+    is a matrix, its loss curvature once: 2n ``eigh`` calls for
+    ``r_terms_general`` and ``r_terms_ce``, n for ``r_terms_lr`` and
+    ``r_terms_se`` (the general and cross-entropy paths made 4n)."""
+    if kind is LossKind.SQUARED_ERROR:
+        ds = _random_dataset(3, n=10)
+        model = LinearModel(W=np.random.default_rng(3).normal(size=(2, 3)), b=np.zeros(2))
+    else:
+        ds = make_two_moons(10, 0.05, seed=3)
+        if kind is LossKind.LOGISTIC:
+            ds = Dataset(ds.inputs.copy(), ds.outputs[:, 1:2].copy())
+        model = _random_rff(3, c=ds.c)
+    coeffs = mix_coefficients(1.0)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    specialized = {"ce": r_terms_ce, "lr": r_terms_lr, "se": r_terms_se}
+    if terms == "general":
+        r_terms_general(ds, model, kind, coeffs)
+    else:
+        specialized[terms](ds, model, coeffs)
+    assert len(calls) == per_row * ds.n
 
 
 def test_lambda_second_moment_closed_form():

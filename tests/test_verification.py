@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 from pathlib import Path
@@ -12,12 +13,13 @@ import mixreg.verification as verification
 from mixreg import mixup
 from mixreg.data import Dataset, make_two_moons, modify
 from mixreg.losses import LossKind
-from mixreg.models import LinearModel, init_rff
-from mixreg.regularizers import per_example_covariances, r_terms_general
+from mixreg.models import LinearModel, RffModel, init_rff
+from mixreg.regularizers import RegularizerBreakdown, per_example_covariances, r_terms_general
 from mixreg.truncbeta import MixCoefficients, mix_coefficients, trunc_beta_raw_moment
 from mixreg.verification import (
     check_label_smoothing,
     check_covariance_formula,
+    check_loss_specializations,
     check_mols,
     check_taylor,
     check_risk_rewrite,
@@ -153,9 +155,9 @@ def test_block_draws_are_rows_weights_then_partners_per_block(monkeypatch):
 
 
 def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypatch):
-    """The per-draw gap, the zero-mean moments and the covariance sums are
-    the same for the same seed, at one, two and three workers, over a draw
-    count that is not a whole number of blocks."""
+    """The per-draw gap and a row's perturbation moments and covariance sums
+    are the same for the same seed, at one, two and three workers, over a
+    draw count that is not a whole number of blocks."""
     ds, kind = make_two_moons(20, 0.05, seed=1), LossKind.CROSS_ENTROPY
     model = init_rff(2, 80, 3.0, 2, seed=1)
     model.w = 0.5 * np.random.default_rng(0).normal(size=model.w.shape)
@@ -164,8 +166,7 @@ def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypat
 
     def draws():
         gap = verification._perdraw_gap(ds, model, kind, 1.0, tb, np.random.default_rng(3), n)
-        moments = verification._zero_mean_moments(ds, 1.0, tb, 4, np.random.default_rng(3), n)
-        sums = verification._mc_second_moments(ds, 1.0, tb, 4, np.random.default_rng(3), n)
+        moments, sums = verification._perturbation_moments(ds, 1.0, tb, 4, np.random.default_rng(3), n)
         return gap, [(m.n, m.total, m.m2) for m in moments], [s.tolist() for s in sums]
 
     results = []
@@ -174,6 +175,24 @@ def test_check_draws_repeat_per_seed_and_do_not_depend_on_worker_count(monkeypat
         results.append(draws())
     assert results[0] == results[1] == results[2] == results[3]
     assert results[0][0] < 1e-12 and all(m[0] == n for m in results[0][1])
+
+
+def test_perturbation_moments_are_the_coordinates_and_their_products():
+    """One loop gives each coordinate's moments and the three second-moment
+    sums of the same draws: the moments' totals are the perturbation sums
+    and their squared deviations the diagonals of the sums, centered."""
+    ds = _random_regression(2)
+    tb = mix_coefficients(0.7).theta_bar
+    n = mixup._block_size(None) + 999
+    moments, (sxx, syy, sxy) = verification._perturbation_moments(
+        ds, 0.7, tb, 3, np.random.default_rng(5), n
+    )
+    assert len(moments) == ds.d + ds.c and all(m.n == n for m in moments)
+    diag = np.concatenate((np.diag(sxx), np.diag(syy)))
+    totals = np.array([m.total for m in moments])
+    m2 = np.array([m.m2 for m in moments])
+    assert np.allclose(m2, diag - totals**2 / n, rtol=1e-9)
+    assert sxy.shape == (ds.d, ds.c)
 
 
 def _imports(path: Path):
@@ -357,6 +376,24 @@ def test_theta_rule_at_alpha_one_is_gauss_legendre():
     assert np.max(np.abs(weights - w / w.sum())) <= 1e-14
 
 
+@pytest.mark.parametrize("alpha", [200.0, 1000.0, 1100.0, 5000.0, 1e4])
+def test_theta_rule_weights_are_a_distribution_at_large_alpha(alpha):
+    """theta^(alpha-1) underflows from alpha near 1100, and the weights were
+    0/0; formed in log space they are finite, positive and sum to 1."""
+    theta, weights = verification._theta_rule(alpha)
+    assert np.all(np.isfinite(weights)) and np.all(weights > 0.0)
+    assert abs(weights.sum() - 1.0) <= 1e-15
+    assert np.all((0.5 < theta) & (theta < 1.0))
+
+
+def test_mols_check_fails_where_the_rule_loses_accuracy():
+    """At alpha = 5000 the quadrature oracle was NaN and the check passed
+    with discrepancy 0.0; the rule's moments are off there, so it fails on a
+    finite affine residual."""
+    rep = check_mols(verification._random_regression(20, 3, 2, 7), 5000.0)
+    assert not rep.passed and 1e-7 < rep.discrepancy < 1e-2, rep.details
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.2, 1.0, 2.5, 20.0])
 def test_quadrature_oracles_do_not_move_when_the_nodes_double(alpha, monkeypatch):
     """Twice the nodes give the same moments and oracle values to 1e-14."""
@@ -428,6 +465,89 @@ def test_taylor_checks():
     lin = LinearModel(W=np.random.default_rng(7).normal(size=(2, 3)), b=np.zeros(2))
     rep2 = check_taylor(reg, lin, LossKind.SQUARED_ERROR, 1.0)
     assert rep2.passed and rep2.name == "taylor_exact_se_linear"
+
+
+def test_breakdown_gap_keeps_a_nan_part():
+    """A NaN in any field of either breakdown is the gap, not dropped."""
+    zero = RegularizerBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    for field in ("erm_modified", "r1", "r2", "r3", "r4"):
+        bad = dataclasses.replace(zero, **{field: float("nan")})
+        assert np.isnan(verification._breakdown_gap(zero, bad)), field
+        assert np.isnan(verification._breakdown_gap(bad, zero)), field
+
+
+def test_a_nan_logistic_head_fails_the_specialization_check():
+    """It passed with discrepancy 5.6e-17 and details "lr: nan"."""
+    ds = make_two_moons(10, 0.05, seed=5)
+    model = init_rff(2, 40, 3.0, 2, seed=6)
+    model.w = 0.5 * np.random.default_rng(6).normal(size=model.w.shape)
+    head = RffModel(model.S, model.B, np.full((1, model.w.shape[1]), np.nan))
+    scalar = Dataset(ds.inputs.copy(), ds.outputs[:, 1:2].copy())
+    reg = _random_regression(7)
+    lin = LinearModel(W=np.random.default_rng(7).normal(size=(2, 3)), b=np.zeros(2))
+    with np.errstate(invalid="ignore"):
+        rep = check_loss_specializations(ds, scalar, reg, {"ce": model, "lr": head, "se": lin}, 1.0)
+    assert not rep.passed and np.isnan(rep.discrepancy), rep.details
+
+
+def test_a_nan_output_fails_the_covariance_check():
+    """A NaN output makes the output and cross blocks NaN and leaves the
+    input block finite; the closed-form comparison and the Monte Carlo row
+    used to report the input block alone and pass."""
+    ds = make_two_moons(20, 0.05, seed=1)
+    Y = ds.outputs.copy()
+    Y[3, 1] = np.nan
+    rep = check_covariance_formula(Dataset(ds.inputs.copy(), Y), 1.0)
+    assert not rep.passed and np.isnan(rep.discrepancy), rep.details
+    assert "MC rel nan" in rep.details
+
+
+def test_a_nan_monte_carlo_sum_fails_the_covariance_check(monkeypatch):
+    """A NaN in the Monte Carlo output block alone fails the Monte Carlo row."""
+    moments = verification._perturbation_moments
+
+    def nan_syy(*args):
+        found, (sxx, syy, sxy) = moments(*args)
+        return found, (sxx, np.full_like(syy, np.nan), sxy)
+
+    monkeypatch.setattr(verification, "_perturbation_moments", nan_syy)
+    rep = check_covariance_formula(make_two_moons(20, 0.05, seed=1), 1.0)
+    assert not rep.passed and rep.discrepancy <= rep.tolerance, rep.details
+    assert "MC rel nan" in rep.details
+
+
+def test_a_nan_quadrature_oracle_fails_the_mols_check(monkeypatch):
+    """The affine residual started at 0.0 and ``max`` kept it over a NaN."""
+    monkeypatch.setattr(verification, "_exact_se_risk_quadrature", lambda *args: float("nan"))
+    rep = check_mols(_random_regression(5, n=20, d=3, c=2), 1.0)
+    assert not rep.passed and np.isnan(rep.discrepancy), rep.details
+
+
+def test_a_nan_linear_model_fails_the_taylor_check():
+    """The exact-case residual started at 0.0 and reported a NaN model as
+    discrepancy 0.0."""
+    W = np.random.default_rng(7).normal(size=(2, 3))
+    W[1, 2] = np.nan
+    rep = check_taylor(_random_regression(7), LinearModel(W=W, b=np.zeros(2)), LossKind.SQUARED_ERROR, 1.0)
+    assert rep.name == "taylor_exact_se_linear"
+    assert not rep.passed and np.isnan(rep.discrepancy), rep.details
+
+
+def test_a_nan_gradient_norm_leaves_label_smoothing_inconclusive(monkeypatch):
+    """A NaN gradient norm of the smoothed fit is not convergence;
+    ``max(g0, g1)`` took g0 and passed."""
+    fit = verification._newton_ce_fit
+    calls = []
+
+    def nan_smoothed(X, Y, **kwargs):
+        calls.append(Y)
+        W, g = fit(X, Y, **kwargs)
+        return W, (float("nan") if len(calls) % 2 == 0 else g)
+
+    monkeypatch.setattr(verification, "_newton_ce_fit", nan_smoothed)
+    rep = check_label_smoothing(_overlapping(0), 1.0)
+    assert not rep.passed and "INCONCLUSIVE" in rep.details, rep.details
+    assert len(calls) == 4
 
 
 def test_run_all_green_and_serializable(run_all_reports):
