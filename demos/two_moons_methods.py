@@ -8,9 +8,13 @@ Run: python demos/two_moons_methods.py
 """
 
 import time
+from pathlib import Path
 
 from mixreg.experiment import DEFAULT_METHODS, ExperimentSpec, make_instance, run_method
 
+# the repository's ignored output folder, wherever the demo is run from
+out = Path(__file__).resolve().parent.parent / "out"
+out.mkdir(exist_ok=True)
 spec = ExperimentSpec()
 seed = 0
 ds_train, ds_test = make_instance(spec, seed)
@@ -24,8 +28,8 @@ for method in DEFAULT_METHODS:
         f"{method:14s} {res.test_acc:9.3f} {res.test_acc_raw:8.3f} "
         f"{res.mean_conf_natural:11.3f} {time.time() - t0:8.1f}"
     )
-    res.trace.write_csv(f"trace_{method}.csv")
+    res.trace.write_csv(out / f"trace_{method}.csv")
 
 print("\n'test acc' uses each method's natural predictor: direct for plain")
 print("fitting, rescaled through the training statistics for the methods that")
-print("learn on mean-shrunk data. Traces written to trace_<method>.csv.")
+print(f"learn on mean-shrunk data. Traces written to {out / 'trace_<method>.csv'}.")

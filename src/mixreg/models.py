@@ -139,14 +139,20 @@ class RffModel:
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        self.S = np.atleast_2d(np.asarray(self.S, dtype=float))
-        self.B = np.asarray(self.B, dtype=float).ravel()
+        self.S = np.array(self.S, dtype=float, ndmin=2)
+        self.B = np.ravel(self.B).astype(float)
+        self.S.flags.writeable = self.B.flags.writeable = False
         self.w = np.atleast_2d(np.asarray(self.w, dtype=float))
         if self.S.shape[0] != self.B.shape[0] or self.w.shape[1] != self.S.shape[0]:
             raise ValueError("inconsistent feature shapes: S (M,d), B (M,), w (c,M)")
         # [S^T / 2; B / 2], (d + 1, M): a row with a 1 appended times this
         # is its half-angle phases
         self._half = np.vstack([0.5 * self.S.T, 0.5 * self.B])
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in ("S", "B") and "_half" in self.__dict__:
+            raise AttributeError(f"RffModel.{name} is fixed: the cached phase matrix is made from it")
+        super().__setattr__(name, value)
 
     @property
     def n_features(self) -> int:

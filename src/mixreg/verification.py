@@ -6,23 +6,24 @@ Each check pairs a closed-form path with an independent oracle:
   Monte-Carlo estimators;
 * perturbation covariances: direct moment expansion and Monte Carlo against
   the closed form;
-* the four-penalty decomposition: Gauss–Jacobi quadrature over the folded
-  mixing weight times a finite sum over partner rows, never touching the
-  completed-square algebra;
-* least-squares neutrality: quadrature oracle for the affine risk relation
-  and the normal-equations fit;
+* the four-penalty decomposition: the quadratic Taylor loss summed over
+  every mix of a row with a partner, never the completed-square algebra;
+* least-squares neutrality: the exact mixing risk for the affine risk
+  relation, and the normal-equations fit;
 * the label-smoothing entropy bound: high-precision Newton solves of both
   convex problems;
 * the Taylor remainder: cubic decay under perturbation halving.
 
-Two oracles live here, apart from the code they certify:
+The oracles live here, apart from the code they certify:
 :func:`exact_second_moments`, the perturbation second moments expanded
-directly, for ``regularizers.perturbation_covariances``; and
-:func:`quadratic_loss`, the second-order Taylor expansion of the loss, which
-:func:`expected_quadratic_loss` integrates by quadrature for the
-decomposition. Tolerances, node counts and iteration caps are fixed in each
-check. Reports carry the measured discrepancy and its tolerance, so they are
-self-describing, and the check's wall and CPU seconds.
+directly; :func:`quadratic_loss`, the loss's second-order Taylor expansion;
+and ``_mixes``, every row's mixes with every partner at the nodes of one
+Gauss–Jacobi rule for the folded weight, over which
+:func:`expected_quadratic_loss` sums the Taylor loss and
+``_exact_mixup_risk`` the loss, the exact pairwise-mixing risk. Tolerances,
+node counts and iteration caps are fixed in each check. Reports carry the
+measured discrepancy and its tolerance, so they are self-describing, and the
+check's wall and CPU seconds.
 
 The Monte Carlo parts (the per-draw identity and zero-mean moments of
 :func:`check_risk_rewrite`, the Monte Carlo row of
@@ -221,29 +222,40 @@ def _theta_rule(alpha: float):
     return theta, weights / weights.sum()
 
 
+def _mixes(ds: Dataset, alpha: float):
+    """The (partner j, node t) weights of the mixing expectation over one
+    row, and row by row the mixes theta_t z_i + (1 - theta_t) z_j for z the
+    inputs and the outputs, (n K, d) and (n K, c), at ``_theta_rule``'s nodes."""
+    theta, wts = _theta_rule(alpha)
+    own, partner = theta[None, :, None], (1.0 - theta)[None, :, None]
+
+    def row(i: int):
+        return tuple((own * z[i] + partner * z[:, None, :]).reshape(-1, z.shape[1])
+                     for z in (ds.inputs, ds.outputs))
+
+    return np.tile(wts, ds.n) / ds.n, map(row, range(ds.n))
+
+
 def expected_quadratic_loss(ds: Dataset, model, kind: LossKind, coeffs: MixCoefficients) -> float:
-    """E over (theta, partner) of the quadratic Taylor loss, by quadrature
-    over every partner row and ``_theta_rule``'s fixed 32 nodes: per partner
-    a degree-2 polynomial in theta against the folded density, whose singular
-    factor is the rule's weight, so exact to round-off for alpha up to 20 and
-    within 2e-11 up to 200, alpha < 1 included."""
-    theta, wts = _theta_rule(coeffs.alpha)
-    tb = coeffs.theta_bar
-    mod = modify(ds, tb)
-    w_flat = np.tile(wts, ds.n) / ds.n
-    # row i's grid over (partner j, node t), for z the inputs and the outputs:
-    # (theta_t - tb) z_i + (1 - theta_t) z_j - (1 - tb) zbar
-    own = (theta - tb)[None, :, None]
-    grids = [
-        (z, (1.0 - theta)[None, :, None] * z[:, None, :], (1.0 - tb) * z_mean)
-        for z, z_mean in ((ds.inputs, ds.x_mean), (ds.outputs, ds.y_mean))
-    ]
-    total = 0.0
-    for i in range(ds.n):
-        delta, eps = ((own * z[i] + partner - shift).reshape(-1, z.shape[1])
-                      for z, partner, shift in grids)
-        total += float(w_flat @ quadratic_loss(mod, model, kind, i, delta, eps))
-    return total / ds.n
+    """E over (theta, partner) of the quadratic Taylor loss, summed over
+    ``_mixes`` with the mix minus the shrunk row as the perturbation. Per
+    partner it is a degree-2 polynomial in theta, so the sum is exact to
+    round-off for alpha up to 20 and within 2e-11 up to 200, alpha < 1
+    included."""
+    weights, rows = _mixes(ds, coeffs.alpha)
+    mod = modify(ds, coeffs.theta_bar)
+    return sum(float(weights @ quadratic_loss(mod, model, kind, i, x - mod.inputs[i], y - mod.outputs[i]))
+               for i, (x, y) in enumerate(rows)) / ds.n
+
+
+def _exact_mixup_risk(ds: Dataset, model, kind: LossKind, coeffs: MixCoefficients) -> float:
+    """The pairwise-mixing risk of any model and loss, summed over the mixes
+    of ``_mixes``, apart from the closed forms and the Monte Carlo paths.
+    For a loss smooth along each pair's segment it is exact to round-off up
+    to alpha = 20, within 2e-11 at 200, and not accurate from about alpha =
+    1000, like ``_theta_rule``'s moments."""
+    weights, rows = _mixes(ds, coeffs.alpha)
+    return sum(float(weights @ loss_values(kind, y, model.predict(x))) for x, y in rows) / ds.n
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +428,17 @@ def check_loss_specializations(
     return _report("loss_specializations", alpha, worst, 1e-10, t0, details, extra_ok=structural_ok)
 
 
-def _exact_se_risk_quadrature(ds: Dataset, model: LinearModel, coeffs) -> float:
-    """Pairwise-mixing risk of a linear model by quadrature; independent of
-    the moment-based closed form."""
-    theta, wts = _theta_rule(coeffs.alpha)
-    own, partner = theta[:, None, None], 1.0 - theta[:, None, None]
-    total = 0.0
-    for x, y in zip(ds.inputs, ds.outputs):
-        # (node, partner, coordinate) grids of the mixed points
-        xm, ym = own * x + partner * ds.inputs, own * y + partner * ds.outputs
-        total += 0.5 * float(wts @ ((ym - xm @ model.W.T - model.b) ** 2).sum(axis=(1, 2)))
-    return total / ds.n**2
-
-
 def check_mols(ds: Dataset, alpha: float, seed: int = 0) -> CheckReport:
     """Least-squares neutrality: mixing leaves the linear optimum unchanged.
 
     Verifies (a) the exact-risk gradient vanishes at the normal-equations fit
-    and (b) the affine risk relation against a quadrature oracle at three
-    probe parameter settings. The relation is
+    and (b) the affine risk relation against the exact mixing risk
+    (``_exact_mixup_risk``) at three probe parameter settings. The relation is
 
         risk(W, b) = 2 E[lam^2] * mean SE loss at (W, bbar) + ||b - bbar||^2 / 2
 
-    with no additive constant; the quadrature oracle pins the coefficients
-    down to machine precision.
+    with no additive constant; the exact risk pins the coefficients down to
+    machine precision.
     """
     t0 = _clocks()
     coeffs = mix_coefficients(alpha)
@@ -451,18 +450,12 @@ def check_mols(ds: Dataset, alpha: float, seed: int = 0) -> CheckReport:
     m2 = lambda_second_moment(coeffs)
     resids = []
     for _ in range(3):
-        W = rng.normal(size=ols.W.shape)
-        b = rng.normal(size=ols.b.shape)
-        probe = LinearModel(W=W, b=b)
-        bbar = ds.y_mean - W @ ds.x_mean
-        se_sum = float(
-            loss_values(
-                LossKind.SQUARED_ERROR, ds.outputs, ds.inputs @ W.T + bbar
-            ).sum()
-        )
-        predicted = (2.0 * m2 / ds.n) * se_sum + 0.5 * float(((b - bbar) ** 2).sum())
-        oracle = _exact_se_risk_quadrature(ds, probe, coeffs)
-        # the closed-form evaluator must agree with the quadrature oracle too
+        probe = LinearModel(W=rng.normal(size=ols.W.shape), b=rng.normal(size=ols.b.shape))
+        bbar = ds.y_mean - probe.W @ ds.x_mean
+        se_sum = float(loss_values(LossKind.SQUARED_ERROR, ds.outputs, ds.inputs @ probe.W.T + bbar).sum())
+        predicted = (2.0 * m2 / ds.n) * se_sum + 0.5 * float(((probe.b - bbar) ** 2).sum())
+        oracle = _exact_mixup_risk(ds, probe, LossKind.SQUARED_ERROR, coeffs)
+        # the closed-form evaluator must agree with the exact risk too
         resids += [abs(oracle - predicted), abs(oracle - exact_se_mixup_risk(ds, probe, coeffs))]
     affine_resid = _worst(resids)
     grad_tol = 1e-6

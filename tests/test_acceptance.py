@@ -29,7 +29,7 @@ from mixreg.regularizers import (
 )
 from mixreg.truncbeta import mix_coefficients, sample_theta
 from mixreg.verification import (
-    _exact_se_risk_quadrature,
+    _exact_mixup_risk,
     _newton_ce_fit,
     exact_second_moments,
     expected_quadratic_loss,
@@ -209,7 +209,7 @@ def test_criterion_05_least_squares_affine_relation():
         se_sum = float(loss_values(LossKind.SQUARED_ERROR, ds.outputs,
                                    ds.inputs @ probe.W.T + bbar).sum())
         predicted = (2.0 * m2 / ds.n) * se_sum + 0.5 * float(((probe.b - bbar) ** 2).sum())
-        oracle = _exact_se_risk_quadrature(ds, probe, coeffs)
+        oracle = _exact_mixup_risk(ds, probe, LossKind.SQUARED_ERROR, coeffs)
         resid = max(resid, abs(oracle - predicted))
     ok = grad_norm < 1e-6 and resid < 1e-7
     _declare(5, ok, f"gradient norm at OLS {grad_norm:.2e} (<1e-6); "

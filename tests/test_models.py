@@ -137,6 +137,33 @@ def test_rff_zero_head_and_straight_line_oracle():
     assert np.abs(model.predict(x) - expected).max() < 1e-12
 
 
+def test_rff_frequencies_are_fixed_at_construction():
+    """S and B are read-only copies: editing the arrays passed in left
+    ``predict`` on the old frequencies while the derivatives read the new
+    ones, and so did assigning S or B. Both assignments now raise; w stays
+    assignable."""
+    rng = np.random.default_rng(4)
+    M = 12
+    S, B = rng.normal(size=(M, 2)), rng.uniform(0.0, 2.0 * np.pi, size=M)
+    model = RffModel(S, B, rng.normal(size=(2, M)))
+    x = rng.normal(size=(5, 2))
+    S += 1.0
+    B += 1.0
+
+    def reference():
+        return np.cos(x @ model.S.T + model.B) @ model.w.T / np.sqrt(M)
+
+    assert np.abs(model.predict(x) - reference()).max() < 1e-12
+    assert np.abs(model.input_jacobian(x[0]) - central_jacobian(model.predict, x[0])).max() < 1e-6
+    for name in ("S", "B"):
+        with pytest.raises(AttributeError):
+            setattr(model, name, getattr(model, name) + 1.0)
+        with pytest.raises(ValueError):
+            getattr(model, name)[0] = 0.0
+    model.w = np.zeros((2, M))
+    assert not model.predict(x).any()
+
+
 def test_rff_jacobian_zero_at_cosine_peak():
     M, d = 16, 2
     model = RffModel(S=np.random.default_rng(3).normal(size=(M, d)), B=np.zeros(M),

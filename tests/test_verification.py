@@ -210,14 +210,14 @@ def _top_level_functions(path: Path) -> list:
 
 def test_oracles_live_apart_from_the_code_they_certify():
     """Only the command line and the package root import ``verification``;
-    ``regularizers`` defines neither oracle and ``verification`` each once."""
+    ``regularizers`` defines no oracle and ``verification`` each once."""
     src = Path(verification.__file__).parent
     importers = {
         path.stem for path in src.glob("*.py")
         if any("verification" in name.split(".") for name in _imports(path))
     }
     assert importers <= {"cli", "__init__"}
-    oracles = ("exact_second_moments", "quadratic_loss")
+    oracles = ("exact_second_moments", "quadratic_loss", "_mixes", "expected_quadratic_loss", "_exact_mixup_risk")
     assert not set(oracles) & set(_top_level_functions(src / "regularizers.py"))
     defined = _top_level_functions(src / "verification.py")
     assert all(defined.count(name) == 1 for name in oracles)
@@ -225,10 +225,12 @@ def test_oracles_live_apart_from_the_code_they_certify():
 
 def test_quadrature_oracles_build_their_own_rule():
     """The rule is plain numpy (no scipy, no ``numpy.polynomial``), and the
-    quadrature oracles never read the closed-form moments they cross-check."""
+    quadrature oracles, each defined, never read the closed-form moments they
+    cross-check."""
     path = Path(verification.__file__)
     assert not [name for name in _imports(path) if name.startswith(("scipy", "numpy.polynomial"))]
-    oracles = {"_theta_rule", "expected_quadratic_loss", "_exact_se_risk_quadrature"}
+    oracles = {"_theta_rule", "_mixes", "expected_quadratic_loss", "_exact_mixup_risk"}
+    assert oracles <= set(_top_level_functions(path))
     for fn in ast.parse(path.read_text()).body:
         if isinstance(fn, ast.FunctionDef) and fn.name in oracles:
             assert "trunc_beta_raw_moment" not in {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
@@ -394,6 +396,19 @@ def test_mols_check_fails_where_the_rule_loses_accuracy():
     assert not rep.passed and 1e-7 < rep.discrepancy < 1e-2, rep.details
 
 
+def _run_all_instances(seed: int = 0):
+    """``run_all``'s 80-feature cross-entropy instance and its 10-row linear
+    least-squares one, as (data, model, loss) triples."""
+    rng = np.random.default_rng(seed)
+    rff = init_rff(2, 80, 3.0, 2, seed + 1)
+    rff.w = 0.5 * rng.normal(size=rff.w.shape)
+    lin = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
+    return [
+        (make_two_moons(50, 0.05, seed), rff, LossKind.CROSS_ENTROPY),
+        (verification._random_regression(10, 3, 2, seed + 2), lin, LossKind.SQUARED_ERROR),
+    ]
+
+
 @pytest.mark.parametrize("alpha", [0.05, 0.2, 1.0, 2.5, 20.0])
 def test_quadrature_oracles_do_not_move_when_the_nodes_double(alpha, monkeypatch):
     """Twice the nodes give the same moments and oracle values to 1e-14."""
@@ -408,8 +423,8 @@ def test_quadrature_oracles_do_not_move_when_the_nodes_double(alpha, monkeypatch
         theta, weights = verification._theta_rule(alpha)
         return [weights @ theta**k for k in range(1, 5)] + [
             expected_quadratic_loss(ds, model, LossKind.CROSS_ENTROPY, coeffs),
-            verification._exact_se_risk_quadrature(reg, lin, coeffs),
-        ]
+            verification._exact_mixup_risk(reg, lin, LossKind.SQUARED_ERROR, coeffs),
+        ] + [verification._exact_mixup_risk(*case, coeffs) for case in _run_all_instances()]
 
     base = values()
     monkeypatch.setattr(verification, "_THETA_NODES", 2 * verification._THETA_NODES)
@@ -502,6 +517,35 @@ def test_a_nan_output_fails_the_covariance_check():
     assert "MC rel nan" in rep.details
 
 
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 2.0])
+def test_exact_mixup_risk_is_the_rule_weighted_mean_of_either_summand(alpha):
+    """Over every (i, j, node) with the rule's weights, the mean of the
+    pairwise summands is the exact risk to 1e-13 relative, and the mean of
+    the perturbed-form summands, the rewrite identity at risk level, to
+    1e-12."""
+    theta, weights = verification._theta_rule(alpha)
+    coeffs = mix_coefficients(alpha)
+    for ds, model, kind in _run_all_instances():
+        I, J, T = (a.ravel() for a in np.meshgrid(np.arange(ds.n), np.arange(ds.n), theta, indexing="ij"))
+        w = np.tile(weights, ds.n * ds.n) / ds.n**2
+        risk = verification._exact_mixup_risk(ds, model, kind, coeffs)
+        pair = w @ mixup.pair_loss_values(ds, model, kind, I, J, T)
+        perturbed = w @ mixup.perturbed_loss_values(ds, model, kind, I, J, T, coeffs.theta_bar)
+        assert abs(pair - risk) <= 1e-13 * abs(risk), (kind, pair, risk)
+        assert abs(perturbed - risk) <= 1e-12 * abs(risk), (kind, perturbed, risk)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 1.0, 2.0])
+def test_both_risk_estimators_land_on_the_exact_mixup_risk(alpha):
+    """On the 80-feature cross-entropy instance, each Monte Carlo estimator
+    at 200 000 draws is within 4 standard errors of the exact risk."""
+    ds, model, kind = _run_all_instances()[0]
+    risk = verification._exact_mixup_risk(ds, model, kind, mix_coefficients(alpha))
+    for seed, estimator in enumerate((mixup.mixup_risk_mc, mixup.perturbed_erm_risk_mc)):
+        est = estimator(ds, model, kind, alpha, 200_000, np.random.default_rng(seed))
+        assert abs(est.mean - risk) <= 4.0 * est.stderr, (estimator.__name__, est, risk)
+
+
 def test_a_nan_monte_carlo_sum_fails_the_covariance_check(monkeypatch):
     """A NaN in the Monte Carlo output block alone fails the Monte Carlo row."""
     moments = verification._perturbation_moments
@@ -518,7 +562,7 @@ def test_a_nan_monte_carlo_sum_fails_the_covariance_check(monkeypatch):
 
 def test_a_nan_quadrature_oracle_fails_the_mols_check(monkeypatch):
     """The affine residual started at 0.0 and ``max`` kept it over a NaN."""
-    monkeypatch.setattr(verification, "_exact_se_risk_quadrature", lambda *args: float("nan"))
+    monkeypatch.setattr(verification, "_exact_mixup_risk", lambda *args: float("nan"))
     rep = check_mols(_random_regression(5, n=20, d=3, c=2), 1.0)
     assert not rep.passed and np.isnan(rep.discrepancy), rep.details
 
