@@ -126,9 +126,6 @@ class LinearModel:
         c, d = self.W.shape
         return np.zeros((c, d, d))
 
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.W.copy(), self.b.copy())
-
 
 @dataclass
 class RffModel:
@@ -153,6 +150,11 @@ class RffModel:
         if name in ("S", "B") and "_half" in self.__dict__:
             raise AttributeError(f"RffModel.{name} is fixed: the cached phase matrix is made from it")
         super().__setattr__(name, value)
+
+    def __reduce__(self):
+        # numpy does not pickle the writeable flag, so pickle and deepcopy
+        # rebuild through the constructor, which freezes S and B again
+        return RffModel, (self.S, self.B, self.w)
 
     @property
     def n_features(self) -> int:
@@ -232,9 +234,6 @@ class RffModel:
     def input_hessian(self, x: np.ndarray) -> np.ndarray:
         cos_scaled = self.features(np.asarray(x, dtype=float))
         return -np.einsum("cm,m,mj,mk->cjk", self.w, cos_scaled, self.S, self.S)
-
-    def copy(self) -> "RffModel":
-        return RffModel(self.S, self.B, self.w.copy())
 
 
 def init_rff(d: int, M: int, sigma_rff: float, c: int, seed: int) -> RffModel:

@@ -10,6 +10,10 @@ whose value equals the completed R1 + R3 + R4 decomposition while avoiding
 matrix square roots inside the loop; all parameter gradients are analytic.
 The per-example covariances come stacked from
 :func:`regularizers.perturbation_covariances`, once per training run.
+``_add_penalty`` holds the penalty expression once; ``_penalty_sum`` applies
+it to every row at a trained model, for the sums the two-moons protocol
+reports, and stays finite where the completed form's inverted curvature
+does not.
 
 For a cosine-feature model every M-wide contraction of a step on nb rows is
 a plain 2-D gemm. The rows' input Jacobians are one (nb, M) x (M, c d)
@@ -171,6 +175,37 @@ class _ApproxContext:
                 self.sas = np.einsum("mj,bjk,mk->bm", model.S, self.A_all, model.S)
 
 
+def _fit_jacobians(ctx: _ApproxContext, model, idx):
+    """Predictions U (nb, c) at the fitted rows ``idx`` and their input
+    Jacobians G (nb, c, d), with the rows' features and sines for a
+    cosine-feature model (None for a linear one)."""
+    if not isinstance(model, RffModel):
+        U = ctx.Xt[idx] @ model.W.T + model.b
+        return U, np.broadcast_to(model.W, U.shape + model.W.shape[1:]), None, None
+    Phib = ctx.phit[idx]
+    sinb = ctx.sint[idx]
+    U = Phib @ model.w.T
+    (nb, c), d = U.shape, model.in_dim
+    # WS[m, (a, j)] = w_am S_mj, so one gemm gives every row's Jacobian;
+    # built as its transpose, whose rows are M long
+    WS = (model.w[:, None, :] * ctx.St).reshape(c * d, -1).T
+    G = (sinb @ WS).reshape(nb, c, d) / (-np.sqrt(model.n_features))
+    return U, G, Phib, sinb
+
+
+def _add_penalty(values, kind: LossKind, A, Syx, syy_trace, G, H):
+    """``values`` plus each row's uncompleted penalty without the Hessian
+    term, 1/2 <H, G A G^T> - <Cov^{yx}, G> + 1/2 <Cov^{yy}, h_yy> (h_yy is
+    the identity for squared error and zero otherwise); also returns G A
+    and Q = G A G^T, which the gradient reuses."""
+    GA = G @ A
+    Q = GA @ G.transpose(0, 2, 1)
+    values = values - (Syx * G).sum(axis=(1, 2))
+    if kind is LossKind.SQUARED_ERROR:
+        values = values + 0.5 * syy_trace
+    return values + 0.5 * (H * Q).sum(axis=(1, 2)), GA, Q
+
+
 def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
     """Objective value and parameter gradient of the batch-restricted terms,
     with the Hessian term when the context holds ``sas``.
@@ -180,28 +215,15 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
     H G A - Cov^{yx}.
     """
     Yb = ctx.Yt[idx]
-    A = ctx.A_all[idx]
     Syx = ctx.Syx_all[idx]
     nb, c, d = Syx.shape
-    is_rff = isinstance(model, RffModel)
-    if is_rff:
-        Phib = ctx.phit[idx]
-        sinb = ctx.sint[idx]
-        U = Phib @ model.w.T
-        root_m = np.sqrt(model.n_features)
-        # WS[m, (a, j)] = w_am S_mj, so one gemm gives every row's Jacobian;
-        # built as its transpose, whose rows are M long
-        WS = (model.w[:, None, :] * ctx.St).reshape(c * d, -1).T
-        G = (sinb @ WS).reshape(nb, c, d) / (-root_m)
-    else:
-        U = ctx.Xt[idx] @ model.W.T + model.b
-        G = np.broadcast_to(model.W, (nb, c, d))
+    U, G, Phib, sinb = _fit_jacobians(ctx, model, idx)
 
     gu = grad_u_rows(kind, Yb, U)
-    GA = G @ A
-    Q = GA @ G.transpose(0, 2, 1)
     H = hess_uu_rows(kind, U)
-    values = loss_values(kind, Yb, U) - (Syx * G).sum(axis=(1, 2))
+    values, GA, Q = _add_penalty(
+        loss_values(kind, Yb, U), kind, ctx.A_all[idx], Syx, ctx.syy_trace[idx], G, H
+    )
     if kind is LossKind.CROSS_ENTROPY:
         P = softmax_rows(U)
         vec = np.diagonal(Q, axis1=1, axis2=2) - 2.0 * (Q @ P[:, :, None])[:, :, 0]
@@ -209,9 +231,7 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
     elif kind is LossKind.LOGISTIC:
         dLdu = gu + 0.5 * (H[:, :, 0] * (1.0 - 2.0 * sigmoid(U))) * Q[:, :, 0]
     else:
-        values = values + 0.5 * ctx.syy_trace[idx]
         dLdu = gu
-    values = values + 0.5 * (H * Q).sum(axis=(1, 2))
     dLdG = H @ GA - Syx
 
     # linear models have zero input Hessian, so the Hessian term vanishes
@@ -222,17 +242,38 @@ def _approx_value_grad(ctx: _ApproxContext, model, kind: LossKind, idx):
         values = values + 0.5 * (gu * t2).sum(axis=1)
         dLdu = dLdu + 0.5 * (H @ t2[:, :, None])[:, :, 0]
 
-    if is_rff:
+    if Phib is not None:
         # T[m, (a, j)] = sum_b sin_bm dL/dG_baj, contracted with S over j
         T = sinb.T @ dLdG.reshape(nb, c * d)
         gw = dLdu.T @ Phib
-        gw += np.einsum("maj,mj->am", T.reshape(-1, c, d), model.S) / (-root_m)
+        gw += np.einsum("maj,mj->am", T.reshape(-1, c, d), model.S) / (-np.sqrt(model.n_features))
         if with_r2:
             gw += 0.5 * (gu.T @ q_r2)
         return float(values.mean()), gw / nb
     gW = dLdu.T @ ctx.Xt[idx] + dLdG.sum(axis=0)
     gb = dLdu.sum(axis=0)
     return float(values.mean()), (gW / nb, gb / nb)
+
+
+def _approx_context(ds: Dataset, model, coeffs: MixCoefficients, drop_r2: bool) -> _ApproxContext:
+    fit = modify(ds, coeffs.theta_bar)
+    return _ApproxContext(ds, fit, _fixed_features(model, fit.inputs), coeffs, model, drop_r2)
+
+
+def _penalty_sum(ds: Dataset, model, kind: LossKind, coeffs: MixCoefficients) -> float:
+    """R1 + R3 + R4 over the whole dataset, in the uncompleted form the
+    regularized objective trains on (no Hessian term, no fit term).
+
+    It equals ``regularizers.r_terms_general(...).regularizer_sum_no_r2`` up
+    to round-off, but stays finite where the completed form cancels
+    catastrophically: rows whose loss curvature nearly vanishes.
+    """
+    ctx = _approx_context(ds, model, coeffs, True)
+    U, G, _, _ = _fit_jacobians(ctx, model, slice(None))
+    values = _add_penalty(
+        np.zeros(ds.n), kind, ctx.A_all, ctx.Syx_all, ctx.syy_trace, G, hess_uu_rows(kind, U)
+    )[0]
+    return float(values.mean())
 
 
 def approx_gradient(
@@ -259,9 +300,7 @@ def approx_gradient(
             raise ValueError("indices must be a non-empty 1-D array of row numbers")
         if not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= ds.n:
             raise ValueError(f"indices must be integers in [0, {ds.n})")
-    fit = modify(ds, coeffs.theta_bar)
-    ctx = _ApproxContext(ds, fit, _fixed_features(model, fit.inputs), coeffs, model, drop_r2)
-    return _approx_value_grad(ctx, model, kind, idx)
+    return _approx_value_grad(_approx_context(ds, model, coeffs, drop_r2), model, kind, idx)
 
 
 def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):

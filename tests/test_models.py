@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -162,6 +164,28 @@ def test_rff_frequencies_are_fixed_at_construction():
             getattr(model, name)[0] = 0.0
     model.w = np.zeros((2, M))
     assert not model.predict(x).any()
+
+
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_rff_copies_keep_the_frequencies_fixed(clone):
+    """numpy does not pickle the writeable flag, so a copy restored field by
+    field had writeable S and B, and editing them in place left the cached
+    phase matrix on the old frequencies."""
+    model = init_rff(2, 12, 3.0, 2, 5)
+    model.w = np.random.default_rng(5).normal(size=(2, 12))
+    x = np.random.default_rng(6).normal(size=(7, 2))
+    twin = clone(model)
+    for name in ("S", "B"):
+        assert not getattr(twin, name).flags.writeable
+        with pytest.raises(ValueError):
+            getattr(twin, name)[0] = 0.0
+        with pytest.raises(AttributeError):
+            setattr(twin, name, getattr(twin, name) + 1.0)
+    assert np.array_equal(twin.predict(x), model.predict(x))
+    assert np.array_equal(twin.predict(x[0]), model.predict(x[0]))
+    twin.w[0, 0] += 1.0
+    assert not np.array_equal(twin.predict(x), model.predict(x))
 
 
 def test_rff_jacobian_zero_at_cosine_peak():
