@@ -54,7 +54,6 @@ from .truncbeta import (
     MixCoefficients,
     mix_coefficients,
     sample_theta,
-    trunc_beta_mean,
     trunc_beta_raw_moment,
 )
 from .verification import CheckReport, exact_second_moments, quadratic_loss, run_all

@@ -90,7 +90,7 @@ def run_method(ds_train: Dataset, ds_test: Dataset, cfg: TrainConfig) -> MethodR
                         natural.mean_confidence, raw.mean_confidence)
 
 
-def run_seed(spec: ExperimentSpec, seed: int, methods=DEFAULT_METHODS) -> dict:
+def run_seed(spec: ExperimentSpec, seed: int) -> dict:
     """Train every method on one instance and summarize the comparisons.
 
     ``reg_sum_erm`` and ``reg_sum_mixup`` are the penalty the regularized
@@ -102,10 +102,9 @@ def run_seed(spec: ExperimentSpec, seed: int, methods=DEFAULT_METHODS) -> dict:
     rows whose loss curvature nearly vanishes.
     """
     ds_train, ds_test = make_instance(spec, seed)
-    results = {m: run_method(ds_train, ds_test, spec.train_config(m, seed)) for m in methods}
+    results = {m: run_method(ds_train, ds_test, spec.train_config(m, seed)) for m in DEFAULT_METHODS}
     out = {"seed": seed, "results": results}
-    if "erm" in results and "mixup" in results:
-        coeffs = mix_coefficients(spec.alpha)
-        for m in ("erm", "mixup"):
-            out[f"reg_sum_{m}"] = _penalty_sum(ds_train, results[m].model, spec.loss, coeffs)
+    coeffs = mix_coefficients(spec.alpha)
+    for m in ("erm", "mixup"):
+        out[f"reg_sum_{m}"] = _penalty_sum(ds_train, results[m].model, spec.loss, coeffs)
     return out

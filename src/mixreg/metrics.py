@@ -88,11 +88,12 @@ def predict(model, x: np.ndarray, rescale: Rescale | None = None) -> np.ndarray:
     return rescale.unshrink(model.predict(rescale.shrink(x)))
 
 
-def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
+def ece(confidences, correct) -> float:
     """Binned expected calibration error.
 
-    Equal-width right-closed bins on (0, 1]; each bin contributes its share of
-    |accuracy - mean confidence|, empty bins contribute nothing.
+    ``ECE_BINS`` equal-width right-closed bins on (0, 1]; each bin contributes
+    its share of |accuracy - mean confidence|, empty bins contribute nothing.
+    ValueError unless every confidence lies in [0, 1] (NaN does not).
     """
     conf = np.asarray(confidences, dtype=float)
     corr = np.asarray(correct, dtype=float)
@@ -100,12 +101,12 @@ def ece(confidences, correct, n_bins: int = ECE_BINS) -> float:
         raise ValueError("confidences and correctness flags must align")
     if conf.size == 0:
         return 0.0
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):
         raise ValueError("confidences must lie in [0, 1]")
-    edges = np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.linspace(0.0, 1.0, ECE_BINS + 1)
     total = 0.0
     n = conf.size
-    for b in range(n_bins):
+    for b in range(ECE_BINS):
         in_bin = (conf > edges[b]) & (conf <= edges[b + 1])
         if b == 0:
             in_bin |= conf == 0.0

@@ -1,13 +1,16 @@
 """Differentiable predictors: linear-with-intercept and random Fourier features.
 
 Both models expose the value f(x), the input Jacobian (c, d) and the input
-Hessian as a dense (c, d, d) tensor. All derivatives are analytic.
+Hessian contracted over outputs, sum_a g_a d2f_a/dx2 (d, d) for weights g (c,),
+the one form the penalties take. All derivatives are analytic.
 
 The feature model uses phi(x) = cos(S x + B) / sqrt(M) with frozen S and B;
 only the head weights w (c, M) train. Derivatives follow from the chain rule:
 
     df_i/dx_j      = -(1/sqrt(M)) sum_m w_im sin(S_m.x + B_m) S_mj
     d2f_i/dx_j dx_k = -(1/sqrt(M)) sum_m w_im cos(S_m.x + B_m) S_mj S_mk
+
+so sum_i g_i d2f_i/dx_j dx_k = -sum_m (g w)_m phi_m(x) S_mj S_mk.
 
 Features are formed in five numpy passes over one phase block after one
 matrix product. ``_half_phases`` appends a 1 to each row and multiplies by
@@ -55,7 +58,6 @@ __all__ = [
     "LinearModel",
     "RffModel",
     "init_rff",
-    "hessian_contraction",
     "save_model_json",
     "load_model_json",
 ]
@@ -81,15 +83,6 @@ def _cos(h: np.ndarray, scale: float) -> np.ndarray:
 # 2 MiB of float64 phases per block, the per-core L2 of the machine the
 # Monte Carlo paths were measured on
 _PHASE_ELEMS = 1 << 18
-
-
-def hessian_contraction(hess: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Collapse a (c, d, d) input-Hessian tensor along outputs: sum_a w_a H_a.
-
-    The result pairs with a (d, d) metric via the Frobenius inner product,
-    which is how the penalties consume second derivatives.
-    """
-    return np.einsum("a,ajk->jk", np.asarray(weights, dtype=float), hess)
 
 
 @dataclass
@@ -122,9 +115,8 @@ class LinearModel:
     def input_jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.W.copy()
 
-    def input_hessian(self, x: np.ndarray) -> np.ndarray:
-        c, d = self.W.shape
-        return np.zeros((c, d, d))
+    def input_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return np.zeros((self.in_dim, self.in_dim))
 
 
 @dataclass
@@ -231,9 +223,9 @@ class RffModel:
         sin = self.sin_features(np.asarray(x, dtype=float))
         return -(self.w * sin) @ self.S / np.sqrt(self.n_features)
 
-    def input_hessian(self, x: np.ndarray) -> np.ndarray:
+    def input_hessian(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         cos_scaled = self.features(np.asarray(x, dtype=float))
-        return -np.einsum("cm,m,mj,mk->cjk", self.w, cos_scaled, self.S, self.S)
+        return -(self.S.T * ((np.asarray(weights, dtype=float) @ self.w) * cos_scaled)) @ self.S
 
 
 def init_rff(d: int, M: int, sigma_rff: float, c: int, seed: int) -> RffModel:
@@ -272,19 +264,16 @@ def save_model_json(model, path, extra: dict | None = None) -> None:
 
 
 def load_model_json(path):
-    """Inverse of :func:`save_model_json`; returns (model, extra_dict)."""
+    """Inverse of :func:`save_model_json`; returns (model, extra_dict).
+    ValueError, naming the array, when a weight array has a non-finite entry."""
     with open(path) as fh:
         payload = json.load(fh)
-    extra = payload.get("extra", {})
-    if payload["kind"] == "linear":
-        return LinearModel(np.asarray(payload["W"]), np.asarray(payload["b"])), extra
-    if payload["kind"] == "rff":
-        return (
-            RffModel(
-                np.asarray(payload["S"]),
-                np.asarray(payload["B"]),
-                np.asarray(payload["w"]),
-            ),
-            extra,
-        )
-    raise ValueError(f"unknown model kind {payload['kind']!r}")
+    kinds = {"linear": (LinearModel, ("W", "b")), "rff": (RffModel, ("S", "B", "w"))}
+    if payload["kind"] not in kinds:
+        raise ValueError(f"unknown model kind {payload['kind']!r}")
+    cls, names = kinds[payload["kind"]]
+    arrays = [np.asarray(payload[name], dtype=float) for name in names]
+    for name, array in zip(names, arrays):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} has a non-finite entry")
+    return cls(*arrays), payload.get("extra", {})

@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import Dataset, modify
 from .losses import LossKind, bundle, grad_u_rows, hess_uu_rows, loss_values
-from .models import LinearModel, hessian_contraction
+from .models import LinearModel
 from .truncbeta import MixCoefficients
 
 __all__ = [
@@ -166,7 +166,6 @@ def r_terms_general(
         xt, yt = mod.inputs[i], mod.outputs[i]
         bnd = bundle(kind, yt, model.predict(xt))
         G = model.input_jacobian(xt)
-        Hf = model.input_hessian(xt)
         erm_mod += bnd.value
 
         A = cov.sxx
@@ -178,7 +177,7 @@ def r_terms_general(
 
         J = -c_pinv @ hess_uy @ syx @ a_pinv
         r1 += np.linalg.norm(c_root @ (G - J) @ a_root) ** 2 / 2.0
-        r2 += 0.5 * float(np.tensordot(A, hessian_contraction(Hf, bnd.grad_u)))
+        r2 += 0.5 * float(np.tensordot(A, model.input_hessian(xt, bnd.grad_u)))
         B = -hess_uy @ syx
         r3 -= np.linalg.norm(c_pinv_root @ B @ a_pinv_root) ** 2 / 2.0
         r4 += 0.5 * float(np.tensordot(cov.syy, bnd.hess_yy))
@@ -215,7 +214,7 @@ def r_terms_ce(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         clipped += k1 + k2
         J = h_pinv @ syx @ a_pinv
         r1 += np.linalg.norm(h_root @ (G - J) @ a_root) ** 2 / 2.0
-        r2 += 0.5 * float(np.tensordot(A, hessian_contraction(model.input_hessian(xt), resid[i])))
+        r2 += 0.5 * float(np.tensordot(A, model.input_hessian(xt, resid[i])))
         r3 -= np.linalg.norm(h_pinv_root @ syx @ a_pinv_root) ** 2 / 2.0
     return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, 0.0, clipped)
 
@@ -242,7 +241,7 @@ def r_terms_lr(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
             clipped += 1
         diff = G - J
         r1 += 0.5 * v * float(diff @ A @ diff)
-        r2 += 0.5 * resid[i, 0] * float(np.tensordot(A, model.input_hessian(xt)[0]))
+        r2 += 0.5 * float(np.tensordot(A, model.input_hessian(xt, resid[i])))
     return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, 0.0, clipped)
 
 
@@ -268,7 +267,7 @@ def r_terms_se(ds: Dataset, model, coeffs: MixCoefficients) -> RegularizerBreakd
         J = syx @ a_pinv
         diff = G - J
         r1 += 0.5 * float(np.trace(diff @ A @ diff.T))
-        r2 += 0.5 * float(np.tensordot(A, hessian_contraction(model.input_hessian(xt), resid[i])))
+        r2 += 0.5 * float(np.tensordot(A, model.input_hessian(xt, resid[i])))
         r3 -= np.linalg.norm(a_pinv_root @ cov.sxy) ** 2 / 2.0
         r4 += 0.5 * float(np.trace(cov.syy))
     return _assemble(erm_mod, r1 / n, r2 / n, r3 / n, r4 / n, clipped)

@@ -125,9 +125,6 @@ class TrainTrace:
         self.test_acc.append(float(test_acc))
         self.test_loss.append(float(test_loss))
 
-    def __len__(self) -> int:
-        return len(self.epochs)
-
     def write_csv(self, path) -> None:
         write_csv(path, ("epoch", "objective", "train_acc", "test_acc", "test_loss"),
                   zip(self.epochs, self.objective, self.train_acc, self.test_acc, self.test_loss))
@@ -281,26 +278,14 @@ def approx_gradient(
     model,
     kind: LossKind,
     coeffs: MixCoefficients,
-    indices=None,
     drop_r2: bool = True,
 ):
-    """Value and parameter gradient of the regularized objective on a batch.
-
-    ``indices`` restricts the per-example terms to a non-empty 1-D array of
-    row numbers in [0, n), else ValueError; None uses the whole dataset, in
-    which case the value equals :func:`regularizers.approx_mixup_objective`.
+    """Value and parameter gradient of the regularized objective over the
+    whole dataset; the value equals :func:`regularizers.approx_mixup_objective`.
     Returns (value, gradient) with the gradient shaped like the model's
     trainable parameters ((gW, gb) for linear, gw for features).
     """
-    if indices is None:
-        idx = np.arange(ds.n)
-    else:
-        idx = np.asarray(indices)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("indices must be a non-empty 1-D array of row numbers")
-        if not np.issubdtype(idx.dtype, np.integer) or idx.min() < 0 or idx.max() >= ds.n:
-            raise ValueError(f"indices must be integers in [0, {ds.n})")
-    return _approx_value_grad(_approx_context(ds, model, coeffs, drop_r2), model, kind, idx)
+    return _approx_value_grad(_approx_context(ds, model, coeffs, drop_r2), model, kind, np.arange(ds.n))
 
 
 def _plain_value_grad(model, kind, Xb, Yb, phi_b=None):

@@ -40,7 +40,6 @@ import numpy as np
 
 __all__ = [
     "MixCoefficients",
-    "trunc_beta_mean",
     "trunc_beta_raw_moment",
     "mix_coefficients",
     "sample_theta",
@@ -95,21 +94,11 @@ def _lam_variance(alpha: float) -> float:
     return 1.0 / (4.0 * (2.0 * alpha + 1.0))
 
 
-def trunc_beta_mean(alpha: float) -> float:
-    """Mean of Beta(alpha, alpha) truncated to [1/2, 1].
-
-    Decreases strictly from 1 (alpha -> 0) to 1/2 (alpha -> infinity);
-    equals 3/4 at alpha = 1.
-    """
-    alpha = _validate_alpha(alpha)
-    return 0.5 + _half_deviation(alpha)
-
-
 def trunc_beta_raw_moment(alpha: float, k: int) -> float:
     """Raw moment E[theta^k] of the truncated variable, k in {1, 2}."""
     alpha = _validate_alpha(alpha)
     if k == 1:
-        return trunc_beta_mean(alpha)
+        return 0.5 + _half_deviation(alpha)
     if k == 2:
         return 0.25 + _half_deviation(alpha) + _lam_variance(alpha)
     raise ValueError(f"raw moment only defined for k in {{1, 2}}, got {k}")

@@ -47,7 +47,7 @@ import numpy as np
 
 from .data import Dataset, make_two_moons, modify, shrink
 from .losses import LossKind, bundle, entropy, hess_uu_rows, loss_values, softmax_rows
-from .models import LinearModel, RffModel, hessian_contraction, init_rff
+from .models import LinearModel, RffModel, init_rff
 from .mixup import (
     _block_draws,
     _checked_count,
@@ -182,7 +182,7 @@ def quadratic_loss(ds_mod: Dataset, model, kind: LossKind, i: int, delta, epsilo
     xt = ds_mod.inputs[i]
     bnd = bundle(kind, ds_mod.outputs[i], model.predict(xt))
     G = model.input_jacobian(xt)
-    quad_in = G.T @ bnd.hess_uu @ G + hessian_contraction(model.input_hessian(xt), bnd.grad_u)
+    quad_in = G.T @ bnd.hess_uu @ G + model.input_hessian(xt, bnd.grad_u)
     single = np.ndim(delta) == 1
     delta, eps = (np.atleast_2d(np.asarray(z, dtype=float)) for z in (delta, epsilon))
     vals = (

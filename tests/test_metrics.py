@@ -91,7 +91,16 @@ def test_ece_trivial_cases():
 def test_ece_three_bin_hand_case():
     conf = [0.6, 0.6, 0.9, 0.9]
     corr = [1, 0, 1, 1]
-    assert ece(conf, corr, n_bins=3) == pytest.approx(0.10, abs=1e-12)
+    # worked on three bins; at the 15 default ones the 0.6 and 0.9 rows
+    # still fall in two bins, each off by 0.1
+    assert ece(conf, corr) == pytest.approx(0.10, abs=1e-12)
+
+
+@pytest.mark.parametrize("conf", [[np.nan], [np.nan, 0.9]])
+def test_ece_rejects_nan_confidences(conf):
+    """NaN is neither below 0 nor above 1, but lies in no bin either."""
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        ece(conf, [1.0] * len(conf))
 
 
 def test_ece_permutation_and_duplication_invariance():

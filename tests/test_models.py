@@ -29,7 +29,8 @@ def test_linear_jacobian_hessian():
     model = LinearModel(W=rng.normal(size=(2, 3)), b=rng.normal(size=2))
     x = rng.normal(size=3)
     assert np.array_equal(model.input_jacobian(x), model.W)
-    assert np.all(model.input_hessian(x) == 0.0)
+    hess = model.input_hessian(x, rng.normal(size=2))
+    assert hess.shape == (3, 3) and np.all(hess == 0.0)
 
 
 def test_linear_homogeneity_without_intercept():
@@ -204,12 +205,33 @@ def test_rff_derivatives_match_finite_differences(seed):
         x = rng.normal(size=2)
         jac_fd = central_jacobian(model.predict, x, h=1e-6)
         assert rel_err(model.input_jacobian(x), jac_fd, floor=1e-3) < 1e-5
-        hess = model.input_hessian(x)
-        for a in range(2):
+        for a, e_a in enumerate(np.eye(2)):
             hess_fd = central_jacobian(
                 lambda xx, a=a: model.input_jacobian(xx)[a], x, h=1e-6
             )
-            assert rel_err(hess[a], hess_fd, floor=1e-3) < 1e-5
+            assert rel_err(model.input_hessian(x, e_a), hess_fd, floor=1e-3) < 1e-5
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("kind", ["linear", "rff"])
+def test_input_hessian_contracts_the_output_hessians(kind, c):
+    """For random weights g, input_hessian(x, g) is sum_a g_a times the
+    finite-difference Hessian of f_a."""
+    rng = np.random.default_rng(10 * c + len(kind))
+    if kind == "rff":
+        model = init_rff(d=3, M=40, sigma_rff=2.0, c=c, seed=c)
+        model.w = rng.normal(size=model.w.shape)
+    else:
+        model = LinearModel(W=rng.normal(size=(c, 3)), b=rng.normal(size=c))
+    for _ in range(10):
+        x, g = rng.normal(size=3), rng.normal(size=c)
+        hess_fd = sum(
+            g[a] * central_jacobian(lambda xx, a=a: model.input_jacobian(xx)[a], x, h=1e-6)
+            for a in range(c)
+        )
+        hess = model.input_hessian(x, g)
+        assert hess.shape == (3, 3)
+        assert rel_err(hess, hess_fd, floor=1e-3) < 1e-5
 
 
 @pytest.mark.parametrize("M", [40, 1000])

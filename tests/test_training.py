@@ -15,6 +15,7 @@ from mixreg.training import (
     TrainConfig,
     TrainingDiverged,
     _ApproxContext,
+    _approx_context,
     _approx_value_grad,
     _fixed_features,
     _fixed_rows_predictor,
@@ -38,7 +39,7 @@ def test_trace_shape_and_determinism():
                       step_size=2.0, seed=3, model="rff", rff_features=50, rff_scale=3.0)
     m1, t1 = train(tr, te, cfg)
     m2, t2 = train(tr, te, cfg)
-    assert len(t1) == 15
+    assert len(t1.epochs) == 15
     assert t1.objective == t2.objective
     assert t1.test_acc == t2.test_acc
     assert np.array_equal(m1.w, m2.w)
@@ -224,31 +225,10 @@ def test_batch_restriction_averages_to_full_gradient():
     coeffs = mix_coefficients(1.0)
     _, full = approx_gradient(tr, model, LossKind.CROSS_ENTROPY, coeffs)
     half = tr.n // 2
-    _, first = approx_gradient(tr, model, LossKind.CROSS_ENTROPY, coeffs, indices=np.arange(half))
-    _, second = approx_gradient(
-        tr, model, LossKind.CROSS_ENTROPY, coeffs, indices=np.arange(half, tr.n)
-    )
+    ctx = _approx_context(tr, model, coeffs, True)
+    _, first = _approx_value_grad(ctx, model, LossKind.CROSS_ENTROPY, np.arange(half))
+    _, second = _approx_value_grad(ctx, model, LossKind.CROSS_ENTROPY, np.arange(half, tr.n))
     assert np.abs(0.5 * (first + second) - full).max() < 1e-12
-
-
-@pytest.mark.parametrize("indices", [[], np.array([], dtype=int)])
-def test_approx_gradient_rejects_an_empty_batch(indices):
-    tr, _ = _moons_split(11, n=20)
-    model = init_rff(2, 25, 2.0, 2, seed=12)
-    with pytest.raises(ValueError, match="non-empty"):
-        approx_gradient(tr, model, LossKind.CROSS_ENTROPY, mix_coefficients(1.0),
-                        indices=indices)
-
-
-@pytest.mark.parametrize("bad", [-1, 10])
-def test_approx_gradient_rejects_rows_outside_the_dataset(bad):
-    """-1 must not wrap to the last row; n is one past the end."""
-    tr, _ = _moons_split(11, n=20)
-    assert tr.n == 10
-    model = init_rff(2, 25, 2.0, 2, seed=12)
-    with pytest.raises(ValueError, match=r"\[0, 10\)"):
-        approx_gradient(tr, model, LossKind.CROSS_ENTROPY, mix_coefficients(1.0),
-                        indices=[0, 3, bad])
 
 
 def _einsum_step(ctx, model, kind, idx, drop_r2):
@@ -343,7 +323,7 @@ def test_approx_gradient_equals_the_einsum_reference(kind, model_kind, drop_r2):
         model = LinearModel(W=rng.normal(size=(tr.c, 2)), b=rng.normal(size=tr.c))
     coeffs = mix_coefficients(0.7)
     idx = rng.permutation(tr.n)[:12]
-    value, grad = approx_gradient(tr, model, kind, coeffs, indices=idx, drop_r2=drop_r2)
+    value, grad = _approx_value_grad(_approx_context(tr, model, coeffs, drop_r2), model, kind, idx)
     fit = modify(tr, coeffs.theta_bar)
     ctx = _ApproxContext(tr, fit, _fixed_features(model, fit.inputs), coeffs, model, drop_r2)
     ref_value, ref_grad = _einsum_step(ctx, model, kind, idx, drop_r2)
@@ -522,7 +502,7 @@ def test_logistic_loss_needs_one_target_column():
         train(tr, te, cfg)
     tr1, te1 = (Dataset(ds.inputs, ds.outputs[:, 1:]) for ds in (tr, te))
     _, trace = train(tr1, te1, cfg)
-    assert len(trace) == 1
+    assert len(trace.epochs) == 1
 
 
 def test_cross_entropy_needs_simplex_targets():

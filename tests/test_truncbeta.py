@@ -12,7 +12,6 @@ from mixreg.truncbeta import (
     _symmetric_beta,
     mix_coefficients,
     sample_theta,
-    trunc_beta_mean,
     trunc_beta_raw_moment,
 )
 
@@ -42,23 +41,23 @@ def quad_raw_moment(alpha, k):
 
 
 def test_mean_is_three_quarters_at_alpha_one():
-    assert trunc_beta_mean(1.0) == pytest.approx(0.75, abs=1e-14)
+    assert trunc_beta_raw_moment(1.0, 1) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_uniform_second_moment():
     assert trunc_beta_raw_moment(1.0, 2) == pytest.approx(7.0 / 12.0, abs=1e-14)
-    assert trunc_beta_raw_moment(1.0, 1) == pytest.approx(trunc_beta_mean(1.0), abs=1e-15)
+    assert trunc_beta_raw_moment(1.0, 1) == pytest.approx(mix_coefficients(1.0).theta_bar, abs=1e-15)
 
 
 def test_limits_in_alpha():
-    assert trunc_beta_mean(1e-6) == pytest.approx(1.0, abs=1e-4)
+    assert trunc_beta_raw_moment(1e-6, 1) == pytest.approx(1.0, abs=1e-4)
     # the large-alpha limit closes like 1/sqrt(alpha)
-    assert trunc_beta_mean(1e6) == pytest.approx(0.5, abs=5e-4)
-    assert trunc_beta_mean(1e6) > trunc_beta_mean(1e8) > 0.5
+    assert trunc_beta_raw_moment(1e6, 1) == pytest.approx(0.5, abs=5e-4)
+    assert trunc_beta_raw_moment(1e6, 1) > trunc_beta_raw_moment(1e8, 1) > 0.5
 
 
 def test_mean_matches_quadrature_at_half():
-    assert trunc_beta_mean(0.5) == pytest.approx(quad_raw_moment(0.5, 1), abs=1e-10)
+    assert trunc_beta_raw_moment(0.5, 1) == pytest.approx(quad_raw_moment(0.5, 1), abs=1e-10)
 
 
 def test_second_moment_matches_quadrature_at_two():
@@ -95,7 +94,7 @@ def test_gamma_ratio_moments_match_incomplete_beta(alpha):
 
 
 def test_mean_strictly_decreasing_on_grid():
-    means = [trunc_beta_mean(a) for a in ALPHA_GRID]
+    means = [trunc_beta_raw_moment(a, 1) for a in ALPHA_GRID]
     assert all(m1 > m2 for m1, m2 in zip(means, means[1:]))
     assert all(0.5 < m < 1.0 for m in means)
 
@@ -124,7 +123,7 @@ def test_coefficients_match_quadrature_at_quarter():
 def test_domain_errors():
     for bad in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
-            trunc_beta_mean(bad)
+            trunc_beta_raw_moment(bad, 1)
     with pytest.raises(ValueError):
         trunc_beta_raw_moment(1.0, 3)
     with pytest.raises(ValueError):
